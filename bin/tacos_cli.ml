@@ -89,6 +89,39 @@ let parse_groups topo gstr =
 
 let fail fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt
 
+(* Every file the CLI writes is opened by [open_output]. An unwritable path
+   raises [Cannot_write], which [reporting_write_errors] turns into the
+   error "cannot write FILE: REASON" (exit 124) instead of letting the
+   [Sys_error] escape as an internal error (exit 125). *)
+exception Cannot_write of string * string
+
+let cannot_write file reason =
+  (* [Sys_error] messages usually start with the path itself. *)
+  let prefix = file ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      String.sub reason (String.length prefix) (String.length reason - String.length prefix)
+    else reason
+  in
+  raise (Cannot_write (file, reason))
+
+let open_output ?(append = false) ?(perm = 0o666) file =
+  let mode = if append then Open_append else Open_trunc in
+  try open_out_gen [ Open_wronly; Open_creat; Open_text; mode ] perm file
+  with Sys_error reason -> cannot_write file reason
+
+let write_file file text =
+  let oc = open_output file in
+  try
+    output_string oc text;
+    close_out oc
+  with Sys_error reason ->
+    close_out_noerr oc;
+    cannot_write file reason
+
+let reporting_write_errors f =
+  try f () with Cannot_write (file, reason) -> fail "cannot write %s: %s" file reason
+
 let sketch_arg =
   let doc =
     "Communication sketch file (JSON rules: forbid/prefer/pin/buddy) \
@@ -108,7 +141,7 @@ let with_sketch sketch_path f =
 let with_setup topo_str alpha_us bw_gbps f =
   match Parse.parse_topology ~alpha:(alpha_us *. 1e-6) ~bw:(Units.gbps bw_gbps) topo_str with
   | Error e -> fail "%s" e
-  | Ok topo -> f topo
+  | Ok topo -> reporting_write_errors (fun () -> f topo)
 
 (* --- synthesize ----------------------------------------------------------- *)
 
@@ -232,9 +265,7 @@ let synthesize_cmd =
               if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
               (match svg with
               | Some file ->
-                let oc = open_out file in
-                output_string oc (Svg.render topo result.Synth.schedule);
-                close_out oc;
+                write_file file (Svg.render topo result.Synth.schedule);
                 Format.printf "SVG written to %s@." file
               | None -> ());
               (match program with
@@ -253,9 +284,7 @@ let synthesize_cmd =
               (match json with
               | Some "-" -> print_string (Schedule.to_json ~spec result.Synth.schedule)
               | Some file ->
-                let oc = open_out file in
-                output_string oc (Schedule.to_json ~spec result.Synth.schedule);
-                close_out oc;
+                write_file file (Schedule.to_json ~spec result.Synth.schedule);
                 Format.printf "schedule written to %s@." file
               | None -> ());
               if ten then begin
@@ -600,10 +629,7 @@ let profile_cmd =
               (match out with
               | "-" -> print_endline text
               | file ->
-                let oc = open_out file in
-                output_string oc text;
-                output_char oc '\n';
-                close_out oc;
+                write_file file (text ^ "\n");
                 Format.printf "profile written to %s@." file);
               `Ok ())))
   in
@@ -793,10 +819,7 @@ let midflight_run ~seed ~trials ~domains ~budget ~json topo spec size faults at_
       (match dest with
       | "-" -> print_endline text
       | file ->
-        let oc = open_out file in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
+        write_file file (text ^ "\n");
         Format.printf "report written to %s@." file));
     `Ok ()
 
@@ -905,10 +928,7 @@ let multiflight_run ~seed ~trials ~domains ~budget ~json topo spec size
         match dest with
         | "-" -> print_endline text
         | file ->
-          let oc = open_out file in
-          output_string oc text;
-          output_char oc '\n';
-          close_out oc;
+          write_file file (text ^ "\n");
           Format.printf "report written to %s@." file);
       `Ok ())
 
@@ -1145,10 +1165,7 @@ let faults_cmd =
                 (match dest with
                 | "-" -> print_endline text
                 | file ->
-                  let oc = open_out file in
-                  output_string oc text;
-                  output_char oc '\n';
-                  close_out oc;
+                  write_file file (text ^ "\n");
                   Format.printf "report written to %s@." file));
               `Ok ())))
   in
@@ -1295,11 +1312,7 @@ let trace_cmd =
                   let text = Json.encode doc in
                   (match out with
                   | "-" -> print_endline text
-                  | file ->
-                    let oc = open_out file in
-                    output_string oc text;
-                    output_char oc '\n';
-                    close_out oc);
+                  | file -> write_file file (text ^ "\n"));
                   Format.printf "topology:        %a@." Topology.pp topo;
                   Format.printf "collective:      %a@." Spec.pp spec;
                   Format.printf "simulated time:  %s@."
@@ -1500,6 +1513,7 @@ let serve_cmd =
     else if max_disk_mb <> None && registry_dir = None then
       fail "--max-disk-mb needs --registry DIR (nothing on disk to cap)"
     else begin
+      reporting_write_errors @@ fun () ->
       (* The daemon keeps observability on: serve.* counters feed the
          stats op, the metrics exposition, and any profile taken against a
          long-running server. *)
@@ -1509,9 +1523,7 @@ let serve_cmd =
         | None -> (None, fun () -> ())
         | Some "-" -> (Some (fun line -> Printf.eprintf "%s\n%!" line), fun () -> ())
         | Some path ->
-          let oc =
-            open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
-          in
+          let oc = open_output ~append:true ~perm:0o644 path in
           ( Some
               (fun line ->
                 output_string oc line;
@@ -1538,11 +1550,9 @@ let serve_cmd =
         | Some path -> (
           let tmp = path ^ ".tmp" in
           try
-            let oc = open_out tmp in
-            output_string oc (Service.metrics svc);
-            close_out oc;
+            write_file tmp (Service.metrics svc);
             Sys.rename tmp path
-          with Sys_error _ -> ())
+          with Cannot_write _ | Sys_error _ -> ())
       in
       if metrics_file <> None then
         ignore

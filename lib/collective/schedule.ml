@@ -375,7 +375,8 @@ let of_json text =
       | None -> Error "Schedule.of_json: malformed send entry"))
 
 let to_json ?spec t =
-  let buf = Buffer.create (256 + (96 * List.length t.sends)) in
+  let n = List.length t.sends in
+  let buf = Buffer.create (256 + (96 * n)) in
   Buffer.add_string buf "{\n";
   (match spec with
   | Some s ->
@@ -394,7 +395,7 @@ let to_json ?spec t =
            "    {\"chunk\": %d, \"src\": %d, \"dst\": %d, \"link\": %d, \
             \"start\": %.17g, \"finish\": %.17g}%s\n"
            s.chunk s.src s.dst s.edge s.start s.finish
-           (if i = List.length t.sends - 1 then "" else ",")))
+           (if i = n - 1 then "" else ",")))
     t.sends;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf

@@ -127,11 +127,19 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
      bandwidth-bound traffic still queues. *)
   let base_serialize = Array.make m 0. (* healthy β, seconds per byte *) in
   let base_latency = Array.make m 0. (* healthy α, seconds *) in
+  let link_dst = Array.make m 0 in
   List.iter
     (fun (e : Topology.edge) ->
       base_serialize.(e.id) <- Link.cost e.link 1. -. Link.cost e.link 0.;
-      base_latency.(e.id) <- Link.cost e.link 0.)
+      base_latency.(e.id) <- Link.cost e.link 0.;
+      link_dst.(e.id) <- e.dst)
     (Topology.edges topo);
+  (* Each node's out-links in insertion order: the parallel links towards a
+     next hop are scanned in the order [Topology.find_links] lists them. *)
+  let out_links =
+    Array.init (Topology.num_npus topo) (fun v ->
+        Array.of_list (List.map (fun (e : Topology.edge) -> e.id) (Topology.out_edges topo v)))
+  in
   (* Live link parameters: mutated by timed degrade/recover events. *)
   let serialize = Array.copy base_serialize in
   let latency = Array.copy base_latency in
@@ -142,7 +150,7 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   let queue = Array.init m (fun _ -> Queue.create ()) in
   let serving = Array.make m false in
   let in_service : msg option array = Array.make m None in
-  let service_span = Array.make m (0., 0.) (* (start, scheduled end) *) in
+  let service_start = Array.make m 0. and service_end = Array.make m 0. in
   let serial = Array.make m 0 in
   let backlog = Array.make m 0. in
   (* Stats. *)
@@ -213,7 +221,8 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
       | Pipelined_alpha -> t +. hold +. latency.(link)
       | Blocking_alpha -> t +. hold
     in
-    service_span.(link) <- (t, t +. hold);
+    service_start.(link) <- t;
+    service_end.(link) <- t +. hold;
     link_bytes.(link) <- link_bytes.(link) +. size;
     link_busy.(link) <- link_busy.(link) +. hold;
     link_intervals.(link) <- (t, t +. hold) :: link_intervals.(link);
@@ -263,13 +272,15 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   and enqueue_hop (msg : msg) t ~complete =
     let current = msg.at in
     let next = match msg.rest with [] -> assert false | n :: _ -> n in
-    let candidates =
-      List.filter
-        (fun (e : Topology.edge) -> alive.(e.id))
-        (Topology.find_links topo ~src:current ~dst:next)
-    in
-    match candidates with
-    | [] ->
+    let out = out_links.(current) in
+    let link = ref (-1) in
+    for i = 0 to Array.length out - 1 do
+      let e = out.(i) in
+      if link_dst.(e) = next && alive.(e) && (!link < 0 || backlog.(e) < backlog.(!link))
+      then link := e
+    done;
+    match !link with
+    | -1 ->
       if not !faulted then
         raise
           (Simulation_error
@@ -286,13 +297,7 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
           Trace.emit ~t (Trace.Rerouted { tid = msg.tid; node = current });
         replan msg t ~complete
       end
-    | first :: rest ->
-      let link =
-        List.fold_left
-          (fun best (e : Topology.edge) ->
-            if backlog.(e.id) < backlog.(best) then e.id else best)
-          first.Topology.id rest
-      in
+    | link ->
       (* backlog.(link) predicts when the link finishes everything accepted so
          far: service is FCFS and back-to-back, so the new message starts at
          max(backlog, now) and occupies the link for its full model hold
@@ -374,7 +379,7 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
           msg.aborted <- true;
           if trace_on then
             Trace.emit ~t (Trace.Service_aborted { tid = msg.tid; link });
-          let s, e = service_span.(link) in
+          let s = service_start.(link) and e = service_end.(link) in
           let hold = e -. s in
           let fraction =
             if hold <= 0. then 0. else Float.max 0. (Float.min 1. ((t -. s) /. hold))

@@ -71,27 +71,40 @@ let validate_acyclic t =
       (Printf.sprintf "transfer %d depends on transfer %d, which is not earlier"
          id dep)
 
-let default_tag_of (s : Schedule.send) = Printf.sprintf "chunk%d" s.chunk
-
-let of_schedule ?(tag_of = default_tag_of) ~chunk_size (sched : Schedule.t) =
-  let b = builder () in
+let of_schedule ?tag_of ~chunk_size (sched : Schedule.t) =
+  let sends = Array.of_list sched.Schedule.sends in
+  if chunk_size < 0. && Array.length sends > 0 then invalid_arg "Program.add: negative size";
+  let nodes = ref 0 and chunks = ref 0 in
+  Array.iter
+    (fun (s : Schedule.send) ->
+      if s.src < 0 || s.dst < 0 || s.chunk < 0 then
+        invalid_arg "Program.of_schedule: negative NPU or chunk id";
+      nodes := max !nodes (max s.src s.dst + 1);
+      chunks := max !chunks (s.chunk + 1))
+    sends;
+  let chunks = !chunks in
   (* Sends are already sorted by start time, so every delivery of a chunk to
      a node appears before any send that forwards it. A send depends on all
      earlier arrivals of its chunk at its source: one arrival for gather-side
      phases, several for the time-mirrored reduction phases (where partial
-     contributions converge before the combined value moves on). *)
-  let delivered = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Schedule.send) ->
-      let deps =
-        Option.value ~default:[] (Hashtbl.find_opt delivered (s.src, s.chunk))
-      in
-      let id =
-        add b ~tag:(tag_of s) ~deps ~src:s.src ~dst:s.dst ~size:chunk_size ()
-      in
-      let at_dst =
-        Option.value ~default:[] (Hashtbl.find_opt delivered (s.dst, s.chunk))
-      in
-      Hashtbl.replace delivered (s.dst, s.chunk) (id :: at_dst))
-    sched.Schedule.sends;
-  build b
+     contributions converge before the combined value moves on).
+     [delivered.(node * chunks + chunk)] holds those arrivals, newest
+     first. *)
+  let delivered = Array.make (!nodes * chunks) [] in
+  let names = Array.make chunks "" in
+  let tag (s : Schedule.send) =
+    match tag_of with
+    | Some f -> f s
+    | None ->
+      if names.(s.chunk) = "" then names.(s.chunk) <- Printf.sprintf "chunk%d" s.chunk;
+      names.(s.chunk)
+  in
+  {
+    transfers =
+      Array.init (Array.length sends) (fun id ->
+          let s = sends.(id) in
+          let deps = delivered.((s.src * chunks) + s.chunk) in
+          let at_dst = (s.dst * chunks) + s.chunk in
+          delivered.(at_dst) <- id :: delivered.(at_dst);
+          { id; tag = tag s; src = s.src; dst = s.dst; size = chunk_size; deps });
+  }

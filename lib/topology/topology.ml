@@ -264,24 +264,21 @@ let total_bandwidth t =
 
 (* Dijkstra over α costs from one source; returns the distance array. *)
 let alpha_distances t src =
+  let module Pq = Tacos_util.Pq in
   let dist = Array.make t.n infinity in
   dist.(src) <- 0.;
-  let module Pq = Set.Make (struct
-    type t = float * int
-
-    let compare = compare
-  end) in
-  let pq = ref (Pq.singleton (0., src)) in
-  while not (Pq.is_empty !pq) do
-    let ((d, v) as elt) = Pq.min_elt !pq in
-    pq := Pq.remove elt !pq;
+  let pq = Pq.Pairs.create () in
+  Pq.Pairs.push pq 0. src;
+  while not (Pq.Pairs.is_empty pq) do
+    let d = Pq.Pairs.min_key pq in
+    let v = Pq.Pairs.pop pq in
     if d <= dist.(v) then
       List.iter
         (fun (e : edge) ->
           let nd = d +. e.link.Link.alpha in
           if nd < dist.(e.dst) then begin
             dist.(e.dst) <- nd;
-            pq := Pq.add (nd, e.dst) !pq
+            Pq.Pairs.push pq nd e.dst
           end)
         t.out_adj.(v)
   done;
