@@ -46,11 +46,11 @@ let par_domains = [ 1; 2; 4; 8 ]
 
 let schedules_identical (a : Plan.t) (b : Plan.t) =
   let ra = a.Plan.result and rb = b.Plan.result in
-  ra.Synth.schedule.Schedule.sends = rb.Synth.schedule.Schedule.sends
+  Schedule.sends ra.Synth.schedule = Schedule.sends rb.Synth.schedule
   && (match (ra.Synth.phases, rb.Synth.phases) with
      | Some (rs1, ag1), Some (rs2, ag2) ->
-       rs1.Schedule.sends = rs2.Schedule.sends
-       && ag1.Schedule.sends = ag2.Schedule.sends
+       Schedule.sends rs1 = Schedule.sends rs2
+       && Schedule.sends ag1 = Schedule.sends ag2
      | None, None -> true
      | _ -> false)
 

@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe              # run everything
      dune exec bench/main.exe -- fig16     # one experiment
-     dune exec bench/main.exe -- bechamel  # bechamel micro-benchmarks
      TACOS_BENCH_SCALE=small|large         # trim / extend the sweeps *)
 
 let experiments =
@@ -34,7 +33,7 @@ let experiments =
   ]
 
 let usage () =
-  print_endline "usage: main.exe [experiment|bechamel|list] ...";
+  print_endline "usage: main.exe [experiment|list] ...";
   print_endline "experiments:";
   List.iter (fun (id, desc, _) -> Printf.printf "  %-6s %s\n" id desc) experiments
 
@@ -42,8 +41,7 @@ let run_one id =
   match List.find_opt (fun (name, _, _) -> name = id) experiments with
   | Some (_, _, run) -> run ()
   | None ->
-    if id = "bechamel" then Micro.run ()
-    else if id = "list" || id = "--help" || id = "-h" then usage ()
+    if id = "list" || id = "--help" || id = "-h" then usage ()
     else begin
       Printf.eprintf "unknown experiment %S\n" id;
       usage ();

@@ -53,7 +53,7 @@ let pick_victim topo (healthy : Synth.result) ~at =
   in
   List.find_opt
     (fun s -> future s && connected_kill s)
-    healthy.Synth.schedule.Schedule.sends
+    (Schedule.sends healthy.Synth.schedule)
 
 let measure name topo pattern frac =
   let sp =
@@ -146,7 +146,7 @@ let measure name topo pattern frac =
 let epoch_fractions = function 1 -> [ 0.4 ] | 2 -> [ 0.3; 0.55 ] | _ -> [ 0.3; 0.55; 0.75 ]
 
 let pick_victims topo (healthy : Synth.result) ~ats =
-  let sends = healthy.Synth.schedule.Schedule.sends in
+  let sends = Schedule.sends healthy.Synth.schedule in
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | at :: rest -> (

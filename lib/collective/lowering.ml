@@ -17,7 +17,7 @@ let npu_programs ~npus (sched : Schedule.t) =
       programs.(s.dst) <-
         Recv { chunk = s.chunk; peer = s.src; link = s.edge; start = s.start; finish = s.finish }
         :: programs.(s.dst))
-    sched.Schedule.sends;
+    (Schedule.sends sched);
   Array.map
     (fun ops -> List.stable_sort (fun a b -> compare (time_of a) (time_of b)) ops)
     programs

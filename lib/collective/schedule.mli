@@ -20,13 +20,49 @@ type send = {
   finish : float;
 }
 
-type t = private { sends : send list; makespan : float }
-(** [sends] are sorted by start time; [makespan] is the largest finish time
-    (0 for the empty schedule). *)
+type t = private {
+  chunks : int array;
+  edges : int array;
+  srcs : int array;
+  dsts : int array;
+  starts : float array;
+  finishes : float array;
+  makespan : float;
+}
+(** Six parallel arrays, one slot per send: send [i] moves chunk
+    [chunks.(i)] over link [edges.(i)] from NPU [srcs.(i)] to NPU [dsts.(i)]
+    during [[starts.(i), finishes.(i)]]. Sends are in stable (start, finish)
+    order: by start, then finish, and equal pairs in the order they were
+    given. [makespan] is the largest finish time (0 for the empty schedule).
+    The arrays are read-only: schedules share them, so a caller must never
+    write to one. *)
 
 val make : send list -> t
+(** Sort the sends into (start, finish) order, keeping the list order of
+    equal pairs. Raises [Invalid_argument] on a send with a negative start,
+    a finish before its start, or a time that is not finite. *)
+
+val of_arrays :
+  chunk:int array ->
+  edge:int array ->
+  src:int array ->
+  dst:int array ->
+  start:float array ->
+  finish:float array ->
+  t
+(** {!make} over parallel arrays, which the schedule then owns. Sends
+    already in order are not moved; otherwise they are stable-sorted. Raises
+    [Invalid_argument] as {!make} does, or when the lengths differ. *)
+
 val empty : t
 val num_sends : t -> int
+
+val get : t -> int -> send
+(** [get t i] is send [i], as a record. *)
+
+val sends : t -> send list
+(** The sends in order, as a list built on each call: for readers that are
+    not on a hot path. *)
 
 val eps_for : float -> float
 (** Magnitude-scaled tolerance for floating-point time comparisons:
@@ -34,7 +70,9 @@ val eps_for : float -> float
     reservation calendars so "free slot" and "congestion-free" agree. *)
 
 val shift : t -> float -> t
-(** Translate every send in time. *)
+(** Translate every send in time. The sends keep their order unless
+    rounding turns two times into a tie, and only then are they re-sorted.
+    Raises [Invalid_argument] as {!make} does when a start turns negative. *)
 
 val reverse : t -> t
 (** Time-mirror the schedule and swap each send's direction, keeping the
@@ -46,11 +84,15 @@ val concat : t -> t -> t
     All-Reduce is assembled from Reduce-Scatter and All-Gather. *)
 
 val union : t -> t -> t
-(** [union a b] overlays two schedules as-is (no shifting): the sends of
-    both, sorted, with the larger makespan. O(n) — it merges the two
-    already-sorted send lists instead of re-sorting, so composing many
-    parts stays linear. The caller is responsible for the parts being
-    disjoint in link occupancy where they overlap in time. *)
+(** [union a b] overlays two schedules as-is (no shifting): [merge [a; b]].
+    The caller is responsible for the parts being disjoint in link occupancy
+    where they overlap in time. *)
+
+val merge : t list -> t
+(** Stable k-way merge of schedules: the sends of all of them in (start,
+    finish) order, equal pairs in their schedule's order and the earlier
+    schedule first — the order {!make} gives their concatenated send lists,
+    at O(n log k). The makespan is the largest one. *)
 
 val phase_of_send : reduce_scatter:t -> send -> string
 (** Which phase of a {!concat}-assembled All-Reduce a send belongs to:

@@ -52,30 +52,51 @@ let owner t c =
 let a2a_chunk t ~src ~dst slot = (((src * t.npus) + dst) * t.chunks_per_npu) + slot
 let a2a_dest t c = c / t.chunks_per_npu mod t.npus
 
-let all_npus t = List.init t.npus Fun.id
-let all_chunks t = List.init (num_chunks t) Fun.id
+(* Each condition is enumerated in one fixed order: by NPU, then chunk, for
+   "everywhere"; by chunk for the anchored and rooted ones. The list forms
+   below and the validator's walk over the iterators share that order, so
+   both report the same first unmet pair. *)
+let iter_anchored t f =
+  for c = 0 to num_chunks t - 1 do
+    f (owner t c) c
+  done
 
-let anchored t = List.map (fun c -> (owner t c, c)) (all_chunks t)
+let iter_everywhere t f =
+  let k = num_chunks t in
+  for d = 0 to t.npus - 1 do
+    for c = 0 to k - 1 do
+      f d c
+    done
+  done
 
-let everywhere t =
-  List.concat_map (fun d -> List.map (fun c -> (d, c)) (all_chunks t)) (all_npus t)
+let iter_at_root t r f =
+  for c = 0 to num_chunks t - 1 do
+    f r c
+  done
 
-let at_root t r = List.map (fun c -> (r, c)) (all_chunks t)
-
-let precondition t =
+let iter_precondition t f =
   match t.pattern with
-  | Pattern.All_gather | Pattern.Gather _ -> anchored t
-  | Pattern.Reduce_scatter | Pattern.Reduce _ | Pattern.All_reduce -> everywhere t
-  | Pattern.Broadcast r -> at_root t r
-  | Pattern.Scatter r -> at_root t r
-  | Pattern.All_to_all -> anchored t
+  | Pattern.All_gather | Pattern.Gather _ | Pattern.All_to_all -> iter_anchored t f
+  | Pattern.Reduce_scatter | Pattern.Reduce _ | Pattern.All_reduce -> iter_everywhere t f
+  | Pattern.Broadcast r | Pattern.Scatter r -> iter_at_root t r f
 
-let postcondition t =
+let iter_postcondition t f =
   match t.pattern with
-  | Pattern.All_gather | Pattern.Broadcast _ | Pattern.All_reduce -> everywhere t
-  | Pattern.Reduce_scatter | Pattern.Scatter _ -> anchored t
-  | Pattern.Reduce r | Pattern.Gather r -> at_root t r
-  | Pattern.All_to_all -> List.map (fun c -> (a2a_dest t c, c)) (all_chunks t)
+  | Pattern.All_gather | Pattern.Broadcast _ | Pattern.All_reduce -> iter_everywhere t f
+  | Pattern.Reduce_scatter | Pattern.Scatter _ -> iter_anchored t f
+  | Pattern.Reduce r | Pattern.Gather r -> iter_at_root t r f
+  | Pattern.All_to_all ->
+    for c = 0 to num_chunks t - 1 do
+      f (a2a_dest t c) c
+    done
+
+let to_list iter t =
+  let acc = ref [] in
+  iter t (fun d c -> acc := (d, c) :: !acc);
+  List.rev !acc
+
+let precondition t = to_list iter_precondition t
+let postcondition t = to_list iter_postcondition t
 
 let with_pattern t pattern =
   check_root t.npus pattern;

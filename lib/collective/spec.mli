@@ -50,6 +50,13 @@ val postcondition : t -> (int * int) list
 (** [(npu, chunk)] pairs that must hold at the end. For [All_reduce] this is
     the All-Gather postcondition (everyone holds everything). *)
 
+val iter_precondition : t -> (int -> int -> unit) -> unit
+(** [iter_precondition t f] calls [f npu chunk] on every pair of
+    {!precondition}, in the same order, without building the list. *)
+
+val iter_postcondition : t -> (int -> int -> unit) -> unit
+(** The pairs of {!postcondition}, in the same order. *)
+
 val reverse : t -> t
 (** The spec whose synthesis, mirrored in time on the reversed topology,
     implements this one (§IV-E). Raises [Invalid_argument] for [All_reduce]. *)

@@ -61,6 +61,6 @@ let render topo (sched : Schedule.t) =
            s.src s.dst
            (Tacos_util.Units.time_pp s.start)
            (Tacos_util.Units.time_pp s.finish)))
-    sched.Schedule.sends;
+    (Schedule.sends sched);
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf

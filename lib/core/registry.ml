@@ -136,7 +136,7 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
       let rs, ag =
         List.partition
           (fun (s : Schedule.send) -> s.start +. eps < rs_makespan)
-          schedule.Schedule.sends
+          (Schedule.sends schedule)
       in
       Some (Schedule.make rs, Schedule.make ag)
     | None -> None)

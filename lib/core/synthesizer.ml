@@ -532,7 +532,7 @@ let trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo
         (Spec.with_pattern spec Pattern.All_gather)
     in
     let ag_shifted = Schedule.shift ag rs.Schedule.makespan in
-    (Schedule.concat rs ag, Some (rs, ag_shifted), r1 + r2, m1 + m2)
+    (Schedule.union rs ag_shifted, Some (rs, ag_shifted), r1 + r2, m1 + m2)
   | _ ->
     let sched, rounds, matches =
       synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo spec

@@ -8,15 +8,17 @@ open Tacos_collective
     array, link map, and a caller-supplied chunk map, and translates it in
     time to the phase's start offset. Because the lifted sends keep their
     relative timing and each global link belongs to exactly one group (or
-    one slice) per phase, the merged send list stays congestion-free and
+    one slice) per phase, the merged schedule stays congestion-free and
     {!Schedule.validate} accepts it chronologically. *)
 
-val lift :
-  Group.t -> chunk_map:(int -> int) -> offset:float -> Schedule.t -> Schedule.send list
+val lift : Group.t -> chunk_map:(int -> int) -> offset:float -> Schedule.t -> Schedule.t
 (** Rewrite every send of a local schedule to global NPU ids
     ([members.(rank)]), global link ids ([link_map.(edge)]) and global chunk
-    ids ([chunk_map chunk]), shifted by [offset] seconds. *)
+    ids ([chunk_map chunk]), shifted by [offset] seconds. The result is one
+    sorted run: adding [offset] keeps the local order unless rounding turns
+    two start times into a tie, and only then is the run re-sorted. *)
 
-val assemble : Schedule.send list list -> Schedule.t
-(** Merge lifted phases into one full-fabric schedule ({!Schedule.make}
-    re-sorts by start time). *)
+val assemble : Schedule.t list -> Schedule.t
+(** Merge lifted runs into one full-fabric schedule ({!Schedule.merge}):
+    equal (start, finish) pairs keep run order, so the result is the one a
+    stable sort of the runs' concatenated sends gives. *)

@@ -166,8 +166,8 @@ let synth_parts ctx elements =
     elements handles
 
 (* One phase: synthesize (deduped) each part, lift every part's schedule to
-   start at [offset], and account. Returns the lifted sends, the phase's
-   completion time, and its info row. *)
+   start at [offset], and account. Returns the lifted runs, one per part,
+   the phase's completion time, and its info row. *)
 let run_phase ctx ~phase ~offset elements =
   let parts = synth_parts ctx elements in
   let finish =
@@ -176,9 +176,9 @@ let run_phase ctx ~phase ~offset elements =
         Float.max acc (offset +. r.schedule.Schedule.makespan))
       offset parts
   in
-  let sends =
+  let runs =
     Obs.time t_lift (fun () ->
-        List.concat_map
+        List.map
           (fun (group, chunk_map, (r : Synthesizer.result), _) ->
             Compose.lift group ~chunk_map ~offset r.schedule)
           parts)
@@ -211,7 +211,7 @@ let run_phase ctx ~phase ~offset elements =
       ("wall_seconds", Tacos_util.Json.Number wall);
       ("makespan", Tacos_util.Json.Number info.makespan);
     ];
-  (sends, finish, info)
+  (runs, finish, info)
 
 (* --- decomposition ----------------------------------------------------- *)
 
@@ -332,11 +332,11 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
   | Pattern.All_gather ->
     let s1, t1, i1 = run_phase ctx ~phase:"inter-all-gather" ~offset:0. (inter_elems Pattern.All_gather) in
     let s2, _, i2 = run_phase ctx ~phase:"intra-all-gather" ~offset:t1 (intra_elems Pattern.All_gather) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
   | Pattern.Reduce_scatter ->
     let s1, t1, i1 = run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0. (intra_elems Pattern.Reduce_scatter) in
     let s2, _, i2 = run_phase ctx ~phase:"inter-reduce-scatter" ~offset:t1 (inter_elems Pattern.Reduce_scatter) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
   | Pattern.Broadcast root ->
     let g0, r0 = locate root in
     let slice = List.nth slices r0 in
@@ -348,7 +348,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
       run_phase ctx ~phase:"intra-broadcast" ~offset:t1
         (List.map (fun gr -> (gr, rooted_spec (Pattern.Broadcast r0) m, identity)) groups)
     in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
   | Pattern.Reduce root ->
     let g0, r0 = locate root in
     let slice = List.nth slices r0 in
@@ -360,7 +360,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
       run_phase ctx ~phase:"inter-reduce" ~offset:t1
         [ (slice, rooted_spec (Pattern.Reduce g0) g, identity) ]
     in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
   | Pattern.All_reduce ->
     let s1, t1, i1 =
       run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0.
@@ -390,16 +390,16 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
         (fun acc (_, _, (rs : Schedule.t), _, _) -> Float.max acc rs.Schedule.makespan)
         0. parts
     in
-    let rs_sends =
+    let rs_runs =
       Obs.time t_lift (fun () ->
-          List.concat_map
+          List.map
             (fun (sl, _, rs, _, _) ->
               Compose.lift sl ~chunk_map:(slice_map sl) ~offset:t1 rs)
             parts)
     in
     let t2 = ref (t1 +. max_rs) in
-    let ag_sends =
-      List.concat_map
+    let ag_runs =
+      List.map
         (fun (sl, _, (rs : Schedule.t), (ag : Schedule.t), _) ->
           let offset = t1 +. max_rs -. rs.Schedule.makespan in
           t2 := Float.max !t2 (offset +. ag.Schedule.makespan);
@@ -437,13 +437,12 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
     let s3, _, i3 =
       run_phase ctx ~phase:"intra-all-gather" ~offset:!t2 (intra_elems Pattern.All_gather)
     in
-    (* Every all-gather send starts at or after [t1 + max_rs], i.e. no
-       earlier than any reduce-scatter send, so the composed schedule is
-       the O(n) ordered union of the two halves — no third full sort. *)
+    (* Each half is a merge of its runs, and the composed schedule the
+       merge of the two halves. *)
     let rs_part, ag_part, composed =
       Obs.time t_assemble (fun () ->
-          let rs_part = Schedule.make (s1 @ rs_sends) in
-          let ag_part = Schedule.make (ag_sends @ s3) in
+          let rs_part = Compose.assemble (s1 @ rs_runs) in
+          let ag_part = Compose.assemble (ag_runs @ s3) in
           (rs_part, ag_part, Schedule.union rs_part ag_part))
     in
     finish composed (Some (rs_part, ag_part)) [ i1; i2; i3 ]

@@ -55,10 +55,10 @@ let replay t ~combining ~pull ~at =
     List.concat_map
       (fun (s : Schedule.send) ->
         [ (s.Schedule.start, 1, Combine_start, s); (s.Schedule.finish, 0, Combine_finish, s) ])
-      (kept combining.Schedule.sends)
+      (kept (Schedule.sends combining))
     @ List.map
         (fun (s : Schedule.send) -> (s.Schedule.finish, 0, Pull_finish, s))
-        (kept pull.Schedule.sends)
+        (kept (Schedule.sends pull))
   in
   let events =
     List.sort

@@ -245,7 +245,7 @@ let classify topo faults (result : Synth.result) =
       end
       else if List.mem s.Schedule.edge slowed then
         Hashtbl.replace used_slow s.Schedule.edge ())
-    result.Synth.schedule.Schedule.sends;
+    (Schedule.sends result.Synth.schedule);
   let ids tbl = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) tbl []) in
   if !lost > 0 then Broken { links = ids used_dead; lost_sends = !lost }
   else if Hashtbl.length used_slow > 0 then Degraded_timing { links = ids used_slow }
@@ -387,8 +387,8 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
     ctx split =
   let eps = Schedule.eps_for at in
   let keep (s : Schedule.send) = s.Schedule.finish <= at +. eps in
-  let kept_c = List.filter keep split.combining.Schedule.sends in
-  let kept_p = List.filter keep split.pull.Schedule.sends in
+  let kept_c = List.filter keep (Schedule.sends split.combining) in
+  let kept_p = List.filter keep (Schedule.sends split.pull) in
   let kept_combining = Schedule.make kept_c in
   let kept_pull = Schedule.make kept_p in
   let tracker =
@@ -533,7 +533,7 @@ let lift_full ~at topo faults spec (o : outcome) =
            (List.map
               (fun (snd : Schedule.send) ->
                 { snd with Schedule.edge = map.(snd.Schedule.edge) })
-              s.Schedule.sends))
+              (Schedule.sends s)))
         at
     in
     match spec.Spec.pattern with

@@ -244,7 +244,7 @@ let csv_of_result topo (result : Synth.result) =
   List.iter
     (fun (s : Schedule.send) ->
       per_edge.(s.Schedule.edge) <- s :: per_edge.(s.Schedule.edge))
-    result.Synth.schedule.Schedule.sends;
+    (Schedule.sends result.Synth.schedule);
   List.iter
     (fun (e : Topology.edge) ->
       let chunks =

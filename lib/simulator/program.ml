@@ -72,16 +72,16 @@ let validate_acyclic t =
          id dep)
 
 let of_schedule ?tag_of ~chunk_size (sched : Schedule.t) =
-  let sends = Array.of_list sched.Schedule.sends in
-  if chunk_size < 0. && Array.length sends > 0 then invalid_arg "Program.add: negative size";
+  let n = Schedule.num_sends sched in
+  let src = sched.srcs and dst = sched.dsts and chunk = sched.chunks in
+  if chunk_size < 0. && n > 0 then invalid_arg "Program.add: negative size";
   let nodes = ref 0 and chunks = ref 0 in
-  Array.iter
-    (fun (s : Schedule.send) ->
-      if s.src < 0 || s.dst < 0 || s.chunk < 0 then
-        invalid_arg "Program.of_schedule: negative NPU or chunk id";
-      nodes := max !nodes (max s.src s.dst + 1);
-      chunks := max !chunks (s.chunk + 1))
-    sends;
+  for i = 0 to n - 1 do
+    if src.(i) < 0 || dst.(i) < 0 || chunk.(i) < 0 then
+      invalid_arg "Program.of_schedule: negative NPU or chunk id";
+    nodes := max !nodes (max src.(i) dst.(i) + 1);
+    chunks := max !chunks (chunk.(i) + 1)
+  done;
   let chunks = !chunks in
   (* Sends are already sorted by start time, so every delivery of a chunk to
      a node appears before any send that forwards it. A send depends on all
@@ -92,19 +92,19 @@ let of_schedule ?tag_of ~chunk_size (sched : Schedule.t) =
      first. *)
   let delivered = Array.make (!nodes * chunks) [] in
   let names = Array.make chunks "" in
-  let tag (s : Schedule.send) =
+  let tag i =
     match tag_of with
-    | Some f -> f s
+    | Some f -> f (Schedule.get sched i)
     | None ->
-      if names.(s.chunk) = "" then names.(s.chunk) <- Printf.sprintf "chunk%d" s.chunk;
-      names.(s.chunk)
+      let c = chunk.(i) in
+      if names.(c) = "" then names.(c) <- Printf.sprintf "chunk%d" c;
+      names.(c)
   in
   {
     transfers =
-      Array.init (Array.length sends) (fun id ->
-          let s = sends.(id) in
-          let deps = delivered.((s.src * chunks) + s.chunk) in
-          let at_dst = (s.dst * chunks) + s.chunk in
+      Array.init n (fun id ->
+          let deps = delivered.((src.(id) * chunks) + chunk.(id)) in
+          let at_dst = (dst.(id) * chunks) + chunk.(id) in
           delivered.(at_dst) <- id :: delivered.(at_dst);
-          { id; tag = tag s; src = s.src; dst = s.dst; size = chunk_size; deps });
+          { id; tag = tag id; src = src.(id); dst = dst.(id); size = chunk_size; deps });
   }

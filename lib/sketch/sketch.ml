@@ -373,7 +373,7 @@ let compliant topo spec t (schedule : Schedule.t) =
           match Imap.find_opt s.chunk pins with
           | Some route -> not (Iset.mem s.edge route)
           | None -> false)
-        schedule.Schedule.sends
+        (Schedule.sends schedule)
     in
     (match bad with
     | None -> Ok ()

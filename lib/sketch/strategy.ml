@@ -21,7 +21,7 @@ type outcome = {
    floating-point tolerance — on a homogeneous fabric this is exactly the
    TEN span count. *)
 let steps_of (s : Schedule.t) =
-  match s.Schedule.sends with
+  match Schedule.sends s with
   | [] -> 0
   | sends ->
     let eps = Schedule.eps_for s.Schedule.makespan in

@@ -66,7 +66,7 @@ let of_schedule topo ~span_cost sched =
         expand t
       done;
       match_chunk t ~span ~edge:s.edge ~chunk:s.chunk)
-    sched.Schedule.sends;
+    (Schedule.sends sched);
   t
 
 let to_schedule t =

@@ -296,6 +296,77 @@ let test_of_json_rejects_malformed () =
       | Error _ -> ())
     [ "{}"; "not json"; {|{"sends": [{"chunk": 1}]}|} ]
 
+(* A time that is not finite must not reach the validator: an infinite
+   finish makes the makespan, and with it every tolerance, infinite, which
+   let twelve zero-length, causality-ignoring sends pass. *)
+let test_of_json_rejects_infinite_time () =
+  let topo = Builders.ring 4 in
+  let sp = spec Pattern.All_gather 4 in
+  let link ~src ~dst = (List.hd (Topology.find_links topo ~src ~dst)).Topology.id in
+  let send ~chunk ~src ~dst ~finish =
+    Printf.sprintf {|{"chunk": %d, "src": %d, "dst": %d, "link": %d, "start": 0, "finish": %s}|}
+      chunk src dst (link ~src ~dst) finish
+  in
+  (* every NPU gets every chunk it lacks from its left neighbour at time 0 *)
+  let zero_length =
+    List.concat_map
+      (fun d ->
+        List.filter_map
+          (fun c ->
+            if c = d then None else Some (send ~chunk:c ~src:((d + 3) mod 4) ~dst:d ~finish:"0"))
+          [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let doc sends = Printf.sprintf {|{"sends": [%s]}|} (String.concat ", " sends) in
+  (match Schedule.of_json (doc zero_length) with
+  | Error e -> Alcotest.failf "finite sends should parse: %s" e
+  | Ok sched ->
+    Alcotest.(check int) "twelve sends" 12 (Schedule.num_sends sched);
+    Alcotest.(check bool) "rejected by the validator" true
+      (Result.is_error (Schedule.validate topo sp sched)));
+  (match Schedule.of_json (doc (zero_length @ [ send ~chunk:0 ~src:0 ~dst:1 ~finish:"1e999" ])) with
+  | Ok _ -> Alcotest.fail "an infinite finish time was accepted"
+  | Error _ -> ());
+  List.iter
+    (fun (start, finish) ->
+      match
+        Schedule.make [ { Schedule.chunk = 0; edge = 0; src = 0; dst = 1; start; finish } ]
+      with
+      | _ -> Alcotest.failf "make accepted [%h, %h]" start finish
+      | exception Invalid_argument _ -> ())
+    [ (0., infinity); (0., nan); (nan, 1.); (infinity, infinity) ]
+
+(* The All-Gather phase of an All-Reduce is checked on a clock that starts
+   at the Reduce-Scatter makespan. Re-reading the times on that clock can
+   round two starts into a tie and reverse the order of their sends, and the
+   validator must then walk them in the new order: here both sends break
+   causality, and the one that ends first on the phase's clock is reported. *)
+let test_all_gather_phase_order () =
+  let topo = Builders.ring ~link:(Link.make ~alpha:0.5 ~beta:0.) 2 in
+  let sp = spec Pattern.All_reduce 2 in
+  let send ~chunk ~src ~dst ~start ~finish =
+    let edge = (List.hd (Topology.find_links topo ~src ~dst)).Topology.id in
+    { Schedule.chunk; edge; src; dst; start; finish }
+  in
+  let reduce_scatter =
+    Schedule.make
+      [ send ~chunk:0 ~src:1 ~dst:0 ~start:0. ~finish:0.5;
+        send ~chunk:1 ~src:0 ~dst:1 ~start:0. ~finish:0.5 ]
+  in
+  (* 2^52 + 2 and 2^52 + 3 both round to 2^52 + 2 once 0.5 is taken off *)
+  let t = Float.ldexp 1. 52 in
+  let all_gather =
+    Schedule.make
+      [ send ~chunk:1 ~src:0 ~dst:1 ~start:(t +. 2.) ~finish:(t +. 10.);
+        send ~chunk:0 ~src:1 ~dst:0 ~start:(t +. 3.) ~finish:(t +. 4.) ]
+  in
+  match Schedule.validate_all_reduce topo sp ~reduce_scatter ~all_gather with
+  | Ok () -> Alcotest.fail "sends of chunks their sources never held were accepted"
+  | Error e ->
+    Alcotest.(check string) "first failure on the phase's clock"
+      (Printf.sprintf "all-gather phase: NPU 1 sends chunk 0 at %g before holding it" (t +. 2.))
+      e
+
 let test_lowering_programs () =
   let topo = ring3 () in
   let sched = ring3_ag_schedule topo in
@@ -508,6 +579,10 @@ let () =
           Alcotest.test_case "JSON round trip" `Quick test_schedule_json_roundtrip;
           Alcotest.test_case "JSON import rejects malformed" `Quick
             test_of_json_rejects_malformed;
+          Alcotest.test_case "JSON import rejects infinite times" `Quick
+            test_of_json_rejects_infinite_time;
+          Alcotest.test_case "All-Gather phase checked in its own order" `Quick
+            test_all_gather_phase_order;
           Alcotest.test_case "per-NPU lowering" `Quick test_lowering_programs;
           Alcotest.test_case "SVG rendering" `Quick test_svg_render;
         ] );

@@ -149,16 +149,16 @@ let test_parallel_plan_bit_identical () =
               fmt
           in
           Alcotest.(check bool) (label "composed sends identical") true
-            (seq.Plan.result.Tacos.Synthesizer.schedule.Schedule.sends
-            = par.Plan.result.Tacos.Synthesizer.schedule.Schedule.sends);
+            (Schedule.sends seq.Plan.result.Tacos.Synthesizer.schedule
+            = Schedule.sends par.Plan.result.Tacos.Synthesizer.schedule);
           Alcotest.(check bool) (label "phase split identical") true
             (match
                ( seq.Plan.result.Tacos.Synthesizer.phases,
                  par.Plan.result.Tacos.Synthesizer.phases )
              with
             | Some (rs1, ag1), Some (rs2, ag2) ->
-              rs1.Schedule.sends = rs2.Schedule.sends
-              && ag1.Schedule.sends = ag2.Schedule.sends
+              Schedule.sends rs1 = Schedule.sends rs2
+              && Schedule.sends ag1 = Schedule.sends ag2
             | None, None -> true
             | _ -> false);
           Alcotest.(check int) (label "syntheses") seq.Plan.syntheses

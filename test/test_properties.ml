@@ -44,7 +44,7 @@ let prop_reverse_involutive =
            (fun (x : Schedule.send) (y : Schedule.send) ->
              x.chunk = y.chunk && x.edge = y.edge && x.src = y.src && x.dst = y.dst
              && close x.start y.start)
-           rr.Schedule.sends s.Schedule.sends)
+           (Schedule.sends rr) (Schedule.sends s))
 
 let prop_concat_additive =
   QCheck.Test.make ~name:"concat adds makespans" ~count:30 arb (fun params ->

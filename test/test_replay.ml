@@ -226,7 +226,7 @@ let oracle_of_schedule ?(tag_of = fun (s : Schedule.send) -> Printf.sprintf "chu
       let id = Program.add b ~tag:(tag_of s) ~deps ~src:s.src ~dst:s.dst ~size:chunk_size () in
       let at_dst = Option.value ~default:[] (Hashtbl.find_opt delivered (s.dst, s.chunk)) in
       Hashtbl.replace delivered (s.dst, s.chunk) (id :: at_dst))
-    sched.Schedule.sends;
+    (Schedule.sends sched);
   Program.build b
 
 let transfer_rows p =

@@ -214,7 +214,7 @@ let test_analysis_classifies_broken () =
      bidirectional ring instead for the resynth leg. *)
   let topo2 = Builders.ring ~link:link_1s 6 in
   let healthy2 = Synth.synthesize topo2 (spec Pattern.All_gather 6) in
-  let used = (List.hd healthy2.Synth.schedule.Schedule.sends).Schedule.edge in
+  let used = (List.hd (Schedule.sends healthy2.Synth.schedule)).Schedule.edge in
   let a = Resilience.analyze topo2 [ Fault.Kill_link used ] healthy2 in
   (match a.Resilience.health with
   | Resilience.Broken { links; lost_sends } ->
@@ -291,7 +291,7 @@ let test_repair_suffix_on_mesh_allgather () =
     match
       List.find_opt
         (fun (s : Schedule.send) -> s.Schedule.start > at)
-        healthy.Synth.schedule.Schedule.sends
+        (Schedule.sends healthy.Synth.schedule)
     with
     | Some s -> s.Schedule.edge
     | None -> Alcotest.fail "no send after the fault time"
@@ -403,7 +403,7 @@ let test_repair_allreduce_rs_phase_mesh5x5 () =
     match
       List.find_opt
         (fun (s : Schedule.send) -> s.Schedule.start > at)
-        rs.Schedule.sends
+        (Schedule.sends rs)
     with
     | Some s -> s.Schedule.edge
     | None -> Alcotest.fail "no reduce-scatter send after the fault time"
@@ -439,7 +439,7 @@ let test_repair_reuses_ten_and_searches_less () =
     match
       List.find_opt
         (fun (s : Schedule.send) -> s.Schedule.start > at)
-        healthy.Synth.schedule.Schedule.sends
+        (Schedule.sends healthy.Synth.schedule)
     with
     | Some s -> s.Schedule.edge
     | None -> Alcotest.fail "no send after the fault time"
@@ -467,7 +467,7 @@ let test_repair_timeline_two_epochs () =
   let sp = spec ~buffer_size:16e6 Pattern.All_gather 16 in
   let healthy = Synth.synthesize ~seed:5 topo sp in
   let makespan = healthy.Synth.schedule.Schedule.makespan in
-  let sends = healthy.Synth.schedule.Schedule.sends in
+  let sends = Schedule.sends healthy.Synth.schedule in
   let at1 = 0.3 *. makespan and at2 = 0.6 *. makespan in
   let victim_after at avoid =
     match

@@ -232,7 +232,7 @@ let test_disconnection_is_typed_infeasible () =
 
 let forbidden_sends forbidden (sched : Schedule.t) =
   List.filter (fun (s : Schedule.send) -> List.mem s.Schedule.edge forbidden)
-    sched.Schedule.sends
+    (Schedule.sends sched)
 
 let test_forbid_excluded_from_schedule () =
   (* Bidirectional ring: forbidding one direction of one hop keeps the
@@ -293,7 +293,7 @@ let test_pin_restricts_route () =
           (Printf.sprintf "chunk 0 send on link %d is on the route" s.Schedule.edge)
           true
           (List.mem s.Schedule.edge route))
-    r.Synth.schedule.Schedule.sends;
+    (Schedule.sends r.Synth.schedule);
   match Sketch.compliant topo sp sk r.Synth.schedule with
   | Ok () -> ()
   | Error e -> Alcotest.failf "not compliant: %s" e

@@ -85,7 +85,7 @@ let test_all_reduce_is_rs_plus_ag () =
     Alcotest.check time "phases abut" rs.Schedule.makespan
       (List.fold_left
          (fun acc (s : Schedule.send) -> Float.min acc s.start)
-         infinity ag.Schedule.sends);
+         infinity (Schedule.sends ag));
     Alcotest.check time "total = rs + ag" r.collective_time ag.Schedule.makespan)
 
 let test_all_reduce_ring_time () =
@@ -116,7 +116,7 @@ let test_heterogeneous_prefers_fast_links () =
   let r = Synth.synthesize topo (spec (Pattern.Broadcast 0) 2) in
   check_valid topo r;
   Alcotest.check time "fast path" 1.0 r.collective_time;
-  match r.schedule.Schedule.sends with
+  match Schedule.sends r.schedule with
   | [ s ] -> Alcotest.(check int) "fast link id" fast s.Schedule.edge
   | _ -> Alcotest.fail "expected exactly one send"
 
@@ -146,7 +146,7 @@ let test_domains_deterministic () =
     (Schedule.num_sends parallel.schedule)
 
 let same_sends label (a : Schedule.t) (b : Schedule.t) =
-  Alcotest.(check bool) label true (a.Schedule.sends = b.Schedule.sends)
+  Alcotest.(check bool) label true (Schedule.sends a = Schedule.sends b)
 
 let same_phases label a b =
   match (a, b) with
