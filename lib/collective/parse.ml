@@ -32,7 +32,7 @@ let parse_size s =
       match split suffix factor with Some v -> Some v | None -> try_all rest)
   in
   match try_all candidates with
-  | Some v when v > 0. -> Ok v
+  | Some v when v > 0. && Float.is_finite v -> Ok v
   | _ -> Error (Printf.sprintf "cannot parse size %S (expected e.g. 64MB)" s)
 
 (* Topology descriptions:
@@ -61,7 +61,7 @@ let parse_time s =
       match with_suffix suffix factor with Some v -> Some v | None -> try_all rest)
   in
   match try_all candidates with
-  | Some v when v >= 0. -> Ok v
+  | Some v when v >= 0. && Float.is_finite v -> Ok v
   | _ -> Error (Printf.sprintf "cannot parse duration %S (expected e.g. 0.5us)" s)
 
 (* Bandwidths like "50GB/s" (or a plain bytes-per-second number). *)
@@ -154,8 +154,7 @@ let parse_topology_file path =
       (String.split_on_char '\n' contents)
   | exception Sys_error e -> Error e
 
-let parse_topology ?(alpha = 0.5e-6) ?(bw = 50e9) s =
-  let link = Link.of_bandwidth ~alpha bw in
+let build_topology ~alpha ~bw link s =
   let s = String.trim s in
   (* Only the kind is case-insensitive; the argument may be a file path. *)
   let kind, arg =
@@ -196,6 +195,19 @@ let parse_topology ?(alpha = 0.5e-6) ?(bw = 50e9) s =
       | [| r; f; s |] -> Ok (Builders.rfs3d ~alpha ~bw:(bw, bw /. 2., bw /. 4.) (r, f, s))
       | _ -> Error "rfs expects RxFxS, e.g. 2x4x8")
   | _ -> Error (Printf.sprintf "unknown topology %S" s)
+
+let parse_topology ?(alpha = 0.5e-6) ?(bw = 50e9) s =
+  if not (Float.is_finite alpha && alpha >= 0.) then
+    Error
+      (Printf.sprintf "link latency must be finite and non-negative, got %s"
+         (Tacos_util.Units.time_pp alpha))
+  else
+    match Link.of_bandwidth ~alpha bw with
+    | exception Invalid_argument _ ->
+      Error
+        (Printf.sprintf "link bandwidth must be positive, got %s"
+           (Tacos_util.Units.bandwidth_pp bw))
+    | link -> build_topology ~alpha ~bw link s
 
 let parse_pattern s npus =
   let open Pattern in

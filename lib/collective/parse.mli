@@ -8,7 +8,8 @@ val parse_dims : string -> (int array, string) result
 (** ["4x4x4"] → [[|4; 4; 4|]]. *)
 
 val parse_size : string -> (float, string) result
-(** Decimal byte sizes: ["1GB"], ["64MB"], ["512KB"], ["100B"], ["4096"]. *)
+(** Decimal byte sizes: ["1GB"], ["64MB"], ["512KB"], ["100B"], ["4096"].
+    Non-positive and non-finite sizes are errors. *)
 
 val parse_topology :
   ?alpha:float -> ?bw:float -> string -> (Topology.t, string) result
@@ -16,10 +17,12 @@ val parse_topology :
     [torus:AxB[xC]], [hypercube:K], [switch:N], [dgx1], [dragonfly[:GxM]],
     [rfs:RxFxS]. [alpha] (seconds, default 0.5 µs) and [bw] (bytes/s, default
     50 GB/s) set the link parameters; the heterogeneous builders scale their
-    per-dimension bandwidths down from [bw]. *)
+    per-dimension bandwidths down from [bw]. A negative or non-finite
+    [alpha], or a [bw] that is not positive, is an error. *)
 
 val parse_time : string -> (float, string) result
-(** Durations: ["0.5us"], ["30ns"], ["2ms"], ["1s"], or plain seconds. *)
+(** Durations: ["0.5us"], ["30ns"], ["2ms"], ["1s"], or plain seconds.
+    Negative and non-finite durations are errors. *)
 
 val parse_topology_lines : ?name:string -> string list -> (Topology.t, string) result
 (** Build a topology from an edge-list description, one directive per line:

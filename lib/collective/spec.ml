@@ -15,7 +15,8 @@ let check_root npus = function
 let make ?(chunks_per_npu = 1) ?(buffer_size = 1.0) ~pattern ~npus () =
   if npus <= 0 then invalid_arg "Spec.make: npus must be positive";
   if chunks_per_npu <= 0 then invalid_arg "Spec.make: chunks_per_npu must be positive";
-  if buffer_size <= 0. then invalid_arg "Spec.make: buffer_size must be positive";
+  if not (buffer_size > 0. && Float.is_finite buffer_size) then
+    invalid_arg "Spec.make: buffer_size must be positive and finite";
   check_root npus pattern;
   { pattern; npus; chunks_per_npu; buffer_size }
 

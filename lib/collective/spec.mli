@@ -25,7 +25,7 @@ val make :
   ?chunks_per_npu:int -> ?buffer_size:float -> pattern:Pattern.t -> npus:int -> unit -> t
 (** [chunks_per_npu] defaults to 1, [buffer_size] to [1.0] (1 byte — handy
     for purely structural uses). Raises [Invalid_argument] on a nonpositive
-    field or an out-of-range root. *)
+    field, a non-finite [buffer_size] or an out-of-range root. *)
 
 val num_chunks : t -> int
 val chunk_size : t -> float

@@ -142,16 +142,6 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
     | None -> None)
   | _ -> None
 
-(* With a restored phase split, All-Reduce entries validate like everything
-   else; a foreign file without one is trusted as before (the split cannot
-   be reconstructed from the send list alone). *)
-let validate_any topo (spec : Spec.t) schedule phases =
-  match (spec.pattern, phases) with
-  | Pattern.All_reduce, Some (rs, ag) ->
-    Schedule.validate_all_reduce topo spec ~reduce_scatter:rs ~all_gather:ag
-  | Pattern.All_reduce, None -> Ok ()
-  | _ -> Schedule.validate topo spec schedule
-
 (* Set a broken disk entry aside as [<path>.corrupt] instead of letting it
    poison (or worse, abort) every later load. Quarantine is forensic — the
    bytes survive for inspection — and never fatal: a rename failure (e.g. a
@@ -207,17 +197,20 @@ let load_from_disk t topo spec k =
       quarantine t path;
       None
     | Some (doc, schedule) -> (
-      let phases = restore_phases spec schedule doc in
-      match validate_any topo spec schedule phases with
-      | Ok () ->
-        Some
-          {
-            Synthesizer.spec;
-            schedule;
-            collective_time = schedule.Schedule.makespan;
-            phases;
-            stats = restore_stats doc;
-          }
+      (* An All-Reduce file without its phase split cannot be validated
+         (the split is not recoverable from the send list), so it fails
+         [verify] and is synthesized again. *)
+      let result =
+        {
+          Synthesizer.spec;
+          schedule;
+          collective_time = schedule.Schedule.makespan;
+          phases = restore_phases spec schedule doc;
+          stats = restore_stats doc;
+        }
+      in
+      match Synthesizer.verify topo result with
+      | Ok () -> Some result
       | Error _ ->
         quarantine t path;
         None))

@@ -65,11 +65,11 @@ val find_or_synthesize :
     All-Reduce, the reduce-scatter makespan — as extra JSON fields next to
     the send list (which {!Tacos_collective.Schedule.of_json} ignores, so
     the files remain plain algorithm files); a disk hit restores the
-    original stats and the All-Reduce phase split, and entries carrying a
-    split are re-validated with
-    {!Tacos_collective.Schedule.validate_all_reduce} on load. Foreign
-    All-Reduce files without provenance load with zeroed stats, no split,
-    and no validation, as before.
+    original stats and the All-Reduce phase split, and every restored
+    result is re-validated with {!Synthesizer.verify} on load. Foreign
+    files without provenance load with zeroed stats; a foreign All-Reduce
+    file has no phase split to validate, so it is quarantined like any
+    other entry that fails re-validation.
 
     Persistence is crash-safe: entries are encoded with an embedded MD5
     [checksum] field and written via a same-directory temp file +

@@ -106,107 +106,81 @@ let validate_goal ~num_npus:n goal =
       List.iter (fun r -> check_pair "partials" (r, c)) absorbed)
     goal.partials
 
+(* A mask over [m] link ids with the [dead] ones set. *)
+let dead_mask m dead =
+  let mask = Array.make m false in
+  List.iter
+    (fun e ->
+      if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
+      mask.(e) <- true)
+    dead;
+  mask
+
 (* Fail fast on broken fabrics: a postcondition (d, c) is satisfiable iff
-   some initial holder of c can reach d. Strong connectivity implies every
-   postcondition is reachable, so the O(n·(n+m)) analysis only runs after
-   the cheap connectivity test fails — the healthy-fabric path pays one
-   DFS pair per trial. *)
-let unreachable_postconditions topo goal =
-  let n = Topology.num_npus topo in
-  let reach_cache = Hashtbl.create 8 in
-  let reachable_from s =
-    match Hashtbl.find_opt reach_cache s with
-    | Some seen -> seen
-    | None ->
-      let seen = Array.make n false in
-      let rec visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          List.iter (fun (e : Topology.edge) -> visit e.dst) (Topology.out_edges topo v)
-        end
+   some initial holder of c reaches d over the expansion's links outside
+   [dead]. Reachability runs over the adjacency arrays, so a renumbered
+   degraded topology copy never needs to exist. With no dead link, strong
+   connectivity implies every postcondition is reachable, so the
+   O(n·(n+m)) walk only runs after that cheap test fails — the
+   healthy-fabric path pays one DFS pair per trial. *)
+let check_feasible exp ~dead goal =
+  if dead <> [] || not (Topology.is_strongly_connected (Ten.Expansion.topology exp))
+  then begin
+    let dead_mask = dead_mask (Ten.Expansion.num_links exp) dead in
+    let n = Ten.Expansion.num_npus exp in
+    let out_links = Ten.Expansion.out_links exp in
+    let dst = Ten.Expansion.dst exp in
+    let reach_cache = Hashtbl.create 8 in
+    let reachable_from s =
+      match Hashtbl.find_opt reach_cache s with
+      | Some seen -> seen
+      | None ->
+        let seen = Array.make n false in
+        let rec visit v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            Array.iter
+              (fun e -> if not dead_mask.(e) then visit dst.(e))
+              out_links.(v)
+          end
+        in
+        visit s;
+        Hashtbl.add reach_cache s seen;
+        seen
+    in
+    let holders = Hashtbl.create 16 in
+    List.iter
+      (fun (v, c) ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
+        Hashtbl.replace holders c (v :: prev))
+      goal.precondition;
+    let unreachable =
+      List.filter
+        (fun (d, c) ->
+          match Hashtbl.find_opt holders c with
+          | None -> true
+          | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
+        goal.postcondition
+    in
+    (* Empty e.g. for a Broadcast whose root reaches everyone. *)
+    if unreachable <> [] then begin
+      let total = List.length unreachable in
+      let shown = List.filteri (fun i _ -> i < 6) unreachable in
+      let pairs =
+        String.concat ", "
+          (List.map (fun (d, c) -> Printf.sprintf "chunk %d -> NPU %d" c d) shown)
       in
-      visit s;
-      Hashtbl.add reach_cache s seen;
-      seen
-  in
-  let holders = Hashtbl.create 16 in
-  List.iter
-    (fun (v, c) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
-      Hashtbl.replace holders c (v :: prev))
-    goal.precondition;
-  List.filter
-    (fun (d, c) ->
-      match Hashtbl.find_opt holders c with
-      | None -> true
-      | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
-    goal.postcondition
-
-let stuck_on_unreachable unreachable =
-  let total = List.length unreachable in
-  let shown = List.filteri (fun i _ -> i < 6) unreachable in
-  let pairs =
-    String.concat ", "
-      (List.map (fun (d, c) -> Printf.sprintf "chunk %d -> NPU %d" c d) shown)
-  in
-  let suffix = if total > List.length shown then ", ..." else "" in
-  raise
-    (Stuck
-       (Printf.sprintf
-          "topology is not strongly connected: %d unreachable \
-           postcondition%s (%s%s)"
-          total
-          (if total = 1 then "" else "s")
-          pairs suffix))
-
-let check_feasible topo goal =
-  if not (Topology.is_strongly_connected topo) then begin
-    match unreachable_postconditions topo goal with
-    | [] -> () (* e.g. Broadcast whose root reaches everyone *)
-    | unreachable -> stuck_on_unreachable unreachable
+      let suffix = if total > List.length shown then ", ..." else "" in
+      raise
+        (Stuck
+           (Printf.sprintf
+              "topology is not strongly connected: %d unreachable \
+               postcondition%s (%s%s)"
+              total
+              (if total = 1 then "" else "s")
+              pairs suffix))
+    end
   end
-
-(* Feasibility on a masked fabric: the expansion's healthy link ids with the
-   [dead] subset removed. Reachability runs over the adjacency arrays, so a
-   renumbered degraded topology copy never needs to exist. *)
-let check_feasible_masked exp ~dead_mask goal =
-  let n = Ten.Expansion.num_npus exp in
-  let out_links = Ten.Expansion.out_links exp in
-  let dst = Ten.Expansion.dst exp in
-  let reach_cache = Hashtbl.create 8 in
-  let reachable_from s =
-    match Hashtbl.find_opt reach_cache s with
-    | Some seen -> seen
-    | None ->
-      let seen = Array.make n false in
-      let rec visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Array.iter
-            (fun e -> if not dead_mask.(e) then visit dst.(e))
-            out_links.(v)
-        end
-      in
-      visit s;
-      Hashtbl.add reach_cache s seen;
-      seen
-  in
-  let holders = Hashtbl.create 16 in
-  List.iter
-    (fun (v, c) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
-      Hashtbl.replace holders c (v :: prev))
-    goal.precondition;
-  match
-    List.filter
-      (fun (d, c) ->
-        match Hashtbl.find_opt holders c with
-        | None -> true
-        | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
-      goal.postcondition
-  with
-  | [] -> ()
-  | unreachable -> stuck_on_unreachable unreachable
 
 (* One synthesis trial of a pull-based (non-combining) pattern: All-Gather or
    Broadcast. This is Alg. 2 with Alg. 1 run at every event time.
@@ -297,16 +271,7 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
     (not has_pins)
     || match pins.(c) with None -> true | Some route -> Iset.mem e route
   in
-  (match dead with
-  | [] -> check_feasible topo goal
-  | _ ->
-    let dead_mask = Array.make m false in
-    List.iter
-      (fun e ->
-        if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
-        dead_mask.(e) <- true)
-      dead;
-    check_feasible_masked exp ~dead_mask goal);
+  check_feasible exp ~dead goal;
   (* Chunk placement state. *)
   let arrival = Array.make_matrix n num_chunks infinity in
   let holds = Array.init n (fun _ -> Ivec.create ()) in
@@ -518,9 +483,8 @@ let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
          "All-to-All has pairwise demands the matching loop cannot pull; \
           use Tacos.Router (or Tacos.Alltoall)")
 
-(* One full trial, returning (schedule, phases, rounds, matches). *)
-let trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo
-    (spec : Spec.t) =
+(* One full trial: the schedule and its phase split, rounds, matches. *)
+let trial ~prefer_cheap_links ?deadline ~constraints topo (spec : Spec.t) rng =
   match spec.pattern with
   | Pattern.All_reduce ->
     let rs, r1, m1 =
@@ -532,121 +496,64 @@ let trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo
         (Spec.with_pattern spec Pattern.All_gather)
     in
     let ag_shifted = Schedule.shift ag rs.Schedule.makespan in
-    (Schedule.union rs ag_shifted, Some (rs, ag_shifted), r1 + r2, m1 + m2)
+    ((Schedule.union rs ag_shifted, Some (rs, ag_shifted)), r1 + r2, m1 + m2)
   | _ ->
     let sched, rounds, matches =
       synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo spec
     in
-    (sched, None, rounds, matches)
+    ((sched, None), rounds, matches)
 
-let trial ~prefer_cheap_links ?deadline ~constraints rng topo spec =
-  let ((sched, _, _, _) as result) =
-    Obs.time obs_trial_timer (fun () ->
-        trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo spec)
-  in
-  Obs.observe obs_trial_makespan sched.Schedule.makespan;
-  result
-
-let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(prefer_cheap_links = true)
-    ?deadline ?(sketch = no_constraints) topo spec =
-  if trials <= 0 then invalid_arg "Synthesizer.synthesize: trials must be positive";
-  if domains <= 0 then invalid_arg "Synthesizer.synthesize: domains must be positive";
-  if Topology.num_npus topo <> spec.Spec.npus then
-    invalid_arg "Synthesizer.synthesize: spec NPU count does not match topology";
+(* The randomized search (§IV-F): [trials] runs of [trial], each from its own
+   RNG, keeping the first of lowest [makespan]. Per-trial seeds are drawn up
+   front and results are merged in index order, so the outcome does not
+   depend on how the trials spread over [domains]. Trials run on the shared
+   pool so trial- and group-parallelism draw from one worker budget. *)
+let run_trials ~seed ~trials ~domains ~makespan trial =
+  if trials <= 0 then invalid_arg "Synthesizer: trials must be positive";
+  if domains <= 0 then invalid_arg "Synthesizer: domains must be positive";
   let t0 = Unix.gettimeofday () in
-  (* Per-trial seeds drawn up front so the outcome is independent of how the
-     trials are spread over domains. *)
   let master = Rng.create seed in
   let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
-  (* Force the topology's lazy caches before sharing it across domains. *)
-  ignore (Topology.edges topo);
   let run_trial i =
     (* Stamp every Obs/Trace record of this trial — including the rounds of
        a worker domain — with the trial index, so interleaved multi-domain
        buffers stay attributable. *)
     Obs.with_trial i (fun () ->
         Trace.with_span "trial" (fun () ->
-            trial ~prefer_cheap_links ?deadline ~constraints:sketch
-              (Rng.create seeds.(i)) topo spec))
-  in
-  let results =
-    (* Trials run on the shared pool so trial- and group-parallelism draw
-       from one worker budget; results are consumed in index order, so the
-       merge below never depends on execution interleaving. *)
-    if domains = 1 || trials = 1 then Array.init trials run_trial
-    else Pool.map (Pool.global ~size:domains ()) run_trial trials
-  in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, _, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  let best = ref 0 in
-  Array.iteri
-    (fun i (sched, _, _, _) ->
-      let (best_sched, _, _, _) = results.(!best) in
-      if sched.Schedule.makespan < best_sched.Schedule.makespan then best := i)
-    results;
-  let schedule, phases, _, _ = results.(!best) in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  {
-    spec;
-    schedule;
-    collective_time = schedule.Schedule.makespan;
-    phases;
-    stats = { wall_seconds; rounds = !rounds; matches = !matches; trials };
-  }
-
-let synthesize_goal ?(seed = 42) ?(trials = 1) ?(domains = 1)
-    ?(prefer_cheap_links = true) ?deadline ?reuse ?(dead = []) ?(slowed = [])
-    topo goal =
-  if trials <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal: trials must be positive";
-  if domains <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal: domains must be positive";
-  if goal.partials <> [] then
-    invalid_arg
-      "Synthesizer.synthesize_goal: goal carries partial sums; use \
-       synthesize_goal_plan";
-  validate_goal ~num_npus:(Topology.num_npus topo) goal;
-  let t0 = Unix.gettimeofday () in
-  let master = Rng.create seed in
-  let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
-  ignore (Topology.edges topo);
-  let run_trial i =
-    Obs.with_trial i (fun () ->
-        Trace.with_span "trial" (fun () ->
-            let ((sched, _, _) as r) =
-              Obs.time obs_trial_timer (fun () ->
-                  if Option.is_some reuse then Obs.incr obs_ten_reuse;
-                  synthesize_pull ~prefer_cheap_links ?deadline ?reuse ~dead
-                    ~slowed (Rng.create seeds.(i)) topo goal)
+            let ((result, _, _) as out) =
+              Obs.time obs_trial_timer (fun () -> trial (Rng.create seeds.(i)))
             in
-            Obs.observe obs_trial_makespan sched.Schedule.makespan;
-            r))
+            Obs.observe obs_trial_makespan (makespan result);
+            out))
   in
   let results =
     if domains = 1 || trials = 1 then Array.init trials run_trial
     else Pool.map (Pool.global ~size:domains ()) run_trial trials
   in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  (* Lowest makespan wins; ties break to the earliest trial index, exactly
-     as the sequential loop did. *)
-  let best = ref 0 in
+  let best = ref 0 and rounds = ref 0 and matches = ref 0 in
   Array.iteri
-    (fun i (sched, _, _) ->
-      let best_sched, _, _ = results.(!best) in
-      if sched.Schedule.makespan < best_sched.Schedule.makespan then best := i)
+    (fun i (result, r, m) ->
+      rounds := !rounds + r;
+      matches := !matches + m;
+      let best_result, _, _ = results.(!best) in
+      if makespan result < makespan best_result then best := i)
     results;
-  let schedule, _, _ = results.(!best) in
+  let result, _, _ = results.(!best) in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  (schedule, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+  (result, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+
+let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(prefer_cheap_links = true)
+    ?deadline ?(sketch = no_constraints) topo spec =
+  if Topology.num_npus topo <> spec.Spec.npus then
+    invalid_arg "Synthesizer.synthesize: spec NPU count does not match topology";
+  (* Force the topology's lazy caches before sharing it across domains. *)
+  ignore (Topology.edges topo);
+  let (schedule, phases), stats =
+    run_trials ~seed ~trials ~domains
+      ~makespan:(fun (sched, _) -> sched.Schedule.makespan)
+      (trial ~prefer_cheap_links ?deadline ~constraints:sketch topo spec)
+  in
+  { spec; schedule; collective_time = schedule.Schedule.makespan; phases; stats }
 
 (* --- reduction-aware plan synthesis ------------------------------------ *)
 
@@ -805,22 +712,12 @@ let relay_closure exp ~dead_mask ~dest holders =
 let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
     ?(prefer_cheap_links = true) ?deadline ?reuse ?(dead = []) ?(slowed = [])
     topo goal =
-  if trials <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal_plan: trials must be positive";
-  if domains <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal_plan: domains must be positive";
   validate_goal ~num_npus:(Topology.num_npus topo) goal;
   let t0 = Unix.gettimeofday () in
   let exp =
     match reuse with Some e -> e | None -> Ten.Expansion.prepare topo
   in
-  let m = Ten.Expansion.num_links exp in
-  let dead_mask = Array.make m false in
-  List.iter
-    (fun e ->
-      if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
-      dead_mask.(e) <- true)
-    dead;
+  let dead_mask = dead_mask (Ten.Expansion.num_links exp) dead in
   let state = reduction_state_of_goal goal in
   (* Deterministic (RNG-free) combine structure, computed once: per chunk
      with >= 2 live partials, a destination and the relay closure of nodes
@@ -878,55 +775,31 @@ let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
   let rtopo = Ten.Expansion.topology rexp in
   ignore (Topology.edges topo);
   ignore (Topology.edges rtopo);
-  let master = Rng.create seed in
-  let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
   let need_combine = !combine_post <> [] in
-  let run_trial i =
-    Obs.with_trial i (fun () ->
-        Trace.with_span "trial" (fun () ->
-            Obs.time obs_trial_timer (fun () ->
-                if Option.is_some reuse then Obs.incr obs_ten_reuse;
-                let rng = Rng.create seeds.(i) in
-                let combining, r1, m1 =
-                  if not need_combine then (Schedule.empty, 0, 0)
-                  else
-                    let s, r, m =
-                      synthesize_pull ~prefer_cheap_links ?deadline ~reuse:rexp
-                        ~dead ~slowed rng rtopo combine_goal
-                    in
-                    (Schedule.reverse s, r, m)
-                in
-                let spread, r2, m2 =
-                  synthesize_pull ~prefer_cheap_links ?deadline ~reuse:exp ~dead
-                    ~slowed rng topo spread_goal
-                in
-                let pull = Schedule.shift spread combining.Schedule.makespan in
-                let plan = { combining; pull } in
-                let makespan =
-                  Float.max combining.Schedule.makespan pull.Schedule.makespan
-                in
-                Obs.observe obs_trial_makespan makespan;
-                (plan, makespan, r1 + r2, m1 + m2))))
+  let plan, stats =
+    run_trials ~seed ~trials ~domains
+      ~makespan:(fun p ->
+        Float.max p.combining.Schedule.makespan p.pull.Schedule.makespan)
+      (fun rng ->
+        if Option.is_some reuse then Obs.incr obs_ten_reuse;
+        let combining, r1, m1 =
+          if not need_combine then (Schedule.empty, 0, 0)
+          else
+            let s, r, m =
+              synthesize_pull ~prefer_cheap_links ?deadline ~reuse:rexp ~dead
+                ~slowed rng rtopo combine_goal
+            in
+            (Schedule.reverse s, r, m)
+        in
+        let spread, r2, m2 =
+          synthesize_pull ~prefer_cheap_links ?deadline ~reuse:exp ~dead ~slowed
+            rng topo spread_goal
+        in
+        let pull = Schedule.shift spread combining.Schedule.makespan in
+        ({ combining; pull }, r1 + r2, m1 + m2))
   in
-  let results =
-    if domains = 1 || trials = 1 then Array.init trials run_trial
-    else Pool.map (Pool.global ~size:domains ()) run_trial trials
-  in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, _, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  let best = ref 0 in
-  Array.iteri
-    (fun i (_, makespan, _, _) ->
-      let _, best_ms, _, _ = results.(!best) in
-      if makespan < best_ms then best := i)
-    results;
-  let plan, _, _, _ = results.(!best) in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  (plan, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+  (* The plan's wall clock includes the RNG-free setup above. *)
+  (plan, { stats with wall_seconds = Unix.gettimeofday () -. t0 })
 
 let verify topo result =
   match result.spec.Spec.pattern with

@@ -168,40 +168,6 @@ val goal_of_spec : Spec.t -> goal
     postcondition — not directly synthesizable as one pull goal; split into
     phases instead. *)
 
-val synthesize_goal :
-  ?seed:int ->
-  ?trials:int ->
-  ?domains:int ->
-  ?prefer_cheap_links:bool ->
-  ?deadline:Tacos_util.Deadline.t ->
-  ?reuse:Tacos_ten.Ten.Expansion.t ->
-  ?dead:int list ->
-  ?slowed:(int * float) list ->
-  Topology.t ->
-  goal ->
-  Schedule.t * stats
-(** [synthesize_goal topo goal] runs the pull-based matching loop directly on
-    a positional goal: [trials] (default 1) randomized syntheses from [seed]
-    (default 42), keeping the smallest makespan. [domains] parallelizes the
-    trials on the shared pool with the same determinism guarantee as
-    {!synthesize}. Duplicate precondition
-    entries are tolerated (repair goals merge phase preconditions with kept
-    deliveries).
-
-    [reuse] synthesizes over a cached {!Tacos_ten.Ten.Expansion} of [topo]
-    instead of re-materializing the per-link arrays (each reusing trial bumps
-    the [synth.repair_ten_reuse] counter). [dead] masks links out of the
-    search by their ids in [topo]'s (healthy) id space — the resulting
-    schedule never touches them, and an empty mask leaves the RNG draw
-    sequence bit-identical to the unmasked path. [slowed] scales the α-β
-    cost of links by a factor [>= 1] (degraded links). Together these let
-    repair plan on the degraded fabric while staying in healthy link ids.
-
-    Raises [Stuck] when some postcondition is unreachable from
-    every holder of its chunk, [Invalid_argument] on out-of-range NPU/chunk
-    ids, nonpositive sizing, or a goal carrying [partials] (those need
-    {!synthesize_goal_plan}). *)
-
 type plan = { combining : Schedule.t; pull : Schedule.t }
 (** A reduction-aware repair plan on one clock: [combining] sends move
     partial sums (each source's accumulated contributions are spent into the
@@ -222,21 +188,40 @@ val synthesize_goal_plan :
   Topology.t ->
   goal ->
   plan * stats
-(** Reduction-aware synthesis: complete a goal whose chunks may carry
-    in-flight partial sums. Per chunk with two or more live partials, a
-    combine destination is chosen (the unique postcondition holder when there
-    is one — Reduce-Scatter/Reduce repair — else the partial holding the most
-    contributions), and the partials flow to it along a relay closure of
-    shortest paths, synthesized as a pull on the reversed fabric and
-    time-mirrored (§IV-E) — so every relay's receives finish before its one
-    send starts, the exact combining semantics. The pull phase then spreads
-    fully-reduced copies to the remaining postconditions. [seed], [trials],
-    [domains], [reuse], [dead] and [slowed] behave as in {!synthesize_goal};
-    the best trial is the smallest combined makespan. Raises [Stuck] when a
-    partial or postcondition is unreachable on the masked fabric,
-    [Invalid_argument] on malformed reduction state (a contribution absorbed
-    twice, live partials that do not cover the contributor set, or a chunk
-    with both a full copy and live partials). *)
+(** [synthesize_goal_plan topo goal] synthesizes directly from a positional
+    goal — the entry point of mid-flight repair. It runs [trials] (default 1)
+    randomized syntheses from [seed] (default 42) and keeps the smallest
+    combined makespan; [domains] parallelizes the trials on the shared pool
+    with the same determinism guarantee as {!synthesize}. Duplicate
+    precondition entries are tolerated (repair goals merge phase
+    preconditions with kept deliveries).
+
+    Chunks may carry in-flight partial sums. Per chunk with two or more live
+    partials, a combine destination is chosen (the unique postcondition
+    holder when there is one — Reduce-Scatter/Reduce repair — else the
+    partial holding the most contributions), and the partials flow to it
+    along a relay closure of shortest paths, synthesized as a pull on the
+    reversed fabric and time-mirrored (§IV-E) — so every relay's receives
+    finish before its one send starts, the exact combining semantics. The
+    pull phase then spreads fully-reduced copies to the remaining
+    postconditions. A goal with no partials draws the same random stream
+    as a plain pull synthesis: [combining] is empty and [pull] is the
+    matching loop's schedule.
+
+    [reuse] synthesizes over a cached {!Tacos_ten.Ten.Expansion} of [topo]
+    instead of re-materializing the per-link arrays (each reusing trial bumps
+    the [synth.repair_ten_reuse] counter). [dead] masks links out of the
+    search by their ids in [topo]'s (healthy) id space — the resulting
+    schedule never touches them, and an empty mask leaves the RNG draw
+    sequence bit-identical to the unmasked path. [slowed] scales the α-β
+    cost of links by a factor [>= 1] (degraded links). Together these let
+    repair plan on the degraded fabric while staying in healthy link ids.
+
+    Raises [Stuck] when a partial or postcondition is unreachable on the
+    masked fabric, [Invalid_argument] on out-of-range NPU/chunk ids,
+    nonpositive sizing, or malformed reduction state (a contribution
+    absorbed twice, live partials that do not cover the contributor set, or
+    a chunk with both a full copy and live partials). *)
 
 val verify : Topology.t -> result -> (unit, string) Stdlib.result
 (** Re-validate a synthesis result against its spec (physical legality +

@@ -29,13 +29,18 @@ let to_json = function
   | Kill_npu v ->
     Json.Object [ ("kind", Json.String "kill_npu"); ("npu", Json.Number (float_of_int v)) ]
 
+let check_factor factor =
+  if not (factor >= 1.) then Error (Printf.sprintf "degradation factor %g < 1" factor)
+  else if not (Float.is_finite factor) then
+    Error (Printf.sprintf "degradation factor %g is not finite" factor)
+  else Ok ()
+
 let validate topo faults =
   let n = Topology.num_npus topo and m = Topology.num_links topo in
   let check = function
     | Kill_link id | Degrade_link { link = id; _ } when id < 0 || id >= m ->
       Error (Printf.sprintf "unknown link id %d (topology has %d links)" id m)
-    | Degrade_link { factor; _ } when not (factor >= 1.) ->
-      Error (Printf.sprintf "degradation factor %g < 1" factor)
+    | Degrade_link { factor; _ } -> check_factor factor
     | Kill_npu v when v < 0 || v >= n ->
       Error (Printf.sprintf "unknown NPU %d (topology has %d NPUs)" v n)
     | _ -> Ok ()
@@ -215,7 +220,9 @@ let random_npu_kills rng topo k =
     (sample_distinct rng ~universe:(Topology.num_npus topo) ~what:"NPU" k)
 
 let random_degradations rng ~factor topo k =
-  if not (factor >= 1.) then invalid_arg "Fault.random_degradations: factor < 1";
+  Result.iter_error
+    (fun e -> invalid_arg ("Fault.random_degradations: " ^ e))
+    (check_factor factor);
   List.map
     (fun id -> Degrade_link { link = id; factor })
     (sample_distinct rng ~universe:(Topology.num_links topo) ~what:"link" k)

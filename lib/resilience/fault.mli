@@ -29,7 +29,7 @@ val to_json : t -> Tacos_util.Json.t
 
 val validate : Topology.t -> t list -> (unit, string) result
 (** Check every fault references a real link/NPU and degradation factors are
-    [>= 1]. *)
+    finite and [>= 1]. *)
 
 val killed_links : Topology.t -> t list -> int list
 (** The healthy-topology link ids removed by the fault set ([Kill_link]s
@@ -102,7 +102,8 @@ val random_npu_kills : Tacos_util.Rng.t -> Topology.t -> int -> t list
 
 val random_degradations :
   Tacos_util.Rng.t -> factor:float -> Topology.t -> int -> t list
-(** [k] distinct links degraded by [factor]. *)
+(** [k] distinct links degraded by [factor]. Raises [Invalid_argument]
+    unless [factor] passes the check of {!validate}. *)
 
 val random_connected_link_kills :
   ?attempts:int -> Tacos_util.Rng.t -> Topology.t -> int -> t list option

@@ -69,11 +69,6 @@ let failure_to_json f =
     | Some slack -> [ ("deadline_slack_ms", Json.Number slack) ]
     | None -> [])
 
-let simulated_time topo (result : Synth.result) =
-  let chunk_size = Spec.chunk_size result.Synth.spec in
-  let program = Program.of_schedule ~chunk_size result.Synth.schedule in
-  (Engine.run topo program).Engine.finish_time
-
 let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
     ?deadline ?(max_retries = 3) ?(baselines = Algo.all) ?(faults = []) topo spec =
   if domains <= 0 then invalid_arg "Resilience.synthesize: domains must be positive";
@@ -124,7 +119,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
     let finish ~retries ~rungs plan =
       let simulated_time =
         match plan with
-        | Synthesized result -> simulated_time degraded result
+        | Synthesized result -> Tacos.Tuner.simulated_time degraded result
         | Baseline { report; _ } -> report.Engine.finish_time
       in
       Ok

@@ -98,10 +98,6 @@ val synthesize :
     [resilience.deadline_exceeded]); a structured {!failure} reports the
     remaining slack as [deadline_slack_ms]. *)
 
-val simulated_time : Topology.t -> Synth.result -> float
-(** Replay a synthesized schedule under the congestion-aware engine on the
-    given fabric (the metric [outcome.simulated_time] reports). *)
-
 (** {1 Degradation analysis (§VII, quantitative)}
 
     Given a schedule synthesized on the {e healthy} fabric and a fault set,

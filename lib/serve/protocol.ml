@@ -63,9 +63,9 @@ let parse_request line =
       let* size =
         match Json.member "size" doc with
         | None -> Ok 1e6
-        | Some (Json.Number b) when b > 0. -> Ok b
+        | Some (Json.Number b) when b > 0. && Float.is_finite b -> Ok b
         | Some (Json.String s) -> Parse.parse_size s
-        | Some _ -> Error "size must be positive bytes or a size string"
+        | Some _ -> Error "size must be finite positive bytes or a size string"
       in
       let* chunks =
         match Json.member "chunks" doc with

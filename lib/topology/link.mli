@@ -8,12 +8,14 @@
 type t = private { alpha : float; beta : float }
 
 val make : alpha:float -> beta:float -> t
-(** Raises [Invalid_argument] if [alpha < 0] or [beta < 0]. *)
+(** Raises [Invalid_argument] if [alpha] or [beta] is negative, infinite or
+    NaN. *)
 
 val of_bandwidth : ?alpha:float -> float -> t
 (** [of_bandwidth ~alpha bw] builds a link with bandwidth [bw] bytes/s
     (β = 1/bw). [alpha] defaults to [0.5e-6] s, the paper's default (§V-B,
-    footnote 8). *)
+    footnote 8). Raises [Invalid_argument] unless [bw > 0] and the
+    resulting α and β pass {!make}. *)
 
 val default : t
 (** The paper's default link: α = 0.5 µs, 1/β = 50 GB/s. *)

@@ -66,6 +66,14 @@ let test_spec_rejects_bad_root () =
   Alcotest.check_raises "root out of range" (Invalid_argument "Spec.make: root out of range")
     (fun () -> ignore (spec (Pattern.Broadcast 9) 4))
 
+let test_spec_rejects_non_finite_size () =
+  List.iter
+    (fun buffer_size ->
+      Alcotest.check_raises (Printf.sprintf "buffer %g" buffer_size)
+        (Invalid_argument "Spec.make: buffer_size must be positive and finite")
+        (fun () -> ignore (Spec.make ~buffer_size ~pattern:Pattern.All_gather ~npus:4 ())))
+    [ infinity; Float.nan ]
+
 (* --- Schedule: construction and transforms -------------------------------- *)
 
 let ring3 () = Builders.ring ~link:unit_link ~bidirectional:false 3
@@ -417,7 +425,7 @@ let test_parse_sizes () =
       match Parse.parse_size bad with
       | Ok _ -> Alcotest.failf "%s should be rejected" bad
       | Error _ -> ())
-    [ ""; "GB"; "-5MB"; "abc" ]
+    [ ""; "GB"; "-5MB"; "abc"; "inf"; "1e999B"; "nan" ]
 
 let test_parse_topologies () =
   List.iter
@@ -447,12 +455,26 @@ let test_parse_topologies () =
     [ "nope:4"; "mesh:"; "ring:x"; "rfs:2x4"; "ring:1" ]
 
 let test_parse_topology_link_params () =
-  match Parse.parse_topology ~alpha:1e-6 ~bw:100e9 "ring:4" with
+  (match Parse.parse_topology ~alpha:1e-6 ~bw:100e9 "ring:4" with
   | Error e -> Alcotest.fail e
   | Ok topo ->
     let e = List.hd (Topology.edges topo) in
     Alcotest.check feq "bandwidth" 100e9 (Link.bandwidth e.Topology.link);
-    Alcotest.check feq "alpha" 1e-6 (Link.cost e.Topology.link 0.)
+    Alcotest.check feq "alpha" 1e-6 (Link.cost e.Topology.link 0.));
+  (* Bad link parameters are errors naming the value, not exceptions. *)
+  List.iter
+    (fun (alpha, bw, expected) ->
+      match Parse.parse_topology ~alpha ~bw "rfs:2x2x2" with
+      | Ok _ -> Alcotest.failf "alpha %g, bw %g should be rejected" alpha bw
+      | Error e -> Alcotest.(check string) (Printf.sprintf "alpha %g, bw %g" alpha bw) expected e)
+    [
+      (infinity, 50e9, "link latency must be finite and non-negative, got inf s");
+      (-1e-6, 50e9, "link latency must be finite and non-negative, got -1 us");
+      (Float.nan, 50e9, "link latency must be finite and non-negative, got nan");
+      (0.5e-6, 0., "link bandwidth must be positive, got 0 KB/s");
+      (0.5e-6, -5e9, "link bandwidth must be positive, got -5 GB/s");
+      (0.5e-6, Float.nan, "link bandwidth must be positive, got nan");
+    ]
 
 let test_parse_time () =
   List.iter
@@ -461,9 +483,12 @@ let test_parse_time () =
       | Ok v -> Alcotest.check feq input expected v
       | Error e -> Alcotest.failf "%s rejected: %s" input e)
     [ ("0.5us", 0.5e-6); ("30ns", 30e-9); ("2ms", 2e-3); ("1s", 1.); ("0.25", 0.25) ];
-  (match Parse.parse_time "fast" with
-  | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error _ -> ())
+  List.iter
+    (fun bad ->
+      match Parse.parse_time bad with
+      | Ok _ -> Alcotest.failf "%s should be rejected" bad
+      | Error _ -> ())
+    [ "fast"; "inf"; "1e999us"; "nan"; "-1s" ]
 
 let test_parse_topology_lines () =
   let lines =
@@ -546,6 +571,8 @@ let () =
           Alcotest.test_case "Reduce-Scatter conditions" `Quick test_spec_rs_conditions;
           Alcotest.test_case "reverse" `Quick test_spec_reverse;
           Alcotest.test_case "rejects bad root" `Quick test_spec_rejects_bad_root;
+          Alcotest.test_case "rejects non-finite size" `Quick
+            test_spec_rejects_non_finite_size;
         ] );
       ( "schedule",
         [

@@ -1,9 +1,10 @@
 (* Tests for the registry's crash-safe persistence and single-flight
    failure handling: atomic writes never leave temp droppings, every
    flavor of broken disk entry (truncated, empty, garbage, checksum
-   mismatch) is quarantined to *.corrupt and re-synthesized instead of
-   raising, foreign checksum-less files still load, and a synthesis that
-   raises releases its single-flight key for a clean retry. *)
+   mismatch, an All-Reduce file without its phase split) is quarantined
+   to *.corrupt and re-synthesized instead of raising, foreign
+   checksum-less files still load, and a synthesis that raises releases
+   its single-flight key for a clean retry. *)
 
 open Tacos_topology
 open Tacos_collective
@@ -58,10 +59,10 @@ let test_atomic_write_no_droppings () =
 (* Shared harness for the broken-entry flavors: corrupt the single cache
    file with [break], then prove a fresh registry over the same directory
    still answers — quarantining the broken file and re-synthesizing. *)
-let check_quarantine_and_recover name break =
+let check_quarantine_and_recover ?(pattern = Pattern.All_gather) name break =
   let dir = fresh_dir () in
   let topo = ring 6 in
-  let s = spec Pattern.All_gather 6 in
+  let s = spec pattern 6 in
   let original, path = warm_entry dir topo s in
   break path;
   let reg = Registry.create ~dir () in
@@ -119,6 +120,26 @@ let test_checksum_mismatch_entry () =
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Json.encode (Json.Object flipped)))
       | Ok _ -> Alcotest.fail "entry is not a JSON object")
+
+let test_unsplit_all_reduce_entry () =
+  (* An All-Reduce file without a checksum or a phase split cannot be
+     validated, so it must not be served: here its send list is empty. *)
+  check_quarantine_and_recover ~pattern:Pattern.All_reduce "unsplit All-Reduce"
+    (fun path ->
+      let text = In_channel.with_open_text path In_channel.input_all in
+      match Json.parse text with
+      | Ok (Json.Object fields) ->
+        let gutted =
+          List.filter_map
+            (function
+              | ("checksum" | "reduce_scatter_makespan"), _ -> None
+              | "sends", _ -> Some ("sends", Json.Array [])
+              | kv -> Some kv)
+            fields
+        in
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (Json.encode (Json.Object gutted)))
+      | _ -> Alcotest.fail "entry is not a JSON object")
 
 let test_foreign_entry_without_checksum_loads () =
   (* Files written by other tools carry no checksum field: they must keep
@@ -319,6 +340,8 @@ let () =
           Alcotest.test_case "garbage entry quarantined" `Quick test_garbage_entry;
           Alcotest.test_case "checksum mismatch quarantined" `Quick
             test_checksum_mismatch_entry;
+          Alcotest.test_case "unsplit All-Reduce entry quarantined" `Quick
+            test_unsplit_all_reduce_entry;
           Alcotest.test_case "foreign checksum-less entry loads" `Quick
             test_foreign_entry_without_checksum_loads;
         ] );

@@ -66,6 +66,19 @@ let test_apply_validates () =
     (Invalid_argument "Fault.apply: degradation factor 0.5 < 1")
     (fun () -> ignore (Fault.apply topo [ Fault.Degrade_link { link = 0; factor = 0.5 } ]))
 
+let test_validate_rejects_non_finite_factor () =
+  let topo = Builders.ring 4 in
+  Alcotest.(check (result unit string))
+    "infinite factor" (Error "degradation factor inf is not finite")
+    (Fault.validate topo [ Fault.Degrade_link { link = 0; factor = infinity } ]);
+  Alcotest.(check (result unit string))
+    "NaN factor" (Error "degradation factor nan < 1")
+    (Fault.validate topo [ Fault.Degrade_link { link = 0; factor = Float.nan } ]);
+  Alcotest.check_raises "sampler rejects it too"
+    (Invalid_argument "Fault.random_degradations: degradation factor inf is not finite")
+    (fun () ->
+      ignore (Fault.random_degradations (Tacos_util.Rng.create 1) ~factor:infinity topo 1))
+
 let test_degraded_metadata_carried () =
   (* The satellite fix: hierarchy and cut hints survive fault injection,
      ring embeddings are invalidated by design. *)
@@ -686,6 +699,8 @@ let () =
             test_killed_links_expands_npu_kills;
           Alcotest.test_case "apply kills and degrades" `Quick test_apply_kills_and_degrades;
           Alcotest.test_case "apply validates faults" `Quick test_apply_validates;
+          Alcotest.test_case "validate rejects non-finite factor" `Quick
+            test_validate_rejects_non_finite_factor;
           Alcotest.test_case "degraded topology keeps hierarchy metadata" `Quick
             test_degraded_metadata_carried;
           Alcotest.test_case "connectivity reports surviving component" `Quick

@@ -90,6 +90,8 @@ let test_protocol_rejects () =
   bad "[1,2]" "object";
   bad {|{"op":"frobnicate"}|} "unknown op";
   bad {|{"op":"synthesize","size":-3}|} "size";
+  bad {|{"op":"synthesize","size":1e999}|} "size";
+  bad {|{"op":"synthesize","size":"inf"}|} "size";
   bad {|{"op":"synthesize","chunks":0}|} "chunks";
   bad {|{"op":"synthesize","fail_links":[1,"x"]}|} "fail_links";
   bad {|{"op":"metrics","prefix":7}|} "prefix must be a string"
@@ -100,6 +102,19 @@ let test_malformed_line_is_structured_error () =
   let svc = service () in
   let r = Service.handle_line svc "nonsense" in
   Alcotest.(check string) "status" "error" (status r);
+  Alcotest.(check int) "counted" 1 (Service.stats svc).Service.errors
+
+let test_non_finite_size_is_size_error () =
+  let svc = service () in
+  let r =
+    Service.handle_line svc
+      {|{"op":"synthesize","topology":"ring:4","pattern":"all-gather","size":1e999}|}
+  in
+  Alcotest.(check string) "status" "error" (status r);
+  (match Json.member "message" (parse_response r) with
+  | Some (Json.String msg) ->
+    Alcotest.(check bool) ("names the size: " ^ msg) true (has_substring "size" msg)
+  | _ -> Alcotest.failf "no error message in %s" r);
   Alcotest.(check int) "counted" 1 (Service.stats svc).Service.errors
 
 let test_miss_then_cached () =
@@ -563,6 +578,8 @@ let () =
         [
           Alcotest.test_case "malformed line -> structured error" `Quick
             test_malformed_line_is_structured_error;
+          Alcotest.test_case "non-finite size -> size error" `Quick
+            test_non_finite_size_is_size_error;
           Alcotest.test_case "miss then cached" `Quick test_miss_then_cached;
           Alcotest.test_case "expired deadline degrades" `Quick
             test_expired_deadline_degrades;

@@ -1,6 +1,7 @@
 (* Tests for the TACOS synthesizer: structural optimality on the classic
    topologies, validation of every supported pattern, agreement with the
-   paper-literal reference implementation, and randomized properties. *)
+   paper-literal reference implementation, golden digests of the
+   multi-trial search, and randomized properties. *)
 
 open Tacos_topology
 open Tacos_collective
@@ -174,11 +175,14 @@ let test_domains_bit_identical () =
 let test_goal_domains_bit_identical () =
   let topo = unit_mesh [| 3; 3 |] in
   let goal = Synth.goal_of_spec (spec Pattern.All_gather 9) in
-  let ref_sched, _ = Synth.synthesize_goal ~seed:11 ~trials:4 ~domains:1 topo goal in
+  let plan ~domains =
+    (fst (Synth.synthesize_goal_plan ~seed:11 ~trials:4 ~domains topo goal)).Synth.pull
+  in
+  let ref_sched = plan ~domains:1 in
   List.iter
     (fun k ->
-      let par, _ = Synth.synthesize_goal ~seed:11 ~trials:4 ~domains:k topo goal in
-      same_sends (Printf.sprintf "goal sends at domains=%d" k) ref_sched par)
+      same_sends (Printf.sprintf "goal sends at domains=%d" k) ref_sched
+        (plan ~domains:k))
     [ 2; 4 ]
 
 let test_random_link_order_still_valid () =
@@ -655,9 +659,137 @@ let prop_reduction_reversal_preserves_makespan =
       let rs = Synth.synthesize ~seed topo (spec Pattern.Reduce_scatter n) in
       Float.abs (ag.collective_time -. rs.collective_time) < 1e-9)
 
+(* --- multi-trial goldens ------------------------------------------------ *)
+
+(* Pinned outputs of the multi-trial search: which trial wins, the stats
+   summed over every trial, and the feasibility messages. Floats are hashed
+   exactly ([%h]), so a change to the per-trial seeds, the first-lowest
+   argmin or the stat sums shows here, not only a change to the schedule. *)
+
+let digest (t : Schedule.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%h\n" t.Schedule.makespan;
+  List.iter
+    (fun (s : Schedule.send) ->
+      Printf.bprintf b "%d %d %d %d %h %h\n" s.chunk s.edge s.src s.dst s.start s.finish)
+    (Schedule.sends t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_mesh () = Builders.mesh [| 3; 3 |]
+
+(* Schedule, phase halves ("-" when none), rounds and matches. *)
+let result_golden (r : Synth.result) =
+  let phases =
+    match r.phases with Some (rs, ag) -> [ digest rs; digest ag ] | None -> [ "-"; "-" ]
+  in
+  (digest r.schedule :: phases)
+  @ [ Printf.sprintf "rounds=%d matches=%d" r.stats.rounds r.stats.matches ]
+
+let trial_golden =
+  [
+    ( Pattern.All_reduce,
+      [ "c4a62f8fcfd6e5d3ed56475f6888939e"; "d29a6da527e0ff8c9f705779136de53c";
+        "230102c6e7690602059e3c896d5d707c"; "rounds=47 matches=720" ] );
+    ( Pattern.All_gather,
+      [ "64c45522df8fc49a466e1e2608eab74c"; "-"; "-"; "rounds=21 matches=360" ] );
+    ( Pattern.Reduce_scatter,
+      [ "a3b3809084d268c7cabafc46a19289c6"; "-"; "-"; "rounds=24 matches=360" ] );
+    ( Pattern.Broadcast 4,
+      [ "9ea9ebd6b67b4074de9429665592774a"; "-"; "-"; "rounds=10 matches=40" ] );
+  ]
+
+let test_trials_golden () =
+  let topo = golden_mesh () in
+  List.iter
+    (fun (pattern, expected) ->
+      let s = Spec.make ~buffer_size:9e6 ~pattern ~npus:9 () in
+      List.iter
+        (fun domains ->
+          let r = Synth.synthesize ~seed:7 ~trials:5 ~domains topo s in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at domains=%d" (Pattern.name pattern) domains)
+            expected (result_golden r))
+        [ 1; 3 ])
+    trial_golden
+
+(* A repair-style goal with live partial sums: chunk [c]'s partial at NPU [c]
+   has absorbed [c] and [c + 1], every other NPU holds only its own
+   contribution, and every NPU wants the reduced chunk. Two links are
+   masked out. *)
+let test_goal_plan_golden () =
+  let topo = golden_mesh () in
+  let n = 9 in
+  let all = List.init n Fun.id in
+  let every = List.concat_map (fun c -> List.map (fun v -> (v, c)) all) all in
+  let goal =
+    {
+      Synth.num_chunks = n;
+      chunk_size = 1e6;
+      precondition = [];
+      postcondition = every;
+      contributors = every;
+      partials =
+        List.concat_map
+          (fun c ->
+            let next = (c + 1) mod n in
+            (c, c, [ c; next ])
+            :: List.filter_map
+                 (fun v -> if v = c || v = next then None else Some (v, c, [ v ]))
+                 all)
+          all;
+    }
+  in
+  let plan, stats =
+    Synth.synthesize_goal_plan ~seed:3 ~trials:4 ~domains:2 ~dead:[ 0; 7 ] topo goal
+  in
+  Alcotest.(check (list string))
+    "combining, pull, rounds and matches"
+    [ "3437d55f1b5083d3165dba6c69b56a9a"; "1bea7dee74b62039a6710c6f07fc2cd2";
+      "rounds=49 matches=564" ]
+    [
+      digest plan.Synth.combining;
+      digest plan.Synth.pull;
+      Printf.sprintf "rounds=%d matches=%d" stats.rounds stats.matches;
+    ]
+
+let stuck_message f =
+  match f () with
+  | _ -> Alcotest.fail "expected Stuck"
+  | exception Synth.Stuck msg -> msg
+
+let test_stuck_golden () =
+  (* Unmasked: a one-way chain 0 -> 1 -> 2. *)
+  let chain = Topology.create 3 in
+  ignore (Topology.add_link chain ~src:0 ~dst:1 link_1s);
+  ignore (Topology.add_link chain ~src:1 ~dst:2 link_1s);
+  Alcotest.(check string) "unmasked walk"
+    "topology is not strongly connected: 3 unreachable postconditions (chunk 1 \
+     -> NPU 0, chunk 2 -> NPU 0, chunk 2 -> NPU 1)"
+    (stuck_message (fun () -> Synth.synthesize chain (spec Pattern.All_gather 3)));
+  (* Masked: a sketch forbids every link into the centre of a 3x3 mesh. *)
+  let topo = golden_mesh () in
+  let forbid =
+    List.filter_map
+      (fun (e : Topology.edge) -> if e.dst = 4 then Some e.id else None)
+      (Topology.edges topo)
+  in
+  Alcotest.(check string) "masked walk"
+    "topology is not strongly connected: 8 unreachable postconditions (chunk 0 \
+     -> NPU 4, chunk 1 -> NPU 4, chunk 2 -> NPU 4, chunk 3 -> NPU 4, chunk 5 -> \
+     NPU 4, chunk 6 -> NPU 4, ...)"
+    (stuck_message (fun () ->
+         Synth.synthesize ~sketch:{ Synth.no_constraints with forbid } topo
+           (spec Pattern.All_gather 9)))
+
 let () =
   Alcotest.run "synthesizer"
     [
+      ( "golden",
+        [
+          Alcotest.test_case "multi-trial synthesize" `Quick test_trials_golden;
+          Alcotest.test_case "multi-trial goal plan" `Quick test_goal_plan_golden;
+          Alcotest.test_case "Stuck messages" `Quick test_stuck_golden;
+        ] );
       ( "structure",
         [
           Alcotest.test_case "All-Gather on unidirectional ring" `Quick

@@ -29,6 +29,21 @@ let test_link_rejects_negative () =
   Alcotest.check_raises "negative alpha" (Invalid_argument "Link.make: negative cost")
     (fun () -> ignore (Link.make ~alpha:(-1.) ~beta:0.))
 
+let test_link_rejects_non_finite () =
+  List.iter
+    (fun (alpha, beta) ->
+      Alcotest.check_raises
+        (Printf.sprintf "alpha %g, beta %g" alpha beta)
+        (Invalid_argument "Link.make: non-finite cost")
+        (fun () -> ignore (Link.make ~alpha ~beta)))
+    [ (infinity, 0.); (Float.nan, 0.); (0., infinity); (0., Float.nan) ];
+  Alcotest.check_raises "infinite alpha through of_bandwidth"
+    (Invalid_argument "Link.make: non-finite cost")
+    (fun () -> ignore (Link.of_bandwidth ~alpha:infinity 50e9));
+  Alcotest.check_raises "NaN bandwidth"
+    (Invalid_argument "Link.of_bandwidth: nonpositive bandwidth")
+    (fun () -> ignore (Link.of_bandwidth Float.nan))
+
 (* --- Graph mechanics ------------------------------------------------------ *)
 
 let test_add_link_and_lookup () =
@@ -365,6 +380,7 @@ let () =
           Alcotest.test_case "of_bandwidth" `Quick test_link_of_bandwidth;
           Alcotest.test_case "scale beta" `Quick test_link_scale_beta;
           Alcotest.test_case "rejects negative" `Quick test_link_rejects_negative;
+          Alcotest.test_case "rejects non-finite" `Quick test_link_rejects_non_finite;
         ] );
       ( "graph",
         [
