@@ -7,8 +7,11 @@ let lowercase = String.lowercase_ascii
 let parse_dims s =
   let parts = String.split_on_char 'x' s in
   match List.map int_of_string_opt parts with
-  | dims when List.for_all Option.is_some dims && dims <> [] ->
-    Ok (Array.of_list (List.map Option.get dims))
+  | dims when List.for_all Option.is_some dims && dims <> [] -> (
+    let dims = Array.of_list (List.map Option.get dims) in
+    match Array.find_opt (fun d -> d < 1) dims with
+    | Some d -> Error (Printf.sprintf "dimension %d in %S must be at least 1" d s)
+    | None -> Ok dims)
   | _ -> Error (Printf.sprintf "cannot parse dimensions %S (expected e.g. 4x4)" s)
 
 (* Sizes like "1GB", "64MB", "512KB", "100B", "4194304". *)
@@ -185,6 +188,11 @@ let build_topology ~alpha ~bw link s =
     if arg = "" then Ok (build (4, 5))
     else
       Result.bind (parse_dims arg) (function
+        | [| g; m |] when m < g - 1 ->
+          (* Each member hosts at most one global link. *)
+          Error
+            (Printf.sprintf "dragonfly:%dx%d needs at least %d members per group" g m
+               (g - 1))
         | [| g; m |] -> Ok (build (g, m))
         | _ -> Error "dragonfly expects GROUPSxMEMBERS, e.g. 4x5")
   | "file" ->

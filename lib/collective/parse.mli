@@ -5,7 +5,8 @@ open Tacos_topology
     format of the [tacos] CLI (and handy in scripts and tests). *)
 
 val parse_dims : string -> (int array, string) result
-(** ["4x4x4"] → [[|4; 4; 4|]]. *)
+(** ["4x4x4"] → [[|4; 4; 4|]]. A dimension below 1 is an error that names
+    it. *)
 
 val parse_size : string -> (float, string) result
 (** Decimal byte sizes: ["1GB"], ["64MB"], ["512KB"], ["100B"], ["4096"].
@@ -18,7 +19,8 @@ val parse_topology :
     [rfs:RxFxS]. [alpha] (seconds, default 0.5 µs) and [bw] (bytes/s, default
     50 GB/s) set the link parameters; the heterogeneous builders scale their
     per-dimension bandwidths down from [bw]. A negative or non-finite
-    [alpha], or a [bw] that is not positive, is an error. *)
+    [alpha], a [bw] that is not positive, a dimension below 1, or a
+    dragonfly with fewer than [G - 1] members per group is an error. *)
 
 val parse_time : string -> (float, string) result
 (** Durations: ["0.5us"], ["30ns"], ["2ms"], ["1s"], or plain seconds.

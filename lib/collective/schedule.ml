@@ -130,6 +130,10 @@ let of_arrays ~chunk ~edge ~src ~dst ~start ~finish =
     Array.length edge <> n || Array.length src <> n || Array.length dst <> n
     || Array.length start <> n || Array.length finish <> n
   then invalid_arg "Schedule.of_arrays: arrays differ in length";
+  let makespan = ref 0. in
+  for i = 0 to n - 1 do
+    makespan := Float.max !makespan finish.(i)
+  done;
   let t =
     {
       chunks = chunk;
@@ -138,7 +142,7 @@ let of_arrays ~chunk ~edge ~src ~dst ~start ~finish =
       dsts = dst;
       starts = start;
       finishes = finish;
-      makespan = Array.fold_left Float.max 0. finish;
+      makespan = !makespan;
     }
   in
   check_intervals t;

@@ -182,6 +182,66 @@ let check_feasible exp ~dead goal =
     end
   end
 
+(* Each link's rank among the distinct values of [cost] in [compare] order,
+   and the number of distinct values. A stable counting sort by rank orders
+   links as [Array.stable_sort] by [compare] on [cost] does. *)
+let cost_ranks cost =
+  let m = Array.length cost in
+  let order = Array.init m Fun.id in
+  Array.stable_sort (fun a b -> compare cost.(a) cost.(b)) order;
+  let rank = Array.make m 0 and next = ref 0 in
+  for i = 0 to m - 1 do
+    if i > 0 && compare cost.(order.(i - 1)) cost.(order.(i)) <> 0 then incr next;
+    rank.(order.(i)) <- !next
+  done;
+  (rank, if m = 0 then 0 else !next + 1)
+
+let[@inline] swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let[@inline] swap_float (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* Put a send log, oldest first, in the order [Schedule.make] gives the
+   newest-first list, so that [Schedule.of_arrays] builds the schedule
+   [make] did. A log already in (start, finish) order only has each run of
+   equal pairs reversed, and [of_arrays] finds it sorted; any other log is
+   reversed whole, and [of_arrays] stable-sorts it. *)
+let newest_first ~chunk ~edge ~src ~dst ~start ~finish =
+  let n = Array.length chunk in
+  let reverse lo hi =
+    let i = ref lo and j = ref (hi - 1) in
+    while !i < !j do
+      swap chunk !i !j;
+      swap edge !i !j;
+      swap src !i !j;
+      swap dst !i !j;
+      swap_float start !i !j;
+      swap_float finish !i !j;
+      incr i;
+      decr j
+    done
+  in
+  let ordered = ref true in
+  for i = 1 to n - 1 do
+    if start.(i - 1) > start.(i) || (start.(i - 1) = start.(i) && finish.(i - 1) > finish.(i))
+    then ordered := false
+  done;
+  if !ordered then begin
+    let lo = ref 0 in
+    for i = 1 to n do
+      if i = n || start.(i) <> start.(!lo) || finish.(i) <> finish.(!lo) then begin
+        reverse !lo i;
+        lo := i
+      end
+    done
+  end
+  else reverse 0 n
+
 (* One synthesis trial of a pull-based (non-combining) pattern: All-Gather or
    Broadcast. This is Alg. 2 with Alg. 1 run at every event time.
 
@@ -301,9 +361,17 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
      of the healthy path is untouched when the mask is empty. *)
   List.iter (fun e -> link_free.(e) <- infinity) dead;
   let events = Fheap.create () in
-  let sends = ref [] in
+  (* The send log, oldest first: one send per unsatisfied postcondition. *)
+  let total = !unsatisfied in
+  let log_chunk = Array.make total 0 and log_edge = Array.make total 0 in
+  let log_src = Array.make total 0 and log_dst = Array.make total 0 in
+  let log_start = Array.make total 0. and log_finish = Array.make total 0. in
   let rounds = ref 0 and matches = ref 0 in
   let idle = Array.make m 0 in
+  (* Idle links are ordered cheapest first by a stable counting sort on
+     [rank] into [by_cost]. *)
+  let rank, ranks = cost_ranks order_cost in
+  let count = Array.make (ranks + 1) 0 and by_cost = Array.make m 0 in
   let now = ref 0. in
   (* Failed-scan memoization: a link that found no matchable chunk needs no
      rescan until its source gains a chunk or its destination's wants
@@ -317,55 +385,55 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
      scanning the smaller of the two sets from a random offset. [saw_pending]
      is set when a candidate was rejected only because it is still in flight
      towards [s] — such a failure must not be memoized, since it resolves
-     without any version bump. *)
+     without any version bump. The probes read the scan's link, source and
+     destination from [scan_e], [scan_s] and [scan_d], so they are built
+     once per trial, not once per scan. *)
   let saw_pending = ref false in
   let obs_on = Obs.enabled () in
   let probes = ref 0 in
+  let scan_e = ref 0 and scan_s = ref 0 and scan_d = ref 0 in
+  (* Pin filtering precedes the arrival check: a pinned-away chunk is a
+     *static* rejection, so it must not set [saw_pending] (which would
+     defeat the failed-scan memoization below). *)
+  let held_and_wanted c =
+    if obs_on then incr probes;
+    wants_pos.(!scan_d).(c) >= 0
+    && pin_ok !scan_e c
+    &&
+    if arrival.(!scan_s).(c) <= !now then true
+    else begin
+      saw_pending := true;
+      false
+    end
+  in
+  let wanted_and_held c =
+    if obs_on then incr probes;
+    pin_ok !scan_e c
+    &&
+    let a = arrival.(!scan_s).(c) in
+    if a <= !now then true
+    else begin
+      if a < infinity then saw_pending := true;
+      false
+    end
+  in
+  let from set probe =
+    let len = Ivec.length set in
+    if len = 0 then -1
+    else begin
+      let i = Ivec.exists_from set ~start:(Rng.int rng len) probe in
+      if i < 0 then -1 else Ivec.get set i
+    end
+  in
   let pick_chunk e s d =
-    let t = !now in
     saw_pending := false;
     probes := 0;
-    (* Pin filtering precedes the arrival check: a pinned-away chunk is a
-       *static* rejection, so it must not set [saw_pending] (which would
-       defeat the failed-scan memoization below). *)
+    scan_e := e;
+    scan_s := s;
+    scan_d := d;
     let found =
-      if Ivec.length holds.(s) <= Ivec.length wants.(d) then begin
-        let len = Ivec.length holds.(s) in
-        if len = 0 then -1
-        else begin
-          let i =
-            Ivec.exists_from holds.(s) ~start:(Rng.int rng len) (fun c ->
-                if obs_on then incr probes;
-                wants_pos.(d).(c) >= 0
-                && pin_ok e c
-                &&
-                if arrival.(s).(c) <= t then true
-                else begin
-                  saw_pending := true;
-                  false
-                end)
-          in
-          if i < 0 then -1 else Ivec.get holds.(s) i
-        end
-      end
-      else begin
-        let len = Ivec.length wants.(d) in
-        if len = 0 then -1
-        else begin
-          let i =
-            Ivec.exists_from wants.(d) ~start:(Rng.int rng len) (fun c ->
-                if obs_on then incr probes;
-                pin_ok e c
-                &&
-                if arrival.(s).(c) <= t then true
-                else begin
-                  if arrival.(s).(c) < infinity then saw_pending := true;
-                  false
-                end)
-          in
-          if i < 0 then -1 else Ivec.get wants.(d) i
-        end
-      end
+      if Ivec.length holds.(s) <= Ivec.length wants.(d) then from holds.(s) held_and_wanted
+      else from wants.(d) wanted_and_held
     in
     if obs_on then begin
       Obs.incr obs_pick_scans;
@@ -393,26 +461,47 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
         incr idle_count
       end
     done;
-    let idle_links = Array.sub idle 0 !idle_count in
-    if obs_on then Obs.observe obs_idle_links (float_of_int !idle_count);
-    Rng.shuffle_in_place rng idle_links;
-    if prefer_cheap_links then
-      Array.stable_sort (fun a b -> compare order_cost.(a) order_cost.(b)) idle_links;
-    Array.iter
-      (fun e ->
-        let d = dst.(e) and s = src.(e) in
-        if Ivec.length wants.(d) > 0 then begin
-          if
-            scanned_has.(e) = has_version.(s)
-            && scanned_wants.(e) = wants_version.(d)
-          then Obs.incr obs_memo_hits
-          else begin
+    let k = !idle_count in
+    if obs_on then Obs.observe obs_idle_links (float_of_int k);
+    Rng.shuffle_prefix rng idle k;
+    let order =
+      if not prefer_cheap_links then idle
+      else begin
+        for i = 0 to k - 1 do
+          let r = rank.(idle.(i)) + 1 in
+          count.(r) <- count.(r) + 1
+        done;
+        (* Now [count.(r)] is the first slot of rank [r]. *)
+        for r = 1 to ranks do
+          count.(r) <- count.(r) + count.(r - 1)
+        done;
+        for i = 0 to k - 1 do
+          let e = idle.(i) in
+          let r = rank.(e) in
+          by_cost.(count.(r)) <- e;
+          count.(r) <- count.(r) + 1
+        done;
+        Array.fill count 0 (ranks + 1) 0;
+        by_cost
+      end
+    in
+    for i = 0 to k - 1 do
+      let e = order.(i) in
+      let d = dst.(e) and s = src.(e) in
+      if Ivec.length wants.(d) > 0 then begin
+        if scanned_has.(e) = has_version.(s) && scanned_wants.(e) = wants_version.(d)
+        then Obs.incr obs_memo_hits
+        else begin
           let c = pick_chunk e s d in
           if c >= 0 then begin
             let finish = t +. cost.(e) in
-            sends :=
-              { Schedule.chunk = c; edge = e; src = s; dst = d; start = t; finish }
-              :: !sends;
+            let j = !matches in
+            log_chunk.(j) <- c;
+            log_edge.(j) <- e;
+            log_src.(j) <- s;
+            log_dst.(j) <- d;
+            log_start.(j) <- t;
+            log_finish.(j) <- finish;
             arrival.(d).(c) <- finish;
             Ivec.push holds.(d) c;
             has_version.(d) <- has_version.(d) + 1;
@@ -428,9 +517,9 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
             scanned_has.(e) <- has_version.(s);
             scanned_wants.(e) <- wants_version.(d)
           end
-          end
-        end)
-      idle_links;
+        end
+      end
+    done;
     if !unsatisfied > 0 then
       match Fheap.pop_above events t with
       | Some t' -> now := t'
@@ -451,7 +540,12 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
     | _ -> ());
     Trace.with_span "round" round_body
   done;
-  (Schedule.make !sends, !rounds, !matches)
+  newest_first ~chunk:log_chunk ~edge:log_edge ~src:log_src ~dst:log_dst ~start:log_start
+    ~finish:log_finish;
+  ( Schedule.of_arrays ~chunk:log_chunk ~edge:log_edge ~src:log_src ~dst:log_dst
+      ~start:log_start ~finish:log_finish,
+    !rounds,
+    !matches )
 
 let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
     (spec : Spec.t) =

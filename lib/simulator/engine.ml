@@ -58,25 +58,14 @@ let () =
       Some (Printf.sprintf "Engine.Simulation_error: transfer %d (%s): %s" tid tag what)
     | _ -> None)
 
-(* A message in flight: which transfer it belongs to, the node it currently
-   sits at, and the nodes still to visit. [aborted] invalidates the
-   already-queued [Hop_arrived] event of a service cut short by a link
-   death — the replanned copy of the message carries on instead. *)
-type msg = {
-  tid : int;
-  mutable at : int;
-  mutable rest : int list;
-  mutable aborted : bool;
-  mutable via : int;  (** link ridden into the pending [Hop_arrived]; -1 before *)
-}
-
-type event =
-  | Ready of int  (** transfer id became ready *)
-  | Link_free of int * int
-      (** (link, serial): link finished serializing; stale serials — the link
-          died and was re-armed since — are ignored *)
-  | Hop_arrived of msg  (** message landed at the next node on its path *)
-  | Fault of fault_event  (** a timed fabric change lands *)
+(* Events are ints: the kind in the low two bits, the payload above. A
+   fault's payload is its index in the timeline, a readiness event's its
+   transfer id, and the other two name a message in flight. *)
+let ev_fault = 0
+let ev_ready = 1
+let ev_free = 2 (* the message's link finished serializing it *)
+let ev_arrive = 3 (* the message landed at the next node on its route *)
+let[@inline] event kind payload = (payload lsl 2) lor kind
 
 type link_model = Pipelined_alpha | Blocking_alpha
 
@@ -101,6 +90,21 @@ let validate_faults topo faults =
         invalid_arg "Engine.run: degradation factor < 1"
       | _ -> ())
     faults
+
+(* Time [link] is occupied by one message of [size] bytes — the unit of
+   both FCFS service and backlog accounting, so the two can never drift.
+   A closed top-level function, so it inlines and its result stays
+   unboxed. *)
+let[@inline] hold_of model ~serialize ~latency link size =
+  match model with
+  | Pipelined_alpha -> serialize.(link) *. size
+  | Blocking_alpha -> latency.(link) +. (serialize.(link) *. size)
+
+(* The first [len] entries of a full array, in one twice as long. *)
+let grow a len fill =
+  let b = Array.make (max 16 (2 * len)) fill in
+  Array.blit a 0 b 0 len;
+  b
 
 let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   let transfers = Program.transfers program in
@@ -145,33 +149,84 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   let latency = Array.copy base_latency in
   let alive = Array.make m true in
   let degrade_factor = Array.make m 1. in
-  (* Per-link FCFS server state. [serial] re-arms a link after a death so
-     that the stale [Link_free] of an aborted service is ignored. *)
-  let queue = Array.init m (fun _ -> Queue.create ()) in
-  let serving = Array.make m false in
-  let in_service : msg option array = Array.make m None in
+  (* Per-link FCFS server state: the message in service (-1 when idle) and
+     a FIFO of waiting messages, threaded through [msg_next]. *)
+  let in_service = Array.make m (-1) in
+  let queue_head = Array.make m (-1) and queue_tail = Array.make m (-1) in
+  let queue_len = Array.make m 0 in
   let service_start = Array.make m 0. and service_end = Array.make m 0. in
-  let serial = Array.make m 0 in
   let backlog = Array.make m 0. in
-  (* Stats. *)
+  (* Stats. The service log keeps one (link, start, end) entry per service
+     in start order, read into the report's per-link lists at the end;
+     [last_service.(link)] is the link's newest entry, which a death
+     truncates. *)
   let link_bytes = Array.make m 0. in
   let link_busy = Array.make m 0. in
-  let link_intervals = Array.make m [] in
+  let last_service = Array.make m (-1) in
+  let log_link = ref (Array.make (max 16 nt) 0) in
+  let log_start = ref (Array.make (max 16 nt) 0.) in
+  let log_end = ref (Array.make (max 16 nt) 0.) in
+  let services = ref 0 in
   let transfer_finish = Array.make nt infinity in
   let stranded = ref [] in
-  (* Dependency bookkeeping. *)
+  let size = Array.map (fun (tr : Program.transfer) -> tr.size) transfers in
+  (* Dependency bookkeeping: transfer [d]'s dependents are
+     [dependents.(first.(d)) .. dependents.(first.(d + 1) - 1)], newest
+     first — the order they are released in. *)
   let indeg = Array.make nt 0 in
-  let dependents = Array.make nt [] in
+  let first = Array.make (nt + 1) 0 in
+  let rec count = function
+    | [] -> ()
+    | d :: rest ->
+      first.(d + 1) <- first.(d + 1) + 1;
+      count rest
+  in
+  for tid = 0 to nt - 1 do
+    count transfers.(tid).Program.deps
+  done;
+  for d = 1 to nt do
+    first.(d) <- first.(d) + first.(d - 1)
+  done;
+  let dependents = Array.make first.(nt) 0 in
+  let fill = Array.sub first 1 nt in
+  let rec register tid = function
+    | [] -> ()
+    | d :: rest ->
+      indeg.(tid) <- indeg.(tid) + 1;
+      fill.(d) <- fill.(d) - 1;
+      dependents.(fill.(d)) <- tid;
+      register tid rest
+  in
+  for tid = 0 to nt - 1 do
+    register tid transfers.(tid).Program.deps
+  done;
   (* For the lifecycle trace: the dependency whose completion made each
      transfer ready (-1 for roots) — the binding constraint the
      critical-path analyzer follows across transfers. *)
   let ready_cause = Array.make nt (-1) in
-  Array.iter
-    (fun (tr : Program.transfer) ->
-      indeg.(tr.id) <- List.length tr.deps;
-      List.iter (fun d -> dependents.(d) <- tr.id :: dependents.(d)) tr.deps)
-    transfers;
-  let events : event Pq.t = Pq.create () in
+  (* Messages in flight. A message is one transfer's trip from the node it
+     sits at; its planned hops are [hops.(msg_hop.(i)) ..
+     hops.(msg_end.(i) - 1)], the next one first. A death that cuts a
+     service short marks that message aborted (its pending events are
+     ignored) and continues the trip as a new message, so each transfer and
+     each death make at most one. *)
+  let faults = Array.of_list faults in
+  let deaths =
+    Array.fold_left (fun n f -> match f with Link_dies _ -> n + 1 | _ -> n) 0 faults
+  in
+  let max_msgs = nt + deaths in
+  let msg_tid = Array.make max_msgs 0 and msg_at = Array.make max_msgs 0 in
+  let msg_via = Array.make max_msgs (-1) (* link ridden into the pending arrival *) in
+  let msg_next = Array.make max_msgs (-1) and msg_aborted = Array.make max_msgs false in
+  let msg_hop = Array.make max_msgs 0 and msg_end = Array.make max_msgs 0 in
+  let msgs = ref 0 in
+  let hops = ref (Array.make (max 16 nt) 0) and nhops = ref 0 in
+  let events = Pq.create () in
+  (* The time of the event being handled, written by [Pq.pop]. *)
+  let now = [| 0. |] in
+  (* Raised by [if t > finish_time.(0)]: it starts at +0. and event times
+     are never NaN, so this is [Float.max]. *)
+  let finish_time = [| 0. |] in
   let obs_on = Obs.enabled () in
   let trace_on = Trace.enabled () in
   (* Routing over the *surviving* fabric, rebuilt lazily once per fault
@@ -202,20 +257,24 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
       routing := Some t;
       t
   in
-  (* Time the link is occupied by one message of [size] bytes — the unit of
-     both FCFS service and backlog accounting, so the two can never drift. *)
-  let hold_of link size =
-    match model with
-    | Pipelined_alpha -> serialize.(link) *. size
-    | Blocking_alpha -> latency.(link) +. (serialize.(link) *. size)
+  let new_msg tid at =
+    let i = !msgs in
+    msgs := i + 1;
+    msg_tid.(i) <- tid;
+    msg_at.(i) <- at;
+    i
   in
-  let start_service link (msg : msg) t =
-    serving.(link) <- true;
-    in_service.(link) <- Some msg;
-    msg.via <- link;
-    if trace_on then Trace.emit ~t (Trace.Service_start { tid = msg.tid; link });
-    let size = transfers.(msg.tid).Program.size in
-    let hold = hold_of link size in
+  let no_route msg ~src ~dst =
+    let tid = msg_tid.(msg) in
+    Simulation_error { tid; tag = transfers.(tid).Program.tag; kind = No_route { src; dst } }
+  in
+  let start_service link msg =
+    let t = now.(0) in
+    let tid = msg_tid.(msg) in
+    in_service.(link) <- msg;
+    msg_via.(msg) <- link;
+    if trace_on then Trace.emit ~t (Trace.Service_start { tid; link });
+    let hold = hold_of model ~serialize ~latency link size.(tid) in
     let arrive =
       match model with
       | Pipelined_alpha -> t +. hold +. latency.(link)
@@ -223,55 +282,74 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
     in
     service_start.(link) <- t;
     service_end.(link) <- t +. hold;
-    link_bytes.(link) <- link_bytes.(link) +. size;
+    link_bytes.(link) <- link_bytes.(link) +. size.(tid);
     link_busy.(link) <- link_busy.(link) +. hold;
-    link_intervals.(link) <- (t, t +. hold) :: link_intervals.(link);
-    Pq.push events (t +. hold) (Link_free (link, serial.(link)));
-    Pq.push events arrive (Hop_arrived msg)
+    let i = !services in
+    if i = Array.length !log_link then begin
+      log_link := grow !log_link i 0;
+      log_start := grow !log_start i 0.;
+      log_end := grow !log_end i 0.
+    end;
+    !log_link.(i) <- link;
+    !log_start.(i) <- t;
+    !log_end.(i) <- t +. hold;
+    last_service.(link) <- i;
+    services := i + 1;
+    Pq.push events (t +. hold) (event ev_free msg);
+    Pq.push events arrive (event ev_arrive msg)
   in
-  let strand (msg : msg) t =
+  let strand msg =
+    let t = now.(0) and tid = msg_tid.(msg) in
+    let dst = transfers.(tid).Program.dst in
     Obs.incr obs_stranded;
-    if trace_on then
-      Trace.emit ~t
-        (Trace.Stranded
-           { tid = msg.tid; node = msg.at; dst = transfers.(msg.tid).Program.dst });
+    if trace_on then Trace.emit ~t (Trace.Stranded { tid; node = msg_at.(msg); dst });
     stranded :=
-      {
-        tid = msg.tid;
-        tag = transfers.(msg.tid).Program.tag;
-        at_npu = msg.at;
-        dst = transfers.(msg.tid).Program.dst;
-        time = t;
-      }
+      { tid; tag = transfers.(tid).Program.tag; at_npu = msg_at.(msg); dst; time = t }
       :: !stranded
+  in
+  let complete tid =
+    let t = now.(0) in
+    transfer_finish.(tid) <- t;
+    if trace_on then Trace.emit ~t (Trace.Completed { tid });
+    for i = first.(tid) to first.(tid + 1) - 1 do
+      let d = dependents.(i) in
+      indeg.(d) <- indeg.(d) - 1;
+      if indeg.(d) = 0 then begin
+        ready_cause.(d) <- tid;
+        Pq.push events t (event ev_ready d)
+      end
+    done
   in
   (* Plan (or re-plan) [msg]'s remaining hops from the node it sits at, over
      the surviving fabric. Mutually recursive with [enqueue_hop]: a replan
      immediately enqueues the first hop of the fresh route. *)
-  let rec replan (msg : msg) t ~complete =
-    let dst = transfers.(msg.tid).Program.dst in
-    if msg.at = dst then complete msg.tid t
-    else
-      match Routing.path_opt (current_routing ()) ~src:msg.at ~dst with
-      | Some (_ :: (_ :: _ as rest)) ->
-        msg.rest <- rest;
-        enqueue_hop msg t ~complete
-      | Some _ (* [] | [_] — cannot happen: msg.at <> dst *) | None ->
-        if not !faulted then
-          raise
-            (Simulation_error
-               {
-                 tid = msg.tid;
-                 tag = transfers.(msg.tid).Program.tag;
-                 kind = No_route { src = msg.at; dst };
-               })
-        else strand msg t
+  let rec replan msg =
+    let at = msg_at.(msg) and dst = transfers.(msg_tid.(msg)).Program.dst in
+    if at = dst then complete msg_tid.(msg)
+    else begin
+      let table = current_routing () in
+      if Routing.reachable table ~src:at ~dst then begin
+        msg_hop.(msg) <- !nhops;
+        let v = ref at in
+        while !v <> dst do
+          v := Routing.next_hop table ~src:!v ~dst;
+          if !nhops = Array.length !hops then hops := grow !hops !nhops 0;
+          !hops.(!nhops) <- !v;
+          incr nhops
+        done;
+        msg_end.(msg) <- !nhops;
+        enqueue_hop msg
+      end
+      else if not !faulted then raise (no_route msg ~src:at ~dst)
+      else strand msg
+    end
   (* Hand a message to the least-backlogged *live* parallel link towards its
      next hop and start service if that link is idle. A hop whose links all
      died since the route was planned is re-planned from here. *)
-  and enqueue_hop (msg : msg) t ~complete =
-    let current = msg.at in
-    let next = match msg.rest with [] -> assert false | n :: _ -> n in
+  and enqueue_hop msg =
+    let t = now.(0) in
+    let current = msg_at.(msg) in
+    let next = !hops.(msg_hop.(msg)) in
     let out = out_links.(current) in
     let link = ref (-1) in
     for i = 0 to Array.length out - 1 do
@@ -279,44 +357,28 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
       if link_dst.(e) = next && alive.(e) && (!link < 0 || backlog.(e) < backlog.(!link))
       then link := e
     done;
-    match !link with
-    | -1 ->
-      if not !faulted then
-        raise
-          (Simulation_error
-             {
-               tid = msg.tid;
-               tag = transfers.(msg.tid).Program.tag;
-               kind = No_route { src = current; dst = next };
-             })
-      else begin
-        (* The planned hop rides a dead link: the stale route is discarded
-           and the message re-planned over the surviving fabric. *)
-        Obs.incr obs_reroutes;
-        if trace_on then
-          Trace.emit ~t (Trace.Rerouted { tid = msg.tid; node = current });
-        replan msg t ~complete
-      end
-    | link ->
+    let link = !link in
+    if link < 0 then begin
+      if not !faulted then raise (no_route msg ~src:current ~dst:next);
+      (* The planned hop rides a dead link: the stale route is discarded
+         and the message re-planned over the surviving fabric. *)
+      Obs.incr obs_reroutes;
+      if trace_on then Trace.emit ~t (Trace.Rerouted { tid = msg_tid.(msg); node = current });
+      replan msg
+    end
+    else begin
       (* backlog.(link) predicts when the link finishes everything accepted so
          far: service is FCFS and back-to-back, so the new message starts at
          max(backlog, now) and occupies the link for its full model hold
          (including α under Blocking_alpha — accounting only the serialization
          term let latency-bound traffic look free and pile onto one of two
          identical parallel links). *)
-      let hold = hold_of link transfers.(msg.tid).Program.size in
+      let hold = hold_of model ~serialize ~latency link size.(msg_tid.(msg)) in
       backlog.(link) <- Float.max backlog.(link) t +. hold;
+      let depth = queue_len.(link) in
       if trace_on then
-        Trace.emit ~t
-          (Trace.Enqueued
-             {
-               tid = msg.tid;
-               link;
-               node = current;
-               depth = Queue.length queue.(link);
-             });
+        Trace.emit ~t (Trace.Enqueued { tid = msg_tid.(msg); link; node = current; depth });
       if obs_on then begin
-        let depth = Queue.length queue.(link) in
         Obs.observe obs_queue_depth (float_of_int depth);
         Obs.observe_max obs_max_queue (float_of_int depth);
         Obs.observe_max obs_max_backlog (backlog.(link) -. t);
@@ -328,79 +390,74 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
             ("backlog_seconds", Tacos_util.Json.Number (backlog.(link) -. t));
           ]
       end;
-      if serving.(link) then Queue.push msg queue.(link)
-      else start_service link msg t
-  in
-  let complete tid t =
-    transfer_finish.(tid) <- t;
-    if trace_on then Trace.emit ~t (Trace.Completed { tid });
-    List.iter
-      (fun d ->
-        indeg.(d) <- indeg.(d) - 1;
-        if indeg.(d) = 0 then begin
-          ready_cause.(d) <- tid;
-          Pq.push events t (Ready d)
-        end)
-      dependents.(tid)
-  in
-  let launch tid t =
-    let tr = transfers.(tid) in
-    if tr.Program.src = tr.Program.dst then complete tid t
-    else begin
-      let msg = { tid; at = tr.Program.src; rest = []; aborted = false; via = -1 } in
-      replan msg t ~complete
+      if in_service.(link) < 0 then start_service link msg
+      else begin
+        msg_next.(msg) <- -1;
+        if queue_tail.(link) < 0 then queue_head.(link) <- msg
+        else msg_next.(queue_tail.(link)) <- msg;
+        queue_tail.(link) <- msg;
+        queue_len.(link) <- depth + 1
+      end
     end
+  in
+  let launch tid =
+    let tr = transfers.(tid) in
+    if tr.Program.src = tr.Program.dst then complete tid
+    else replan (new_msg tid tr.Program.src)
   in
   (* A timed fabric change. Death of a link aborts the message it was
      serializing (the un-transferred remainder is un-credited from the
-     stats, so the dead link shows no activity past the fault time),
-     re-plans it and everything queued behind it from their current nodes,
-     and re-arms the link's serial so the stale [Link_free] is ignored.
+     stats, so the dead link shows no activity past the fault time), and
+     re-plans it and everything queued behind it from their current nodes.
      Degradation changes the α/β of *future* services (the committed one
      finishes at its negotiated rate); recovery restores the healthy
      parameters. All three invalidate the routing table. *)
-  let apply_fault t = function
+  let apply_fault i =
+    let t = now.(0) in
+    match faults.(i) with
     | Link_dies { link; at = _ } ->
       if alive.(link) then begin
         alive.(link) <- false;
         faulted := true;
         routing := None;
-        serial.(link) <- serial.(link) + 1;
         if trace_on then Trace.emit ~t (Trace.Fault { link; kind = "dies" });
-        (* Satellite fix: a dead link must never win the least-backlogged
-           parallel-link choice on its stale (low) backlog, and its
-           predicted queue is void — it is filtered out of [enqueue_hop]'s
-           candidates and its backlog zeroed for a potential recovery. *)
+        (* A dead link must never win the least-backlogged parallel-link
+           choice on its stale (low) backlog, and its predicted queue is
+           void — it is filtered out of [enqueue_hop]'s candidates and its
+           backlog zeroed for a potential recovery. *)
         backlog.(link) <- 0.;
         let displaced = ref [] in
-        (match in_service.(link) with
-        | Some msg ->
+        let msg = in_service.(link) in
+        if msg >= 0 then begin
+          let tid = msg_tid.(msg) in
           Obs.incr obs_aborts;
-          msg.aborted <- true;
-          if trace_on then
-            Trace.emit ~t (Trace.Service_aborted { tid = msg.tid; link });
+          msg_aborted.(msg) <- true;
+          if trace_on then Trace.emit ~t (Trace.Service_aborted { tid; link });
           let s = service_start.(link) and e = service_end.(link) in
           let hold = e -. s in
           let fraction =
             if hold <= 0. then 0. else Float.max 0. (Float.min 1. ((t -. s) /. hold))
           in
-          let size = transfers.(msg.tid).Program.size in
           (* Un-credit the un-transferred remainder and truncate the
              service interval at the fault time. *)
-          link_bytes.(link) <- link_bytes.(link) -. (size *. (1. -. fraction));
+          link_bytes.(link) <- link_bytes.(link) -. (size.(tid) *. (1. -. fraction));
           link_busy.(link) <- link_busy.(link) -. (e -. t);
-          (match link_intervals.(link) with
-          | (s0, _) :: tail -> link_intervals.(link) <- (s0, t) :: tail
-          | [] -> ());
-          displaced :=
-            [ { tid = msg.tid; at = msg.at; rest = msg.rest; aborted = false; via = -1 } ]
-        | None -> ());
-        serving.(link) <- false;
-        in_service.(link) <- None;
-        Queue.iter (fun msg -> displaced := msg :: !displaced) queue.(link);
-        Queue.clear queue.(link);
+          !log_end.(last_service.(link)) <- t;
+          displaced := [ new_msg tid msg_at.(msg) ]
+        end;
+        in_service.(link) <- -1;
+        let rec drain msg =
+          if msg >= 0 then begin
+            displaced := msg :: !displaced;
+            drain msg_next.(msg)
+          end
+        in
+        drain queue_head.(link);
+        queue_head.(link) <- -1;
+        queue_tail.(link) <- -1;
+        queue_len.(link) <- 0;
         (* Oldest first, so drained traffic re-queues in FCFS order. *)
-        List.iter (fun msg -> replan msg t ~complete) (List.rev !displaced)
+        List.iter replan (List.rev !displaced)
       end
     | Link_degrades { link; factor; at = _ } ->
       if alive.(link) then begin
@@ -425,77 +482,71 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   (* Fault events enter the queue first: at equal timestamps a fault lands
      before same-time arrivals/frees, i.e. the fault window is inclusive of
      its own timestamp. *)
-  List.iter (fun f -> Pq.push events (fault_time f) (Fault f)) faults;
-  Array.iter
-    (fun (tr : Program.transfer) ->
-      if indeg.(tr.id) = 0 then Pq.push events 0. (Ready tr.id))
-    transfers;
-  let finish_time = ref 0. in
-  let rec loop () =
-    match Pq.pop events with
-    | None -> ()
-    | Some (t, ev) ->
-      Obs.incr obs_events;
-      (match ev with
-      | Fault f ->
-        (* A fault beyond the last transfer event must not stretch the
-           reported finish time of an already-completed collective. *)
-        Obs.incr obs_faults;
-        apply_fault t f
-      | Ready tid ->
-        finish_time := Float.max !finish_time t;
-        if trace_on then
-          Trace.emit ~t
-            (Trace.Deps_ready
-               {
-                 tid;
-                 cause = (if ready_cause.(tid) >= 0 then Some ready_cause.(tid) else None);
-               });
-        launch tid t
-      | Link_free (link, s) ->
-        (* A stale serial is the ghost of a service aborted by a link death;
-           it carries no state and must not stretch the finish time. *)
-        if s = serial.(link) then begin
-          finish_time := Float.max !finish_time t;
-          if trace_on then (
-            match in_service.(link) with
-            | Some m -> Trace.emit ~t (Trace.Service_end { tid = m.tid; link })
-            | None -> ());
-          serving.(link) <- false;
-          in_service.(link) <- None;
-          match Queue.take_opt queue.(link) with
-          | Some next_msg -> start_service link next_msg t
-          | None -> ()
+  Array.iteri (fun i f -> Pq.push events (fault_time f) (event ev_fault i)) faults;
+  for tid = 0 to nt - 1 do
+    if indeg.(tid) = 0 then Pq.push events 0. (event ev_ready tid)
+  done;
+  while not (Pq.is_empty events) do
+    let ev = Pq.pop events now in
+    let t = now.(0) and payload = ev lsr 2 in
+    Obs.incr obs_events;
+    let kind = ev land 3 in
+    if kind = ev_fault then begin
+      (* A fault beyond the last transfer event must not stretch the
+         reported finish time of an already-completed collective. *)
+      Obs.incr obs_faults;
+      apply_fault payload
+    end
+    else if kind = ev_ready then begin
+      if t > finish_time.(0) then finish_time.(0) <- t;
+      if trace_on then
+        Trace.emit ~t
+          (Trace.Deps_ready
+             {
+               tid = payload;
+               cause = (if ready_cause.(payload) >= 0 then Some ready_cause.(payload) else None);
+             });
+      launch payload
+    end
+    (* The events of an aborted message are the ghosts of a service a link
+       death cut short: they carry no state and must not stretch the finish
+       time. *)
+    else if not msg_aborted.(payload) then begin
+      if t > finish_time.(0) then finish_time.(0) <- t;
+      let msg = payload and tid = msg_tid.(payload) in
+      if kind = ev_free then begin
+        let link = msg_via.(msg) in
+        if trace_on then Trace.emit ~t (Trace.Service_end { tid; link });
+        let next = queue_head.(link) in
+        if next < 0 then in_service.(link) <- -1
+        else begin
+          queue_head.(link) <- msg_next.(next);
+          if msg_next.(next) < 0 then queue_tail.(link) <- -1;
+          queue_len.(link) <- queue_len.(link) - 1;
+          start_service link next
         end
-      | Hop_arrived msg ->
-        if not msg.aborted then begin
-          finish_time := Float.max !finish_time t;
-          match msg.rest with
-          | [] -> assert false
-          | [ last ] ->
-            msg.at <- last;
-            if trace_on then
-              Trace.emit ~t
-                (Trace.Arrived { tid = msg.tid; node = last; link = msg.via });
-            complete msg.tid t
-          | arrived :: rest ->
-            msg.at <- arrived;
-            msg.rest <- rest;
-            if trace_on then
-              Trace.emit ~t
-                (Trace.Arrived { tid = msg.tid; node = arrived; link = msg.via });
-            enqueue_hop msg t ~complete
-        end);
-      loop ()
-  in
-  loop ();
+      end
+      else begin
+        let hop = msg_hop.(msg) in
+        let node = !hops.(hop) in
+        msg_at.(msg) <- node;
+        if trace_on then Trace.emit ~t (Trace.Arrived { tid; node; link = msg_via.(msg) });
+        if hop + 1 = msg_end.(msg) then complete tid
+        else begin
+          msg_hop.(msg) <- hop + 1;
+          enqueue_hop msg
+        end
+      end
+    end
+  done;
   (* Completion audit: with stranded messages, every unfinished transfer
      must be explained by a stranding (directly, or through a dependency on
      a stranded transfer). Anything else is a structural bug surfaced as a
      typed error rather than a silent partial report. *)
   let unfinished = ref [] in
-  Array.iteri (fun tid f -> if f = infinity then unfinished := tid :: !unfinished)
-    transfer_finish;
+  for tid = 0 to nt - 1 do
+    if transfer_finish.(tid) = infinity then unfinished := tid :: !unfinished
+  done;
   if !unfinished <> [] then begin
     let excused = Array.make nt false in
     List.iter (fun (s : stranded) -> excused.(s.tid) <- true) !stranded;
@@ -515,12 +566,17 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
            })
     | None -> ()
   end;
+  let link_intervals = Array.make m [] in
+  for i = !services - 1 downto 0 do
+    let l = !log_link.(i) in
+    link_intervals.(l) <- (!log_start.(i), !log_end.(i)) :: link_intervals.(l)
+  done;
   {
-    finish_time = !finish_time;
+    finish_time = finish_time.(0);
     transfer_finish;
     link_bytes;
     link_busy;
-    link_intervals = Array.map List.rev link_intervals;
+    link_intervals;
     stranded = List.rev !stranded;
   }
 

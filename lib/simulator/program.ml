@@ -48,18 +48,25 @@ let import rows =
   }
 
 let total_bytes t =
-  Array.fold_left (fun acc tr -> acc +. tr.size) 0. t.transfers
+  let sum = ref 0. in
+  for i = 0 to Array.length t.transfers - 1 do
+    sum := !sum +. t.transfers.(i).size
+  done;
+  !sum
+
+let rec forward_dep id = function
+  | [] -> None
+  | d :: rest -> if d >= id then Some (id, d) else forward_dep id rest
 
 let first_forward_dep t =
-  let found = ref None in
-  Array.iter
-    (fun tr ->
-      if !found = None then
-        List.iter
-          (fun d -> if d >= tr.id && !found = None then found := Some (tr.id, d))
-          tr.deps)
-    t.transfers;
-  !found
+  let n = Array.length t.transfers in
+  let rec scan i =
+    if i = n then None
+    else
+      let tr = t.transfers.(i) in
+      match forward_dep tr.id tr.deps with None -> scan (i + 1) | found -> found
+  in
+  scan 0
 
 let validate_acyclic t =
   (* deps always point backwards by construction of [add], so the graph is

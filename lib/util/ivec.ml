@@ -33,11 +33,10 @@ let iter f t =
 let exists_from t ~start p =
   if t.len = 0 then -1
   else begin
-    let start = ((start mod t.len) + t.len) mod t.len in
-    let rec go i remaining =
-      if remaining = 0 then -1
-      else if p t.data.(i) then i
-      else go (if i + 1 = t.len then 0 else i + 1) (remaining - 1)
-    in
-    go start t.len
+    let i = ref (((start mod t.len) + t.len) mod t.len) and remaining = ref t.len in
+    while !remaining > 0 && not (p t.data.(!i)) do
+      i := if !i + 1 = t.len then 0 else !i + 1;
+      decr remaining
+    done;
+    if !remaining = 0 then -1 else !i
   end

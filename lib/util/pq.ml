@@ -76,65 +76,29 @@ let heap_drop_min h =
     place h !i k s id
   end
 
-(* The event queue. An entry's int names the slot of [vals] that holds its
-   payload, so the payload is written once and never moves. Pushes at the
-   key last popped — the events a handler schedules for "now" — skip the
-   heap: they go to [fifo], the entries [fifo_head, fifo.size) of a heap
-   record used as a queue. Its keys are all equal and its insertion
-   numbers increase, so it is itself sorted by (key, insertion), and [pop]
-   takes the lesser of its head and the heap's root. *)
-type 'a t = {
+(* The event queue. Pushes at the key last popped — the events a handler
+   schedules for "now" — skip the heap: they go to [fifo], the entries
+   [fifo_head, fifo.size) of a heap record used as a queue. Its keys are
+   all equal and its insertion numbers increase, so it is itself sorted by
+   (key, insertion), and [pop] takes the lesser of its head and the heap's
+   root. *)
+type t = {
   heap : heap;
   fifo : heap;
   mutable fifo_head : int;
   last : float array;  (** one cell, unboxed: the key of the last pop, nan before the first *)
   mutable next_seq : int;
-  mutable vals : 'a array;
-  mutable slots : int;  (** slots of [vals] ever used *)
-  mutable free : int array;  (** released slots, a stack *)
-  mutable nfree : int;
 }
 
 let create () =
-  {
-    heap = heap ();
-    fifo = heap ();
-    fifo_head = 0;
-    last = [| Float.nan |];
-    next_seq = 0;
-    vals = [||];
-    slots = 0;
-    free = [||];
-    nfree = 0;
-  }
+  { heap = heap (); fifo = heap (); fifo_head = 0; last = [| Float.nan |]; next_seq = 0 }
 
 let fifo_len t = t.fifo.size - t.fifo_head
 let size t = t.heap.size + fifo_len t
 let is_empty t = size t = 0
 
-let store t v =
-  if t.nfree > 0 then begin
-    t.nfree <- t.nfree - 1;
-    let slot = t.free.(t.nfree) in
-    t.vals.(slot) <- v;
-    slot
-  end
-  else begin
-    let slot = t.slots in
-    if slot = Array.length t.vals then begin
-      (* No slot is free, so the stack can be replaced empty. *)
-      let vals = Array.make (max 16 (2 * slot)) v in
-      Array.blit t.vals 0 vals 0 slot;
-      t.vals <- vals;
-      t.free <- Array.make (Array.length vals) 0
-    end;
-    t.vals.(slot) <- v;
-    t.slots <- slot + 1;
-    slot
-  end
-
 let push t key v =
-  let slot = store t v and seq = t.next_seq in
+  let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let f = t.fifo in
   if key = t.last.(0) && (fifo_len t = 0 || key = f.keys.(t.fifo_head)) then begin
@@ -152,34 +116,28 @@ let push t key v =
       t.fifo_head <- 0
     end;
     reserve f;
-    place f f.size key seq slot;
+    place f f.size key seq v;
     f.size <- f.size + 1
   end
-  else heap_push t.heap key seq slot
+  else heap_push t.heap key seq v
 
 (* Whether the next pop comes from the FIFO. *)
 let fifo_first t =
   let f = t.fifo and h = t.heap and i = t.fifo_head in
   fifo_len t > 0 && (h.size = 0 || before f.keys.(i) f.ties.(i) h.keys.(0) h.ties.(0))
 
-let pop t =
-  if is_empty t then None
-  else begin
-    let from_fifo = fifo_first t in
-    let src = if from_fifo then t.fifo else t.heap in
-    let i = if from_fifo then t.fifo_head else 0 in
-    let key = src.keys.(i) and slot = src.ids.(i) in
-    if from_fifo then t.fifo_head <- i + 1 else heap_drop_min t.heap;
-    t.last.(0) <- key;
-    t.free.(t.nfree) <- slot;
-    t.nfree <- t.nfree + 1;
-    Some (key, t.vals.(slot))
-  end
-
-let peek_key t =
-  if is_empty t then None
-  else if fifo_first t then Some t.fifo.keys.(t.fifo_head)
-  else Some t.heap.keys.(0)
+(* The key leaves through [key.(0)]: a float array cell is written
+   unboxed, where a returned float would be boxed at the call. *)
+let pop t key =
+  if is_empty t then invalid_arg "Pq.pop: empty";
+  let from_fifo = fifo_first t in
+  let src = if from_fifo then t.fifo else t.heap in
+  let i = if from_fifo then t.fifo_head else 0 in
+  let k = src.keys.(i) and v = src.ids.(i) in
+  if from_fifo then t.fifo_head <- i + 1 else heap_drop_min t.heap;
+  t.last.(0) <- k;
+  key.(0) <- k;
+  v
 
 module Pairs = struct
   type t = heap

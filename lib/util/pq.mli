@@ -1,17 +1,21 @@
-(** Binary min-heap keyed by float with an arbitrary payload — the event
-    queue of the discrete-event network simulator. Ties are popped in
-    insertion order, which gives the simulator deterministic FCFS behavior:
-    pops follow (key, insertion number) in lexicographic order. Keys must
-    not be NaN. *)
+(** Binary min-heap keyed by float with an int payload — the event queue
+    of the discrete-event network simulator. Ties are popped in insertion
+    order, which gives the simulator deterministic FCFS behavior: pops
+    follow (key, insertion number) in lexicographic order. Keys must not be
+    NaN. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
-val push : 'a t -> float -> 'a -> unit
-val pop : 'a t -> (float * 'a) option
-val peek_key : 'a t -> float option
+val create : unit -> t
+val is_empty : t -> bool
+val size : t -> int
+val push : t -> float -> int -> unit
+
+val pop : t -> float array -> int
+(** [pop t key] removes the least entry, writes its key into [key.(0)] and
+    returns its payload. It allocates nothing, which a returned float could
+    not promise: across a module boundary compiled with [-opaque] a float
+    result is boxed. Raises [Invalid_argument] when empty. *)
 
 (** The same heap over bare (float, int) pairs in lexicographic order —
     for non-NaN floats, the order in which a [Set] of [float * int] pairs

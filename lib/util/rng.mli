@@ -42,4 +42,8 @@ val pick_array : t -> 'a array -> 'a
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
 
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix t a len] shuffles [a.(0) .. a.(len - 1)] with the draws
+    {!shuffle_in_place} makes on an array of that length. *)
+
 val shuffle_list : t -> 'a list -> 'a list

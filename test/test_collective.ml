@@ -454,6 +454,30 @@ let test_parse_topologies () =
       | Error _ -> ())
     [ "nope:4"; "mesh:"; "ring:x"; "rfs:2x4"; "ring:1" ]
 
+(* Zero or negative dimensions are errors that name the dimension, not
+   exceptions from the builders. *)
+let test_parse_topology_bad_dims () =
+  List.iter
+    (fun (input, expected) ->
+      match Parse.parse_topology input with
+      | Ok _ -> Alcotest.failf "%s should be rejected" input
+      | Error e -> Alcotest.(check string) input expected e
+      | exception e -> Alcotest.failf "%s raised %s" input (Printexc.to_string e))
+    [
+      ("mesh:0x3", {|dimension 0 in "0x3" must be at least 1|});
+      ("mesh:-1x3", {|dimension -1 in "-1x3" must be at least 1|});
+      ("torus:4x0x4", {|dimension 0 in "4x0x4" must be at least 1|});
+      ("torus:0", {|dimension 0 in "0" must be at least 1|});
+      ("rfs:0x1x1", {|dimension 0 in "0x1x1" must be at least 1|});
+      ("rfs:1x0x1", {|dimension 0 in "1x0x1" must be at least 1|});
+      ("dragonfly:4x0", {|dimension 0 in "4x0" must be at least 1|});
+      ("dragonfly:0x2", {|dimension 0 in "0x2" must be at least 1|});
+      ("dragonfly:4x1", "dragonfly:4x1 needs at least 3 members per group");
+    ];
+  List.iter
+    (fun input -> Alcotest.(check bool) input true (Result.is_ok (Parse.parse_topology input)))
+    [ "mesh:1x1"; "torus:1x4"; "rfs:1x1x1"; "dragonfly:2x1"; "dragonfly:1x1" ]
+
 let test_parse_topology_link_params () =
   (match Parse.parse_topology ~alpha:1e-6 ~bw:100e9 "ring:4" with
   | Error e -> Alcotest.fail e
@@ -617,6 +641,7 @@ let () =
         [
           Alcotest.test_case "sizes" `Quick test_parse_sizes;
           Alcotest.test_case "topologies" `Quick test_parse_topologies;
+          Alcotest.test_case "zero or negative dimensions" `Quick test_parse_topology_bad_dims;
           Alcotest.test_case "link parameters" `Quick test_parse_topology_link_params;
           Alcotest.test_case "patterns" `Quick test_parse_patterns;
           Alcotest.test_case "durations" `Quick test_parse_time;

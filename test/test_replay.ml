@@ -14,6 +14,7 @@ open Tacos_collective
 open Tacos_sim
 module Pq = Tacos_util.Pq
 module Rng = Tacos_util.Rng
+module Trace = Tacos_obs.Trace
 module Synth = Tacos.Synthesizer
 
 let bits = Int64.bits_of_float
@@ -61,23 +62,16 @@ let prop_pq_matches_stable_sort =
     (fun ops ->
       let q = Pq.create () in
       let pending = ref [] and last = ref 0. and next = ref 0 in
-      let same a b =
-        match (a, b) with
-        | None, None -> true
-        | Some (k, v), Some (k', v') -> bits k = bits k' && v = v'
-        | _ -> false
-      in
+      let key = [| nan |] in
       let pop () =
-        let expected =
-          match model_pop !pending with
-          | None -> None
-          | Some (least, rest) ->
-            pending := rest;
-            Some least
-        in
-        let got = Pq.pop q in
-        if not (same expected got) then QCheck.Test.fail_report "pop mismatch";
-        Option.iter (fun (k, _) -> last := k) got
+        match model_pop !pending with
+        | None ->
+          if not (Pq.is_empty q) then QCheck.Test.fail_report "pop mismatch: not empty"
+        | Some ((k, v), rest) ->
+          pending := rest;
+          let v' = Pq.pop q key in
+          if not (bits k = bits key.(0) && v = v') then QCheck.Test.fail_report "pop mismatch";
+          last := key.(0)
       in
       let push key =
         Pq.push q key !next;
@@ -92,12 +86,7 @@ let prop_pq_matches_stable_sort =
           | Push_neg_zero -> push (-0.));
           let size = List.length !pending in
           if Pq.size q <> size || Pq.is_empty q <> (size = 0) then
-            QCheck.Test.fail_report "size mismatch";
-          let least = Option.map (fun ((k, _), _) -> k) (model_pop !pending) in
-          match (least, Pq.peek_key q) with
-          | None, None -> ()
-          | Some k, Some k' when bits k = bits k' -> ()
-          | _ -> QCheck.Test.fail_report "peek_key mismatch")
+            QCheck.Test.fail_report "size mismatch")
         ops;
       while not (Pq.is_empty q) do
         pop ()
@@ -267,8 +256,6 @@ let test_of_schedule_matches_oracle () =
       (transfer_rows (Program.of_schedule ~tag_of:phase ~chunk_size sched))
   done
 
-(* --- golden reports ------------------------------------------------------- *)
-
 (* Every field of a program and of its report, floats in exact hex. *)
 let digest program (r : Engine.report) =
   let b = Buffer.create 65536 in
@@ -289,6 +276,432 @@ let digest program (r : Engine.report) =
       f s.time)
     r.Engine.stranded;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* --- Engine.run against the variant-event loop -------------------------------- *)
+
+(* The event loop [Engine.run] had before it was int-coded: one variant per
+   event kind, a record per message in flight, a [Queue] per link and a
+   (time, insertion)-ordered [Set] as the event queue. Kept verbatim except
+   for the [Obs] metrics, which no report depends on. *)
+module Variant_engine = struct
+  open Engine
+
+  type msg = {
+    tid : int;
+    mutable at : int;
+    mutable rest : int list;
+    mutable aborted : bool;
+    mutable via : int;
+  }
+
+  type event =
+    | Ready of int
+    | Link_free of int * int
+    | Hop_arrived of msg
+    | Fault of fault_event
+
+  module Q = Set.Make (struct
+    type t = float * int * event
+
+    let compare (k, s, _) (k', s', _) =
+      if k < k' then -1 else if k' < k then 1 else compare (s : int) s'
+  end)
+
+  let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
+    let transfers = Program.transfers program in
+    let nt = Array.length transfers in
+    (match Program.first_forward_dep program with
+    | None -> ()
+    | Some (tid, dep) ->
+      raise
+        (Simulation_error
+           { tid; tag = transfers.(tid).Program.tag; kind = Cyclic_program { dep } }));
+    let routing_size =
+      match routing_size with
+      | Some s -> s
+      | None ->
+        if nt = 0 then 1. else Float.max 1. (Program.total_bytes program /. float_of_int nt)
+    in
+    let m = Topology.num_links topo in
+    let base_serialize = Array.make m 0. and base_latency = Array.make m 0. in
+    let link_dst = Array.make m 0 in
+    List.iter
+      (fun (e : Topology.edge) ->
+        base_serialize.(e.id) <- Link.cost e.link 1. -. Link.cost e.link 0.;
+        base_latency.(e.id) <- Link.cost e.link 0.;
+        link_dst.(e.id) <- e.dst)
+      (Topology.edges topo);
+    let out_links =
+      Array.init (Topology.num_npus topo) (fun v ->
+          Array.of_list (List.map (fun (e : Topology.edge) -> e.id) (Topology.out_edges topo v)))
+    in
+    let serialize = Array.copy base_serialize and latency = Array.copy base_latency in
+    let alive = Array.make m true and degrade_factor = Array.make m 1. in
+    let queue = Array.init m (fun _ -> Queue.create ()) in
+    let serving = Array.make m false in
+    let in_service : msg option array = Array.make m None in
+    let service_start = Array.make m 0. and service_end = Array.make m 0. in
+    let serial = Array.make m 0 and backlog = Array.make m 0. in
+    let link_bytes = Array.make m 0. and link_busy = Array.make m 0. in
+    let link_intervals = Array.make m [] in
+    let transfer_finish = Array.make nt infinity in
+    let stranded = ref [] in
+    let indeg = Array.make nt 0 and dependents = Array.make nt [] in
+    let ready_cause = Array.make nt (-1) in
+    Array.iter
+      (fun (tr : Program.transfer) ->
+        indeg.(tr.id) <- List.length tr.deps;
+        List.iter (fun d -> dependents.(d) <- tr.id :: dependents.(d)) tr.deps)
+      transfers;
+    let events = ref Q.empty and next_seq = ref 0 in
+    let push key ev =
+      events := Q.add (key, !next_seq, ev) !events;
+      incr next_seq
+    in
+    let trace_on = Trace.enabled () in
+    let routing = ref None and faulted = ref false in
+    let current_routing () =
+      match !routing with
+      | Some t -> t
+      | None ->
+        let view =
+          if not !faulted then topo
+          else
+            Topology.map_links topo (fun e ->
+                if not alive.(e.id) then None
+                else if degrade_factor.(e.id) = 1. then Some e.link
+                else
+                  let l = e.link in
+                  Some
+                    (Link.make
+                       ~alpha:(l.Link.alpha *. degrade_factor.(e.id))
+                       ~beta:(l.Link.beta *. degrade_factor.(e.id))))
+        in
+        let t = Routing.build_partial view ~size:routing_size in
+        routing := Some t;
+        t
+    in
+    let hold_of link size =
+      match model with
+      | Pipelined_alpha -> serialize.(link) *. size
+      | Blocking_alpha -> latency.(link) +. (serialize.(link) *. size)
+    in
+    let start_service link (msg : msg) t =
+      serving.(link) <- true;
+      in_service.(link) <- Some msg;
+      msg.via <- link;
+      if trace_on then Trace.emit ~t (Trace.Service_start { tid = msg.tid; link });
+      let size = transfers.(msg.tid).Program.size in
+      let hold = hold_of link size in
+      let arrive =
+        match model with
+        | Pipelined_alpha -> t +. hold +. latency.(link)
+        | Blocking_alpha -> t +. hold
+      in
+      service_start.(link) <- t;
+      service_end.(link) <- t +. hold;
+      link_bytes.(link) <- link_bytes.(link) +. size;
+      link_busy.(link) <- link_busy.(link) +. hold;
+      link_intervals.(link) <- (t, t +. hold) :: link_intervals.(link);
+      push (t +. hold) (Link_free (link, serial.(link)));
+      push arrive (Hop_arrived msg)
+    in
+    let strand (msg : msg) t =
+      if trace_on then
+        Trace.emit ~t
+          (Trace.Stranded
+             { tid = msg.tid; node = msg.at; dst = transfers.(msg.tid).Program.dst });
+      stranded :=
+        {
+          tid = msg.tid;
+          tag = transfers.(msg.tid).Program.tag;
+          at_npu = msg.at;
+          dst = transfers.(msg.tid).Program.dst;
+          time = t;
+        }
+        :: !stranded
+    in
+    let rec replan (msg : msg) t ~complete =
+      let dst = transfers.(msg.tid).Program.dst in
+      if msg.at = dst then complete msg.tid t
+      else
+        match Routing.path_opt (current_routing ()) ~src:msg.at ~dst with
+        | Some (_ :: (_ :: _ as rest)) ->
+          msg.rest <- rest;
+          enqueue_hop msg t ~complete
+        | Some _ | None ->
+          if not !faulted then
+            raise
+              (Simulation_error
+                 {
+                   tid = msg.tid;
+                   tag = transfers.(msg.tid).Program.tag;
+                   kind = No_route { src = msg.at; dst };
+                 })
+          else strand msg t
+    and enqueue_hop (msg : msg) t ~complete =
+      let current = msg.at in
+      let next = match msg.rest with [] -> assert false | n :: _ -> n in
+      let out = out_links.(current) in
+      let link = ref (-1) in
+      for i = 0 to Array.length out - 1 do
+        let e = out.(i) in
+        if link_dst.(e) = next && alive.(e) && (!link < 0 || backlog.(e) < backlog.(!link))
+        then link := e
+      done;
+      match !link with
+      | -1 ->
+        if not !faulted then
+          raise
+            (Simulation_error
+               {
+                 tid = msg.tid;
+                 tag = transfers.(msg.tid).Program.tag;
+                 kind = No_route { src = current; dst = next };
+               })
+        else begin
+          if trace_on then Trace.emit ~t (Trace.Rerouted { tid = msg.tid; node = current });
+          replan msg t ~complete
+        end
+      | link ->
+        let hold = hold_of link transfers.(msg.tid).Program.size in
+        backlog.(link) <- Float.max backlog.(link) t +. hold;
+        if trace_on then
+          Trace.emit ~t
+            (Trace.Enqueued
+               { tid = msg.tid; link; node = current; depth = Queue.length queue.(link) });
+        if serving.(link) then Queue.push msg queue.(link) else start_service link msg t
+    in
+    let complete tid t =
+      transfer_finish.(tid) <- t;
+      if trace_on then Trace.emit ~t (Trace.Completed { tid });
+      List.iter
+        (fun d ->
+          indeg.(d) <- indeg.(d) - 1;
+          if indeg.(d) = 0 then begin
+            ready_cause.(d) <- tid;
+            push t (Ready d)
+          end)
+        dependents.(tid)
+    in
+    let launch tid t =
+      let tr = transfers.(tid) in
+      if tr.Program.src = tr.Program.dst then complete tid t
+      else replan { tid; at = tr.Program.src; rest = []; aborted = false; via = -1 } t ~complete
+    in
+    let apply_fault t = function
+      | Link_dies { link; at = _ } ->
+        if alive.(link) then begin
+          alive.(link) <- false;
+          faulted := true;
+          routing := None;
+          serial.(link) <- serial.(link) + 1;
+          if trace_on then Trace.emit ~t (Trace.Fault { link; kind = "dies" });
+          backlog.(link) <- 0.;
+          let displaced = ref [] in
+          (match in_service.(link) with
+          | Some msg ->
+            msg.aborted <- true;
+            if trace_on then Trace.emit ~t (Trace.Service_aborted { tid = msg.tid; link });
+            let s = service_start.(link) and e = service_end.(link) in
+            let hold = e -. s in
+            let fraction =
+              if hold <= 0. then 0. else Float.max 0. (Float.min 1. ((t -. s) /. hold))
+            in
+            let size = transfers.(msg.tid).Program.size in
+            link_bytes.(link) <- link_bytes.(link) -. (size *. (1. -. fraction));
+            link_busy.(link) <- link_busy.(link) -. (e -. t);
+            (match link_intervals.(link) with
+            | (s0, _) :: tail -> link_intervals.(link) <- (s0, t) :: tail
+            | [] -> ());
+            displaced :=
+              [ { tid = msg.tid; at = msg.at; rest = msg.rest; aborted = false; via = -1 } ]
+          | None -> ());
+          serving.(link) <- false;
+          in_service.(link) <- None;
+          Queue.iter (fun msg -> displaced := msg :: !displaced) queue.(link);
+          Queue.clear queue.(link);
+          List.iter (fun msg -> replan msg t ~complete) (List.rev !displaced)
+        end
+      | Link_degrades { link; factor; at = _ } ->
+        if alive.(link) then begin
+          if trace_on then Trace.emit ~t (Trace.Fault { link; kind = "degrades" });
+          degrade_factor.(link) <- degrade_factor.(link) *. factor;
+          serialize.(link) <- base_serialize.(link) *. degrade_factor.(link);
+          latency.(link) <- base_latency.(link) *. degrade_factor.(link);
+          faulted := true;
+          routing := None
+        end
+      | Link_recovers { link; at = _ } ->
+        if not alive.(link) || degrade_factor.(link) <> 1. then begin
+          if trace_on then Trace.emit ~t (Trace.Fault { link; kind = "recovers" });
+          alive.(link) <- true;
+          degrade_factor.(link) <- 1.;
+          serialize.(link) <- base_serialize.(link);
+          latency.(link) <- base_latency.(link);
+          backlog.(link) <- 0.;
+          routing := None
+        end
+    in
+    List.iter (fun f -> push (fault_time f) (Fault f)) faults;
+    Array.iter
+      (fun (tr : Program.transfer) -> if indeg.(tr.id) = 0 then push 0. (Ready tr.id))
+      transfers;
+    let finish_time = ref 0. in
+    while not (Q.is_empty !events) do
+      let ((t, _, ev) as least) = Q.min_elt !events in
+      events := Q.remove least !events;
+      match ev with
+      | Fault f -> apply_fault t f
+      | Ready tid ->
+        finish_time := Float.max !finish_time t;
+        if trace_on then
+          Trace.emit ~t
+            (Trace.Deps_ready
+               { tid; cause = (if ready_cause.(tid) >= 0 then Some ready_cause.(tid) else None) });
+        launch tid t
+      | Link_free (link, s) ->
+        if s = serial.(link) then begin
+          finish_time := Float.max !finish_time t;
+          (if trace_on then
+             match in_service.(link) with
+             | Some m -> Trace.emit ~t (Trace.Service_end { tid = m.tid; link })
+             | None -> ());
+          serving.(link) <- false;
+          in_service.(link) <- None;
+          match Queue.take_opt queue.(link) with
+          | Some next_msg -> start_service link next_msg t
+          | None -> ()
+        end
+      | Hop_arrived msg ->
+        if not msg.aborted then begin
+          finish_time := Float.max !finish_time t;
+          match msg.rest with
+          | [] -> assert false
+          | [ last ] ->
+            msg.at <- last;
+            if trace_on then
+              Trace.emit ~t (Trace.Arrived { tid = msg.tid; node = last; link = msg.via });
+            complete msg.tid t
+          | arrived :: rest ->
+            msg.at <- arrived;
+            msg.rest <- rest;
+            if trace_on then
+              Trace.emit ~t (Trace.Arrived { tid = msg.tid; node = arrived; link = msg.via });
+            enqueue_hop msg t ~complete
+        end
+    done;
+    let unfinished = ref [] in
+    Array.iteri
+      (fun tid f -> if f = infinity then unfinished := tid :: !unfinished)
+      transfer_finish;
+    if !unfinished <> [] then begin
+      let excused = Array.make nt false in
+      List.iter (fun (s : stranded) -> excused.(s.tid) <- true) !stranded;
+      Array.iter
+        (fun (tr : Program.transfer) ->
+          if (not excused.(tr.id)) && List.exists (fun d -> excused.(d)) tr.deps then
+            excused.(tr.id) <- true)
+        transfers;
+      match List.find_opt (fun tid -> not excused.(tid)) (List.rev !unfinished) with
+      | Some tid ->
+        raise
+          (Simulation_error
+             {
+               tid;
+               tag = transfers.(tid).Program.tag;
+               kind = Never_completed { remaining = List.length !unfinished };
+             })
+      | None -> ()
+    end;
+    {
+      finish_time = !finish_time;
+      transfer_finish;
+      link_bytes;
+      link_busy;
+      link_intervals = Array.map List.rev link_intervals;
+      stranded = List.rev !stranded;
+    }
+end
+
+(* A random program over [n] NPUs: pairs that are often not adjacent (so
+   routes take several hops), [src = dst] barriers, sizes from a small set
+   (so services tie), and dependencies on earlier transfers. In one
+   program in twelve a dependency may also name a later transfer, which
+   makes the program cyclic. *)
+let random_program rng n =
+  let count = Rng.int rng 40 in
+  let cyclic = count > 1 && Rng.int rng 12 = 0 in
+  Program.import
+    (Array.init count (fun id ->
+         let src = Rng.int rng n in
+         let dst = if Rng.int rng 5 = 0 then src else Rng.int rng n in
+         let deps =
+           List.init (Rng.int rng 3) (fun _ ->
+               if cyclic && Rng.int rng 4 = 0 then Rng.int rng count
+               else if id = 0 then -1
+               else Rng.int rng id)
+           |> List.filter (fun d -> d >= 0)
+         in
+         (Printf.sprintf "t%d" (id mod 3), src, dst, [| 0.; 1.; 2.; 4. |].(Rng.int rng 4), deps)))
+
+(* A fault timeline over [m] links: deaths, degradations and recoveries at
+   times from a small grid that starts at 0, so faults tie with each other
+   and with transfer events. *)
+let random_faults rng m =
+  if m = 0 then []
+  else
+    List.init (Rng.int rng 6) (fun _ ->
+        let link = Rng.int rng m and at = 0.5 *. float_of_int (Rng.int rng 12) in
+        match Rng.int rng 3 with
+        | 0 -> Engine.Link_dies { link; at }
+        | 1 -> Engine.Link_degrades { link; factor = [| 1.; 2.; 3. |].(Rng.int rng 3); at }
+        | _ -> Engine.Link_recovers { link; at })
+
+(* What a run shows: its report, or the [Simulation_error] it raised. *)
+let outcome run =
+  match run () with
+  | report -> Ok report
+  | exception Engine.Simulation_error { tid; tag; kind } -> Error (tid, tag, kind)
+
+let trace_of run =
+  Trace.reset ();
+  Trace.enable ();
+  let result = Fun.protect ~finally:Trace.disable (fun () -> outcome run) in
+  (result, (Trace.dump ()).Trace.events)
+
+let prop_engine_matches_variant_loop =
+  QCheck.Test.make ~name:"Engine.run matches the variant loop" ~count:1500
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = random_topology rng in
+      let n = Topology.num_npus topo in
+      let program = random_program rng n in
+      let faults = random_faults rng (Topology.num_links topo) in
+      let model = if Rng.int rng 2 = 0 then Engine.Pipelined_alpha else Engine.Blocking_alpha in
+      let routing_size = if Rng.int rng 3 = 0 then Some 4. else None in
+      let traced = Rng.int rng 4 = 0 in
+      let run f () = f ?model:(Some model) ?routing_size ?faults:(Some faults) topo program in
+      let expected, got =
+        if traced then begin
+          let expected, want = trace_of (run Variant_engine.run) in
+          let got, have = trace_of (run Engine.run) in
+          if want <> have then QCheck.Test.fail_report "trace events differ";
+          (expected, got)
+        end
+        else (outcome (run Variant_engine.run), outcome (run Engine.run))
+      in
+      match (expected, got) with
+      | Ok want, Ok have ->
+        if want.Engine.stranded <> have.Engine.stranded then
+          QCheck.Test.fail_report "stranded lists differ";
+        digest program want = digest program have
+      | Error want, Error have -> want = have
+      | Ok _, Error _ -> QCheck.Test.fail_report "only Engine.run raised"
+      | Error _, Ok _ -> QCheck.Test.fail_report "only the variant loop raised")
+
+(* --- golden reports ------------------------------------------------------- *)
 
 let parse_ok topo pattern ~chunks ~size =
   let topo = Result.get_ok (Parse.parse_topology topo) in
@@ -354,6 +767,18 @@ let test_routed_golden () =
   Alcotest.(check string) "direct on torus:4x4" "8a2471cabd7ab0ec950eba345674c76a"
     (digest program (Engine.run topo program))
 
+(* Replay allocates per transfer only what its inputs and report hold: the
+   boxed key of each event push and the report's service intervals. The
+   budget is the measured 18.3 words, rounded up. *)
+let test_run_allocation_budget () =
+  let topo, _, program = synthesized "mesh:8x8" "all-gather" ~chunks:4 ~size:64e6 in
+  ignore (Engine.run topo program);
+  let before = Gc.minor_words () in
+  let report = Engine.run topo program in
+  let words = (Gc.minor_words () -. before) /. float_of_int (Program.num_transfers program) in
+  Alcotest.(check bool) "replayed" true (report.Engine.finish_time > 0.);
+  if words > 19. then Alcotest.failf "Engine.run allocates %.2f words per transfer" words
+
 let () =
   Alcotest.run "replay"
     [
@@ -370,10 +795,13 @@ let () =
           Alcotest.test_case "of_schedule matches Hashtbl oracle" `Quick
             test_of_schedule_matches_oracle;
         ] );
+      ("engine", List.map QCheck_alcotest.to_alcotest [ prop_engine_matches_variant_loop ]);
       ( "goldens",
         [
           Alcotest.test_case "flat-paper reports" `Quick test_flat_paper_goldens;
           Alcotest.test_case "faulted report" `Quick test_faulted_golden;
           Alcotest.test_case "routed report" `Quick test_routed_golden;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "Engine.run words per transfer" `Quick test_run_allocation_budget ] );
     ]

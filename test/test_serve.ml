@@ -117,6 +117,22 @@ let test_non_finite_size_is_size_error () =
   | _ -> Alcotest.failf "no error message in %s" r);
   Alcotest.(check int) "counted" 1 (Service.stats svc).Service.errors
 
+(* A zero dimension is a plain request error, not an internal one. *)
+let test_zero_dimension_is_plain_error () =
+  let svc = service () in
+  let r =
+    Service.handle_line svc
+      {|{"op":"synthesize","topology":"mesh:0x3","pattern":"all-gather","size":1048576}|}
+  in
+  Alcotest.(check string) "status" "error" (status r);
+  (match Json.member "message" (parse_response r) with
+  | Some (Json.String msg) ->
+    Alcotest.(check bool) ("names the dimension: " ^ msg) true
+      (has_substring "dimension 0" msg);
+    Alcotest.(check bool) ("not internal: " ^ msg) false (has_substring "internal error" msg)
+  | _ -> Alcotest.failf "no error message in %s" r);
+  Alcotest.(check int) "counted" 1 (Service.stats svc).Service.errors
+
 let test_miss_then_cached () =
   let svc = service () in
   let a = Service.handle_line svc (synth_req "ring:4") in
@@ -578,6 +594,8 @@ let () =
         [
           Alcotest.test_case "malformed line -> structured error" `Quick
             test_malformed_line_is_structured_error;
+          Alcotest.test_case "zero dimension -> plain error" `Quick
+            test_zero_dimension_is_plain_error;
           Alcotest.test_case "non-finite size -> size error" `Quick
             test_non_finite_size_is_size_error;
           Alcotest.test_case "miss then cached" `Quick test_miss_then_cached;

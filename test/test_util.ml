@@ -103,6 +103,69 @@ let test_rng_float_range () =
     Alcotest.(check bool) "in range" true (v >= 0. && v < 2.5)
   done
 
+(* The stream, pinned value by value: seeds, bounds and the draw count of
+   rejection sampling must not change, or every synthesized schedule
+   would. [int] is pinned at a power of two (masking), small bounds and
+   2^61 + 1, where about half the draws are rejected: its eight values
+   take 17 draws, which the next [bits64] pins. *)
+let test_rng_stream_pinned () =
+  let draws k f = Array.to_list (Array.init k (fun _ -> f ())) in
+  let bits seed = let r = Rng.create seed in draws 4 (fun () -> Rng.bits64 r) in
+  Alcotest.(check (list int64)) "bits64, seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L ]
+    (bits 0);
+  Alcotest.(check (list int64)) "bits64, seed 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ]
+    (bits 42);
+  Alcotest.(check (list int64)) "bits64, seed -7"
+    [ 7790691224305936752L; 8829294814793142954L; -1715519743840680431L; 2940488688193949890L ]
+    (bits (-7));
+  let ints seed bound = let r = Rng.create seed in draws 8 (fun () -> Rng.int r bound) in
+  Alcotest.(check (list int)) "int 16" [ 1; 7; 14; 11; 9; 0; 5; 5 ] (ints 1 16);
+  Alcotest.(check (list int)) "int 1" [ 0; 0; 0; 0; 0; 0; 0; 0 ] (ints 1 1);
+  Alcotest.(check (list int)) "int 3" [ 2; 0; 1; 0; 0; 2; 0; 0 ] (ints 2 3);
+  Alcotest.(check (list int)) "int 1000" [ 53; 753; 921; 647; 366; 527; 72; 758 ] (ints 3 1000);
+  let r = Rng.create 4 in
+  Alcotest.(check (list int)) "int 2^61 + 1"
+    [
+      2012856130970813535; 1599671085479290337; 694912874033826821; 812539844136168482;
+      797308424263930556; 1867264302655059497; 820546145524486993; 1989552162732218683;
+    ]
+    (draws 8 (fun () -> Rng.int r ((1 lsl 61) + 1)));
+  Alcotest.(check int64) "17 draws for those 8" 3117327582923952356L (Rng.bits64 r);
+  let floats seed bound = let r = Rng.create seed in draws 4 (fun () -> Rng.float r bound) in
+  Alcotest.(check (list (float 0.))) "float 1"
+    [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1; 0x1.c7061a43b90b2p-2 ]
+    (floats 1 1.);
+  Alcotest.(check (list (float 0.))) "float 10"
+    [ 0x1.b4b64f7cdc18fp+2; 0x1.e071d9ec5337cp+2; 0x1.539cdb7a578bap+1; 0x1.f647e01879fb7p+2 ]
+    (floats 9 10.);
+  let parent = Rng.create 11 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int64)) "split child"
+    [ -7926430521640997682L; 4919299050227587188L ]
+    (draws 2 (fun () -> Rng.bits64 child));
+  Alcotest.(check int64) "split parent" 4839782808629744545L (Rng.bits64 parent);
+  let original = Rng.create 12 in
+  ignore (Rng.bits64 original);
+  let copy = Rng.copy original in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check int64) (what ^ " bits64") (-1116705624757328809L) (Rng.bits64 r);
+      Alcotest.(check int) (what ^ " int") 8 (Rng.int r 10))
+    [ ("copy", copy); ("original", original) ]
+
+(* [Rng.int] is on the matcher's per-scan path: it must not allocate. *)
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create 3 and acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    acc := !acc + Rng.int r (1 + (i land 1023)) + Rng.int r ((1 lsl 61) + 1)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10^5 calls of each bound" 0. words;
+  Alcotest.(check bool) "the draws were used" true (!acc <> 0)
+
 let test_rng_shuffle_is_permutation () =
   let rng = Rng.create 17 in
   let a = Array.init 50 Fun.id in
@@ -158,15 +221,18 @@ let test_pq_equal_keys_pop_in_insertion_order () =
     let q = Pq.create () in
     List.iter
       (fun (k, v) -> Pq.push q k v)
-      [ (1., "a"); (0., "x"); (1., "b"); (1., "c"); (0., "y"); (2., "z") ];
-    let rec drain acc = match Pq.pop q with
-      | None -> List.rev acc
-      | Some kv -> drain (kv :: acc)
+      [ (1., 10); (0., 20); (1., 11); (1., 12); (0., 21); (2., 30) ];
+    let key = [| nan |] in
+    let rec drain acc =
+      if Pq.is_empty q then List.rev acc
+      else
+        let v = Pq.pop q key in
+        drain ((key.(0), v) :: acc)
     in
     drain []
   in
-  let expected = [ (0., "x"); (0., "y"); (1., "a"); (1., "b"); (1., "c"); (2., "z") ] in
-  Alcotest.(check (list (pair (float 0.) string))) "insertion order on ties"
+  let expected = [ (0., 20); (0., 21); (1., 10); (1., 11); (1., 12); (2., 30) ] in
+  Alcotest.(check (list (pair (float 0.) int))) "insertion order on ties"
     expected (fill ());
   Alcotest.(check bool) "two fills replay identically" true (fill () = fill ())
 
@@ -402,6 +468,8 @@ let () =
           Alcotest.test_case "int chi-square power-of-two" `Quick
             test_rng_int_chi_square_pow2;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick test_rng_int_allocates_nothing;
           Alcotest.test_case "shuffle is permutation" `Quick
             test_rng_shuffle_is_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
