@@ -1,5 +1,5 @@
 (* Extension experiment: All-to-All (the MoE dispatch pattern) synthesized
-   by time-space routing (Tacos.Alltoall) versus the Direct baseline, on
+   by time-space routing (Tacos.Router) versus the Direct baseline, on
    topologies where blind pairwise exchange congests. Direct *is* the
    optimal All-to-All on FullyConnected — the reservation router must match
    it there and win where routing collides. *)
@@ -9,7 +9,6 @@ open Tacos_collective
 open Exp_common
 module Table = Tacos_util.Table
 module Units = Tacos_util.Units
-module Alltoall = Tacos.Alltoall
 
 let size = 64e6
 
@@ -32,7 +31,7 @@ let run () =
           Spec.make ~chunks_per_npu:2 ~buffer_size:size ~pattern:Pattern.All_to_all
             ~npus:n ()
         in
-        let result = Alltoall.synthesize topo s in
+        let result = Tacos.Router.synthesize topo s in
         (match Schedule.validate topo s result.Synth.schedule with
         | Ok () -> ()
         | Error e -> failwith ("invalid All-to-All schedule: " ^ e));
@@ -54,5 +53,5 @@ let run () =
   Table.print
     ~header:[ "Topology"; "NPUs"; "Direct"; "TACOS-A2A"; "speedup" ]
     rows;
-  note "this pattern is outside the paper's Table III; see Alltoall's";
+  note "this pattern is outside the paper's Table III; see Router's";
   note "interface docs for why the matching loop cannot express it"

@@ -12,6 +12,9 @@ open Cmdliner
 open Tacos_topology
 open Tacos_collective
 module Synth = Tacos.Synthesizer
+module Router = Tacos.Router
+module Engine = Tacos_sim.Engine
+module Sim_program = Tacos_sim.Program
 module Algo = Tacos_baselines.Algo
 module Units = Tacos_util.Units
 module Table = Tacos_util.Table
@@ -22,11 +25,26 @@ module Chrome = Tacos_obs.Chrome
 module Critpath = Tacos_obs.Critpath
 module Fault = Tacos_resilience.Fault
 module Resilience = Tacos_resilience.Resilience
+module Plan = Tacos_groups.Plan
 module Service = Tacos_serve.Service
 module Sketch = Tacos_sketch.Sketch
 module Strategy = Tacos_sketch.Strategy
 
 (* --- common options ------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+let errorf fmt = Printf.ksprintf Result.error fmt
+
+(* Counts: the integers from 1 up. *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
 let topology_arg =
   let doc =
@@ -53,7 +71,7 @@ let pattern_arg =
 
 let chunks_arg =
   let doc = "Chunks per NPU (collective decomposition granularity)." in
-  Arg.(value & opt int 1 & info [ "c"; "chunks" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "c"; "chunks" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed for the matching search." in
@@ -61,7 +79,7 @@ let seed_arg =
 
 let trials_arg =
   let doc = "Randomized synthesis restarts; the best schedule is kept." in
-  Arg.(value & opt int 1 & info [ "trials" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "trials" ] ~docv:"N" ~doc)
 
 let domains_arg =
   let doc =
@@ -69,7 +87,13 @@ let domains_arg =
      --groups) per-phase sub-syntheses fan out on one shared worker pool. \
      Results are bit-identical to --domains 1."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"N" ~doc)
+
+let candidates_arg doc =
+  Arg.(
+    value
+    & opt (list positive) [ 1; 2; 4; 8; 16 ]
+    & info [ "candidates" ] ~docv:"K1,K2,..." ~doc)
 
 let groups_arg =
   let doc =
@@ -81,21 +105,82 @@ let groups_arg =
   in
   Arg.(value & opt (some string) None & info [ "groups" ] ~docv:"DIM|auto" ~doc)
 
-(* Derive the partition a [--groups] argument names, as a [result]. *)
-let parse_groups topo gstr =
-  match Tacos_groups.Plan.grouping_of_string gstr with
-  | Error e -> Error e
-  | Ok grouping -> Tacos_groups.Plan.decompose topo grouping
+let sketch_arg =
+  let doc =
+    "Communication sketch file (JSON rules: forbid/prefer/pin/buddy) \
+     constraining the synthesis; see the README's sketch section."
+  in
+  Arg.(value & opt (some string) None & info [ "sketch" ] ~docv:"FILE" ~doc)
 
-let fail fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt
+(* --- shared argument terms ------------------------------------------------
+   Each parses its flags into a [result]. A subcommand binds them with
+   [let*] in the order topology, size, pattern, sketch, so the first bad
+   argument is the one reported. *)
 
-(* Every file the CLI writes is opened by [open_output]. An unwritable path
-   raises [Cannot_write], which [reporting_write_errors] turns into the
-   error "cannot write FILE: REASON" (exit 124) instead of letting the
-   [Sys_error] escape as an internal error (exit 125). *)
-exception Cannot_write of string * string
+let topology =
+  let parse s alpha_us bw_gbps =
+    Parse.parse_topology ~alpha:(alpha_us *. 1e-6) ~bw:(Units.gbps bw_gbps) s
+  in
+  Term.(const parse $ topology_arg $ alpha_arg $ bw_arg)
 
-let cannot_write file reason =
+(* A topology and a collective size. *)
+let sized =
+  let parse topo size =
+    let* topo = topo in
+    let* size = Parse.parse_size size in
+    Ok (topo, size)
+  in
+  Term.(const parse $ topology $ size_arg)
+
+(* A topology, a size and a pattern over its NPUs. *)
+let workload =
+  let parse sized pattern =
+    let* topo, size = sized in
+    let* pattern = Parse.parse_pattern pattern (Topology.num_npus topo) in
+    Ok (topo, size, pattern)
+  in
+  Term.(const parse $ sized $ pattern_arg)
+
+let spec_of topo ~size ~pattern chunks_per_npu =
+  Spec.make ~chunks_per_npu ~buffer_size:size ~pattern ~npus:(Topology.num_npus topo) ()
+
+(* [workload] as a collective spec with [--chunks] chunks per NPU. *)
+let spec =
+  let make workload chunks =
+    let* topo, size, pattern = workload in
+    Ok (topo, spec_of topo ~size ~pattern chunks)
+  in
+  Term.(const make $ workload $ chunks_arg)
+
+let sketch =
+  let load = function
+    | None -> Ok None
+    | Some path -> (
+      match Sketch.of_file path with
+      | Ok sk -> Ok (Some sk)
+      | Error e -> errorf "--sketch %s: %s" path e)
+  in
+  Term.(const load $ sketch_arg)
+
+(* The partition a [--groups] argument names, if any. *)
+let groups_of topo ~sketch = function
+  | None -> Ok None
+  | Some _ when Option.is_some sketch -> Error "--sketch does not compose with --groups"
+  | Some gstr -> (
+    match
+      Result.bind (Plan.grouping_of_string gstr) (Plan.decompose topo)
+    with
+    | Error e -> Error ("--groups: " ^ e)
+    | Ok gs -> Ok (Some gs))
+
+(* --- files and the error guard --------------------------------------------
+   Every file the CLI reads or writes goes through [read_file],
+   [open_output] or [write_file]. A [Sys_error] there becomes [File_error]
+   with the message "cannot read|write FILE: REASON". *)
+
+exception File_error of string
+
+let file_error verb file reason =
   (* [Sys_error] messages usually start with the path itself. *)
   let prefix = file ^ ": " in
   let reason =
@@ -103,12 +188,16 @@ let cannot_write file reason =
       String.sub reason (String.length prefix) (String.length reason - String.length prefix)
     else reason
   in
-  raise (Cannot_write (file, reason))
+  raise (File_error (Printf.sprintf "cannot %s %s: %s" verb file reason))
+
+let read_file file =
+  try In_channel.with_open_bin file In_channel.input_all
+  with Sys_error reason -> file_error "read" file reason
 
 let open_output ?(append = false) ?(perm = 0o666) file =
   let mode = if append then Open_append else Open_trunc in
   try open_out_gen [ Open_wronly; Open_creat; Open_text; mode ] perm file
-  with Sys_error reason -> cannot_write file reason
+  with Sys_error reason -> file_error "write" file reason
 
 let write_file file text =
   let oc = open_output file in
@@ -117,31 +206,36 @@ let write_file file text =
     close_out oc
   with Sys_error reason ->
     close_out_noerr oc;
-    cannot_write file reason
+    file_error "write" file reason
 
-let reporting_write_errors f =
-  try f () with Cannot_write (file, reason) -> fail "cannot write %s: %s" file reason
+(* Write [text] to stdout for "-", else to the file [dest], announcing it
+   as "WHAT written to FILE" when [what] is given. *)
+let emit ?what dest text =
+  match dest with
+  | "-" -> print_string text
+  | file ->
+    write_file file text;
+    Option.iter (fun what -> Format.printf "%s written to %s@." what file) what
 
-let sketch_arg =
-  let doc =
-    "Communication sketch file (JSON rules: forbid/prefer/pin/buddy) \
-     constraining the synthesis; see the README's sketch section."
-  in
-  Arg.(value & opt (some string) None & info [ "sketch" ] ~docv:"FILE" ~doc)
+(* The one error guard: a subcommand body's [Error], a synthesis that is
+   stuck or unsupported, an infeasible sketch, or a file that cannot be
+   read or written ends as "tacos: MESSAGE" (exit 124), never as an
+   uncaught exception (exit 125). *)
+let guard body =
+  match body () with
+  | Ok () -> `Ok ()
+  | Error msg -> `Error (false, msg)
+  | exception Synth.Stuck msg -> `Error (false, "synthesis stuck: " ^ msg)
+  | exception Synth.Unsupported msg -> `Error (false, "unsupported: " ^ msg)
+  | exception Sketch.Infeasible off ->
+    `Error (false, "sketch infeasible: " ^ Sketch.offender_to_string off)
+  | exception File_error msg -> `Error (false, msg)
 
-(* Load a [--sketch FILE] argument, if any, as a [Sketch.t option]. *)
-let with_sketch sketch_path f =
-  match sketch_path with
-  | None -> f None
-  | Some path -> (
-    match Sketch.of_file path with
-    | Error e -> fail "--sketch %s: %s" path e
-    | Ok sk -> f (Some sk))
-
-let with_setup topo_str alpha_us bw_gbps f =
-  match Parse.parse_topology ~alpha:(alpha_us *. 1e-6) ~bw:(Units.gbps bw_gbps) topo_str with
-  | Error e -> fail "%s" e
-  | Ok topo -> reporting_write_errors (fun () -> f topo)
+(* Replay a synthesis result under the congestion-aware simulator. *)
+let simulate ?faults topo (result : Synth.result) =
+  Engine.run ?faults topo
+    (Sim_program.of_schedule ~chunk_size:(Spec.chunk_size result.spec)
+       result.schedule)
 
 (* --- synthesize ----------------------------------------------------------- *)
 
@@ -173,189 +267,133 @@ let synthesize_cmd =
       & info [ "program" ] ~docv:"NPU"
           ~doc:"Print the lowered per-NPU send/recv program of $(docv).")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials domains groups sketch_path ten events json svg program =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
-            in
-            let synthesize () =
-              match groups with
-              | Some _ when sketch <> None ->
-                Error "--sketch does not compose with --groups"
-              | Some gstr -> (
-                match parse_groups topo gstr with
-                | Error e -> Error ("--groups: " ^ e)
-                | Ok gs ->
-                  let plan =
-                    Tacos_groups.Plan.synthesize ~seed ~trials ~domains topo spec
-                      ~groups:gs
-                  in
-                  Ok (plan.Tacos_groups.Plan.result, Some plan))
-              | None ->
-                (* Compiling first surfaces a typed infeasibility (including
-                   routed patterns) before any matching work. *)
-                let constraints = Option.map (Sketch.compile topo spec) sketch in
-                Ok
-                  ( (if pattern = Pattern.All_to_all then
-                       Tacos.Alltoall.synthesize ~seed topo spec
-                     else
-                       Synth.synthesize ~seed ~trials ~domains ?sketch:constraints
-                         topo spec),
-                    None )
-            in
-            match synthesize () with
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | exception Sketch.Infeasible off ->
-              fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-            | Error e -> fail "%s" e
-            | Ok (result, plan) ->
-              Format.printf "topology:        %a@." Topology.pp topo;
-              Format.printf "collective:      %a@." Spec.pp spec;
-              (match plan with
-              | Some p ->
-                Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@."
-                  p.Tacos_groups.Plan.groups p.Tacos_groups.Plan.group_size
-                  p.Tacos_groups.Plan.syntheses p.Tacos_groups.Plan.dedup_hits;
-                List.iter
-                  (fun (i : Tacos_groups.Plan.phase_info) ->
-                    Format.printf
-                      "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@."
-                      i.Tacos_groups.Plan.phase i.Tacos_groups.Plan.parts
-                      i.Tacos_groups.Plan.syntheses
-                      (Units.time_pp i.Tacos_groups.Plan.makespan)
-                      (Units.time_pp i.Tacos_groups.Plan.wall_seconds))
-                  p.Tacos_groups.Plan.phase_infos
-              | None -> ());
-              Format.printf "collective time: %s@." (Units.time_pp result.Synth.collective_time);
-              Format.printf "bandwidth:       %s@."
-                (Units.bandwidth_pp (size /. result.Synth.collective_time));
-              Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
-                (Schedule.num_sends result.Synth.schedule)
-                result.Synth.stats.Synth.rounds
-                (Units.time_pp result.Synth.stats.Synth.wall_seconds);
-              (match
-                 (if pattern = Pattern.All_to_all then
-                    Schedule.validate topo spec result.Synth.schedule
-                  else Synth.verify topo result)
-               with
-              | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
-              | Error e -> Format.printf "validation:      FAILED: %s@." e);
-              (match sketch with
-              | Some sk -> (
-                match Sketch.compliant topo spec sk result.Synth.schedule with
-                | Ok () ->
-                  Format.printf "sketch:          ok (%d rules, schedule compliant)@."
-                    (List.length sk.Sketch.rules)
-                | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
-              | None -> ());
-              (match Ideal.all_reduce_time topo ~size with
-              | ideal when pattern = Pattern.All_reduce ->
-                Format.printf "vs ideal:        %.2f%%@."
-                  (100. *. ideal /. result.Synth.collective_time)
-              | _ | (exception _) -> ());
-              if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
-              (match svg with
-              | Some file ->
-                write_file file (Svg.render topo result.Synth.schedule);
-                Format.printf "SVG written to %s@." file
-              | None -> ());
-              (match program with
-              | Some npu ->
-                let programs =
-                  Lowering.npu_programs ~npus:(Topology.num_npus topo)
-                    result.Synth.schedule
-                in
-                if npu < 0 || npu >= Array.length programs then
-                  Format.printf "NPU %d out of range@." npu
-                else begin
-                  Format.printf "program of NPU %d:@." npu;
-                  Lowering.pp_program Format.std_formatter programs.(npu)
-                end
-              | None -> ());
-              (match json with
-              | Some "-" -> print_string (Schedule.to_json ~spec result.Synth.schedule)
-              | Some file ->
-                write_file file (Schedule.to_json ~spec result.Synth.schedule);
-                Format.printf "schedule written to %s@." file
-              | None -> ());
-              if ten then begin
-                let chunk_size = Spec.chunk_size spec in
-                let cost =
-                  match Topology.edges topo with
-                  | e :: _ -> Link.cost e.Topology.link chunk_size
-                  | [] -> 0.
-                in
-                match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.Synth.schedule with
-                | ten -> print_string (Tacos_ten.Ten.render ten)
-                | exception Invalid_argument _ ->
-                  print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
-              end;
-              `Ok ())))
+  let run setup sketch seed trials domains groups ten events json svg program =
+    guard @@ fun () ->
+    let* topo, spec = setup in
+    let* sketch = sketch in
+    let* groups = groups_of topo ~sketch groups in
+    let n = Topology.num_npus topo in
+    let* () =
+      match program with
+      | Some npu when npu < 0 || npu >= n ->
+        errorf "--program %d: no such NPU (the fabric has %d)" npu n
+      | _ -> Ok ()
+    in
+    let pattern = spec.Spec.pattern and size = spec.buffer_size in
+    let result, plan =
+      match groups with
+      | Some gs ->
+        let plan = Plan.synthesize ~seed ~trials ~domains topo spec ~groups:gs in
+        (plan.result, Some plan)
+      | None ->
+        (* Compiling first surfaces a typed infeasibility (including
+           routed patterns) before any matching work. *)
+        let sketch = Option.map (Sketch.compile topo spec) sketch in
+        (Router.synthesize_any ~seed ~trials ~domains ?sketch topo spec, None)
+    in
+    Format.printf "topology:        %a@." Topology.pp topo;
+    Format.printf "collective:      %a@." Spec.pp spec;
+    Option.iter
+      (fun (p : Plan.t) ->
+        Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@." p.groups
+          p.group_size p.syntheses p.dedup_hits;
+        List.iter
+          (fun (i : Plan.phase_info) ->
+            Format.printf "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@." i.phase
+              i.parts i.syntheses (Units.time_pp i.makespan) (Units.time_pp i.wall_seconds))
+          p.phase_infos)
+      plan;
+    Format.printf "collective time: %s@." (Units.time_pp result.collective_time);
+    Format.printf "bandwidth:       %s@."
+      (Units.bandwidth_pp (size /. result.collective_time));
+    Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
+      (Schedule.num_sends result.schedule)
+      result.stats.rounds
+      (Units.time_pp result.stats.wall_seconds);
+    (match
+       if pattern = Pattern.All_to_all then Schedule.validate topo spec result.schedule
+       else Synth.verify topo result
+     with
+    | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
+    | Error e -> Format.printf "validation:      FAILED: %s@." e);
+    (match sketch with
+    | Some sk -> (
+      match Sketch.compliant topo spec sk result.schedule with
+      | Ok () ->
+        Format.printf "sketch:          ok (%d rules, schedule compliant)@."
+          (List.length sk.rules)
+      | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
+    | None -> ());
+    (match Ideal.all_reduce_time topo ~size with
+    | ideal when pattern = Pattern.All_reduce ->
+      Format.printf "vs ideal:        %.2f%%@." (100. *. ideal /. result.collective_time)
+    | _ | (exception _) -> ());
+    if events then Schedule.pp_events Format.std_formatter result.schedule;
+    Option.iter
+      (fun file ->
+        write_file file (Svg.render topo result.schedule);
+        Format.printf "SVG written to %s@." file)
+      svg;
+    Option.iter
+      (fun npu ->
+        Format.printf "program of NPU %d:@." npu;
+        Lowering.pp_program Format.std_formatter
+          (Lowering.npu_programs ~npus:n result.schedule).(npu))
+      program;
+    Option.iter
+      (fun dest -> emit ~what:"schedule" dest (Schedule.to_json ~spec result.schedule))
+      json;
+    if ten then begin
+      let cost =
+        match Topology.edges topo with
+        | e :: _ -> Link.cost e.link (Spec.chunk_size spec)
+        | [] -> 0.
+      in
+      match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.schedule with
+      | ten -> print_string (Tacos_ten.Ten.render ten)
+      | exception Invalid_argument _ ->
+        print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
+    end;
+    Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ domains_arg $ groups_arg
-       $ sketch_arg $ render_ten $ list_events $ json_out $ svg_out $ program_of))
+        (const run $ spec $ sketch $ seed_arg $ trials_arg $ domains_arg $ groups_arg
+       $ render_ten $ list_events $ json_out $ svg_out $ program_of))
   in
   Cmd.v (Cmd.info "synthesize" ~doc:"Synthesize a topology-aware collective algorithm") term
 
 (* --- compare --------------------------------------------------------------- *)
 
 let compare_cmd =
-  let run topo_str alpha bw size_str chunks seed trials =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size ->
-          let n = Topology.num_npus topo in
-          let spec k =
-            Spec.make ~chunks_per_npu:k ~buffer_size:size ~pattern:Pattern.All_reduce
-              ~npus:n ()
-          in
-          let power_of_two = n land (n - 1) = 0 in
-          let baselines =
-            [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
-            @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
-            @ [ ("TACCL-like", Algo.Taccl_like) ]
-          in
-          let rows = ref [] in
-          List.iter
-            (fun (name, algo) ->
-              match Algo.collective_time algo topo (spec 1) with
-              | t ->
-                rows := [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows
-              | exception _ -> rows := [ name; "n/a"; "n/a" ] :: !rows)
-            baselines;
-          let result = Synth.synthesize ~seed ~trials topo (spec chunks) in
-          let program =
-            Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size (spec chunks))
-              result.Synth.schedule
-          in
-          let t = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
-          rows := [ "TACOS"; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows;
-          let ideal = Ideal.all_reduce_time topo ~size in
-          rows := [ "Ideal"; Units.time_pp ideal; Units.bandwidth_pp (size /. ideal) ] :: !rows;
-          Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
-          Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ] (List.rev !rows);
-          `Ok ())
+  let run sized chunks seed trials =
+    guard @@ fun () ->
+    let* topo, size = sized in
+    let n = Topology.num_npus topo in
+    let spec = spec_of topo ~size ~pattern:Pattern.All_reduce in
+    let power_of_two = n land (n - 1) = 0 in
+    let baselines =
+      [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
+      @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
+      @ [ ("TACCL-like", Algo.Taccl_like) ]
+    in
+    let row name t = [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] in
+    let rows =
+      List.map
+        (fun (name, algo) ->
+          match Algo.collective_time algo topo (spec 1) with
+          | t -> row name t
+          | exception _ -> [ name; "n/a"; "n/a" ])
+        baselines
+    in
+    let t = (simulate topo (Synth.synthesize ~seed ~trials topo (spec chunks))).finish_time in
+    Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
+    Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ]
+      (rows @ [ row "TACOS" t; row "Ideal" (Ideal.all_reduce_time topo ~size) ]);
+    Ok ()
   in
-  let term =
-    Term.(
-      ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ chunks_arg
-       $ seed_arg $ trials_arg))
-  in
+  let term = Term.(ret (const run $ sized $ chunks_arg $ seed_arg $ trials_arg)) in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare TACOS against the baseline All-Reduce algorithms")
     term
@@ -363,92 +401,51 @@ let compare_cmd =
 (* --- tune ------------------------------------------------------------------ *)
 
 let tune_cmd =
-  let candidates_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
-      & info [ "candidates" ] ~docv:"K1,K2,..."
-          ~doc:"Chunks-per-NPU granularities to try.")
-  in
-  let run topo_str alpha bw size_str pattern_str seed domains candidates groups
-      sketch_path =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            (* With --groups, every candidate granularity is synthesized
-               hierarchically through the group planner. *)
-            let backend =
-              match (groups, sketch) with
-              | Some _, Some _ -> Error "--sketch does not compose with --groups"
-              | None, None -> Ok None
-              | None, Some sk ->
-                Ok
-                  (Some
-                     (fun ~seed topo spec ->
-                       (* Per candidate: pin chunk ids are validated against
-                          each candidate's own chunk space. *)
-                       let c = Sketch.compile topo spec sk in
-                       Synth.synthesize ~seed ~domains ~sketch:c topo spec))
-              | Some gstr, None ->
-                Result.map_error
-                  (fun e -> "--groups: " ^ e)
-                  (Result.map
-                     (fun gs ->
-                       Some
-                         (fun ~seed topo spec ->
-                           (Tacos_groups.Plan.synthesize ~seed ~domains topo spec
-                              ~groups:gs)
-                             .Tacos_groups.Plan.result))
-                     (parse_groups topo gstr))
-            in
-            match backend with
-            | Error e -> fail "%s" e
-            | Ok synthesize -> (
-              match
-                let rows = ref [] in
-                List.iter
-                  (fun k ->
-                    let choice =
-                      Tacos.Tuner.tune ~seed ~domains ~candidates:[ k ] ?synthesize
-                        topo ~pattern ~size
-                    in
-                    rows :=
-                      [
-                        string_of_int k;
-                        Units.time_pp choice.Tacos.Tuner.simulated_time;
-                        Units.bandwidth_pp (size /. choice.Tacos.Tuner.simulated_time);
-                      ]
-                      :: !rows)
-                  candidates;
-                let best =
-                  Tacos.Tuner.tune ~seed ~domains ~candidates ?synthesize topo
-                    ~pattern ~size
-                in
-                (List.rev !rows, best)
-              with
-              | exception Sketch.Infeasible off ->
-                fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-              | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-              | rows, best ->
-                Format.printf "%s of %s on %a@." (Pattern.name pattern)
-                  (Units.bytes_pp size) Topology.pp topo;
-                Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
-                  rows;
-                Format.printf "best: %d chunks/NPU (%s)@."
-                  best.Tacos.Tuner.chunks_per_npu
-                  (Units.time_pp best.Tacos.Tuner.simulated_time);
-                `Ok ()))))
+  let run workload sketch seed domains candidates groups =
+    guard @@ fun () ->
+    let* topo, size, pattern = workload in
+    let* sketch = sketch in
+    let* groups = groups_of topo ~sketch groups in
+    let* () = if candidates = [] then Error "--candidates: the list is empty" else Ok () in
+    (* With --groups, every candidate granularity is synthesized
+       hierarchically through the group planner. *)
+    let synthesize =
+      match (groups, sketch) with
+      | Some gs, _ ->
+        Some (fun ~seed topo spec -> (Plan.synthesize ~seed ~domains topo spec ~groups:gs).result)
+      | None, Some sk ->
+        Some
+          (fun ~seed topo spec ->
+            (* Per candidate: pin chunk ids are validated against each
+               candidate's own chunk space. *)
+            let c = Sketch.compile topo spec sk in
+            Synth.synthesize ~seed ~domains ~sketch:c topo spec)
+      | None, None -> None
+    in
+    let choices =
+      Tacos.Tuner.sweep ~seed ~domains ~candidates ?synthesize topo ~pattern ~size
+    in
+    let best = Tacos.Tuner.best choices in
+    Format.printf "%s of %s on %a@." (Pattern.name pattern) (Units.bytes_pp size)
+      Topology.pp topo;
+    Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
+      (List.map
+         (fun (c : Tacos.Tuner.choice) ->
+           [
+             string_of_int c.chunks_per_npu;
+             Units.time_pp c.simulated_time;
+             Units.bandwidth_pp (size /. c.simulated_time);
+           ])
+         choices);
+    Format.printf "best: %d chunks/NPU (%s)@." best.chunks_per_npu
+      (Units.time_pp best.simulated_time);
+    Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ seed_arg $ domains_arg $ candidates_arg $ groups_arg $ sketch_arg))
+        (const run $ workload $ sketch $ seed_arg $ domains_arg
+       $ candidates_arg "Chunks-per-NPU granularities to try." $ groups_arg))
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Sweep chunk granularities and report the fastest")
@@ -457,13 +454,6 @@ let tune_cmd =
 (* --- pareto ---------------------------------------------------------------- *)
 
 let pareto_cmd =
-  let candidates_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
-      & info [ "candidates" ] ~docv:"K1,K2,..."
-          ~doc:"Chunks-per-NPU granularities to sweep.")
-  in
   let json_flag =
     Arg.(
       value & flag
@@ -472,63 +462,45 @@ let pareto_cmd =
             "Emit the full outcome (every point, the frontier, and the \
              dominated pairs) as one JSON document on stdout.")
   in
-  let run topo_str alpha bw size_str pattern_str seed trials domains candidates
-      sketch_path json =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            match
-              Strategy.sweep ~seed ~trials ~domains ~candidates ?sketch topo
-                ~pattern ~size
-            with
-            | exception Sketch.Infeasible off ->
-              fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | exception Invalid_argument msg -> fail "%s" msg
-            | outcome ->
-              if json then print_endline (Strategy.to_json outcome)
-              else begin
-                Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@."
-                  (Pattern.name pattern) (Units.bytes_pp size) Topology.pp topo;
-                let on_frontier p = List.memq p outcome.Strategy.frontier in
-                Table.print
-                  ~header:
-                    [
-                      "chunks/NPU"; "steps"; "sends"; "collective"; "simulated";
-                      "synth wall"; "frontier";
-                    ]
-                  (List.map
-                     (fun (p : Strategy.point) ->
-                       [
-                         string_of_int p.Strategy.chunks_per_npu;
-                         string_of_int p.Strategy.steps;
-                         string_of_int p.Strategy.sends;
-                         Units.time_pp p.Strategy.collective_time;
-                         Units.time_pp p.Strategy.simulated_time;
-                         Units.time_pp p.Strategy.synthesis_seconds;
-                         (if on_frontier p then "*" else "dominated");
-                       ])
-                     outcome.Strategy.points);
-                Format.printf
-                  "frontier: %d of %d points non-dominated over (chunks, steps, \
-                   simulated time)@."
-                  (List.length outcome.Strategy.frontier)
-                  (List.length outcome.Strategy.points)
-              end;
-              `Ok ())))
+  let run workload sketch seed trials domains candidates json =
+    guard @@ fun () ->
+    let* topo, size, pattern = workload in
+    let* sketch = sketch in
+    match Strategy.sweep ~seed ~trials ~domains ~candidates ?sketch topo ~pattern ~size with
+    | exception Invalid_argument msg -> Error msg
+    | outcome ->
+      if json then print_endline (Strategy.to_json outcome)
+      else begin
+        Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@." (Pattern.name pattern)
+          (Units.bytes_pp size) Topology.pp topo;
+        let on_frontier p = List.memq p outcome.frontier in
+        Table.print
+          ~header:
+            [ "chunks/NPU"; "steps"; "sends"; "collective"; "simulated"; "synth wall"; "frontier" ]
+          (List.map
+             (fun (p : Strategy.point) ->
+               [
+                 string_of_int p.chunks_per_npu;
+                 string_of_int p.steps;
+                 string_of_int p.sends;
+                 Units.time_pp p.collective_time;
+                 Units.time_pp p.simulated_time;
+                 Units.time_pp p.synthesis_seconds;
+                 (if on_frontier p then "*" else "dominated");
+               ])
+             outcome.points);
+        Format.printf
+          "frontier: %d of %d points non-dominated over (chunks, steps, simulated time)@."
+          (List.length outcome.frontier)
+          (List.length outcome.points)
+      end;
+      Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ seed_arg $ trials_arg $ domains_arg $ candidates_arg $ sketch_arg
-       $ json_flag))
+        (const run $ workload $ sketch $ seed_arg $ trials_arg $ domains_arg
+       $ candidates_arg "Chunks-per-NPU granularities to sweep." $ json_flag))
   in
   Cmd.v
     (Cmd.info "pareto"
@@ -555,89 +527,59 @@ let profile_cmd =
              stream and the full per-transfer lifecycle (schema documented \
              in Tacos_obs.Trace).")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials out trace =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern -> (
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
-            in
-            (* Everything below runs with the obs registry on: synthesis
-               populates the synth.*/router.* metrics, and replaying the
-               schedule under the congestion-aware simulator populates the
-               engine.* queueing metrics. *)
-            Obs.enable ();
-            Obs.reset ();
-            if trace then begin
-              Trace.enable ();
-              Trace.reset ()
-            end;
-            let synthesize () =
-              if pattern = Pattern.All_to_all then Tacos.Alltoall.synthesize ~seed topo spec
-              else Synth.synthesize ~seed ~trials topo spec
-            in
-            match synthesize () with
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | result ->
-              let program =
-                Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
-                  result.Synth.schedule
-              in
-              let sim = Tacos_sim.Engine.run topo program in
-              let snap = Obs.snapshot () in
-              let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
-              let scans = Obs.value (Obs.counter "synth.pick_scans") in
-              let memo_hit_rate =
-                if memo_hits + scans = 0 then 0.
-                else float_of_int memo_hits /. float_of_int (memo_hits + scans)
-              in
-              let num f = Json.Number f in
-              let doc =
-                Json.Object
-                  ([
-                     ("topology", Json.String (Topology.name topo));
-                     ("npus", num (float_of_int (Topology.num_npus topo)));
-                     ("links", num (float_of_int (Topology.num_links topo)));
-                     ("pattern", Json.String (Pattern.name pattern));
-                     ("buffer_bytes", num size);
-                     ("chunks_per_npu", num (float_of_int chunks));
-                     ("seed", num (float_of_int seed));
-                     ("trials", num (float_of_int trials));
-                     ("collective_time_seconds", num result.Synth.collective_time);
-                     ("simulated_time_seconds", num sim.Tacos_sim.Engine.finish_time);
-                     ("synthesis_wall_seconds", num result.Synth.stats.Synth.wall_seconds);
-                     ("rounds", num (float_of_int result.Synth.stats.Synth.rounds));
-                     ("matches", num (float_of_int result.Synth.stats.Synth.matches));
-                     ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
-                     ("obs", snap);
-                   ]
-                  @
-                  if trace then
-                    [
-                      ("trace", Obs.trace_events ());
-                      ("lifecycle", Trace.to_json (Trace.dump ()));
-                    ]
-                  else [])
-              in
-              let text = Json.encode doc in
-              (match out with
-              | "-" -> print_endline text
-              | file ->
-                write_file file (text ^ "\n");
-                Format.printf "profile written to %s@." file);
-              `Ok ())))
+  let run setup seed trials out trace =
+    guard @@ fun () ->
+    let* topo, spec = setup in
+    (* Everything below runs with the obs registry on: synthesis populates
+       the synth.*/router.* metrics, and replaying the schedule under the
+       congestion-aware simulator populates the engine.* queueing
+       metrics. *)
+    Obs.enable ();
+    Obs.reset ();
+    if trace then begin
+      Trace.enable ();
+      Trace.reset ()
+    end;
+    let result = Router.synthesize_any ~seed ~trials topo spec in
+    let sim = simulate topo result in
+    let snap = Obs.snapshot () in
+    let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
+    let scans = Obs.value (Obs.counter "synth.pick_scans") in
+    let memo_hit_rate =
+      if memo_hits + scans = 0 then 0.
+      else float_of_int memo_hits /. float_of_int (memo_hits + scans)
+    in
+    let num f = Json.Number f in
+    let int i = num (float_of_int i) in
+    let doc =
+      Json.Object
+        ([
+           ("topology", Json.String (Topology.name topo));
+           ("npus", int (Topology.num_npus topo));
+           ("links", int (Topology.num_links topo));
+           ("pattern", Json.String (Pattern.name spec.pattern));
+           ("buffer_bytes", num spec.buffer_size);
+           ("chunks_per_npu", int spec.chunks_per_npu);
+           ("seed", int seed);
+           ("trials", int trials);
+           ("collective_time_seconds", num result.collective_time);
+           ("simulated_time_seconds", num sim.finish_time);
+           ("synthesis_wall_seconds", num result.stats.wall_seconds);
+           ("rounds", int result.stats.rounds);
+           ("matches", int result.stats.matches);
+           ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
+           ("obs", snap);
+         ]
+        @
+        if trace then
+          [ ("trace", Obs.trace_events ()); ("lifecycle", Trace.to_json (Trace.dump ())) ]
+        else [])
+    in
+    emit ~what:"profile" out (Json.encode doc ^ "\n");
+    Ok ()
   in
   let term =
-    Term.(
-      ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ out_arg $ trace_arg))
+    Term.(ret (const run $ spec $ seed_arg $ trials_arg $ out_arg $ trace_arg))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -648,8 +590,15 @@ let profile_cmd =
 
 (* --- faults ----------------------------------------------------------------- *)
 
-module Engine = Tacos_sim.Engine
-module Sim_program = Tacos_sim.Program
+(* [f] over [xs], up to the first error. *)
+let map_result f xs =
+  Result.map List.rev
+    (List.fold_left
+       (fun acc x ->
+         let* ys = acc in
+         let* y = f x in
+         Ok (y :: ys))
+       (Ok []) xs)
 
 (* "--at 40%" resolves against the healthy schedule's simulated completion
    time; "--at 0.0012" is absolute seconds. *)
@@ -692,245 +641,172 @@ let parse_fault_spec s =
         (Printf.sprintf
            "bad fault spec %S (kill-link=N, kill-npu=N or degrade=NxF)" tok)
   in
-  List.fold_left
-    (fun acc tok ->
-      match (acc, parse_token (String.trim tok)) with
-      | Error _, _ -> acc
-      | _, Error e -> Error e
-      | Ok fs, Ok f -> Ok (fs @ [ f ]))
-    (Ok [])
-    (String.split_on_char ',' s)
+  map_result (fun tok -> parse_token (String.trim tok)) (String.split_on_char ',' s)
 
 (* One "--at T[:SPEC]" event: the time, plus its own fault list when the
    colon form is used (required when giving a multi-epoch timeline). *)
 let parse_event s =
   match String.index_opt s ':' with
   | None -> Result.map (fun at -> (at, None)) (parse_at s)
-  | Some i -> (
-    match parse_at (String.sub s 0 i) with
-    | Error e -> Error e
-    | Ok at ->
-      Result.map
-        (fun faults -> (at, Some faults))
-        (parse_fault_spec (String.sub s (i + 1) (String.length s - i - 1))))
+  | Some i ->
+    let* at = parse_at (String.sub s 0 i) in
+    let* faults = parse_fault_spec (String.sub s (i + 1) (String.length s - i - 1)) in
+    Ok (at, Some faults)
+
+let resolve_at healthy_time = function
+  | `Seconds v -> v
+  | `Fraction f -> f *. healthy_time
+
+let invalid_note (r : Resilience.repaired) =
+  match r.verified with Ok () -> "" | Error e -> Printf.sprintf " [INVALID: %s]" e
+
+let print_faults faults =
+  if faults = [] then Format.printf "faults:       none@."
+  else List.iter (fun f -> Format.printf "fault:        %a@." Fault.pp f) faults
+
+(* The healthy schedule that faults land on. Its two errors keep their
+   own wording. *)
+let healthy_schedule ~seed ~trials topo spec =
+  match Synth.synthesize ~seed ~trials topo spec with
+  | exception Synth.Stuck msg -> errorf "healthy synthesis stuck: %s" msg
+  | exception Synth.Unsupported msg ->
+    errorf "--at needs a synthesizer-supported pattern: %s" msg
+  | healthy -> Ok healthy
+
+(* Write a fault report: the fields every report opens with, then [fields]. *)
+let emit_report ~seed topo (spec : Spec.t) fields dest =
+  let head =
+    [
+      ("topology", Json.String (Topology.name topo));
+      ("pattern", Json.String (Pattern.name spec.pattern));
+      ("buffer_bytes", Json.Number spec.buffer_size);
+      ("seed", Json.Number (float_of_int seed));
+    ]
+  in
+  emit ~what:"report" dest (Json.encode (Json.Object (head @ fields)) ^ "\n")
+
+let repaired_fields (r : Resilience.repaired) =
+  [
+    ("strategy", Json.String (Resilience.strategy_name r.strategy));
+    ("completion_seconds", Json.Number r.completion_time);
+    ("synth_wall_seconds", Json.Number r.synth_wall_seconds);
+    ("verified", Json.Bool (Result.is_ok r.verified));
+  ]
 
 (* The mid-flight three-way comparison: replay-through-the-fault vs suffix
    repair vs full re-synthesis, all timed from the same fault instant. *)
-let midflight_run ~seed ~trials ~domains ~budget ~json topo spec size faults at_spec =
-  match Synth.synthesize ~seed ~trials topo spec with
-  | exception Synth.Stuck msg -> fail "healthy synthesis stuck: %s" msg
-  | exception Synth.Unsupported msg ->
-    fail "--at needs a synthesizer-supported pattern: %s" msg
-  | healthy ->
-    let chunk_size = Spec.chunk_size spec in
-    let program () = Sim_program.of_schedule ~chunk_size healthy.Synth.schedule in
-    let healthy_time = (Engine.run topo (program ())).Engine.finish_time in
-    let at =
-      match at_spec with
-      | `Seconds v -> v
-      | `Fraction f -> f *. healthy_time
-    in
-    Format.printf "healthy:      %s simulated; fault lands at %s@."
-      (Units.time_pp healthy_time) (Units.time_pp at);
-    let timeline = Fault.timeline ~at topo faults in
-    let replay =
-      match Engine.run ~faults:timeline topo (program ()) with
-      | report ->
-        if report.Engine.stranded = [] then Ok report.Engine.finish_time
-        else Error (Printf.sprintf "%d transfers stranded" (List.length report.Engine.stranded))
-      | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
-    in
-    (match replay with
-    | Ok t ->
-      Format.printf "replay:       %s (reroute in the engine, no re-planning)@."
-        (Units.time_pp t)
-    | Error why -> Format.printf "replay:       FAILS — %s@." why);
-    let repair =
-      Resilience.repair ~seed ~trials ~domains ?budget_ms:budget ~at topo faults
-        healthy
-    in
-    (match repair with
-    | Ok r ->
-      Format.printf "repair:       %s via %s (synthesized in %s)%s@."
-        (Units.time_pp r.Resilience.completion_time)
-        (Resilience.strategy_name r.Resilience.strategy)
-        (Units.time_pp r.Resilience.synth_wall_seconds)
-        (match r.Resilience.verified with
-        | Ok () -> ""
-        | Error e -> Printf.sprintf " [INVALID: %s]" e)
-    | Error f -> Format.printf "repair:       NONE — %a@." Resilience.pp_failure f);
-    let full =
-      Resilience.synthesize ~seed ~trials ~domains ?budget_ms:budget ~faults topo
-        spec
-    in
-    (match full with
-    | Ok o ->
-      Format.printf "resynthesis:  %s (full, synthesized in %s)@."
-        (Units.time_pp (at +. o.Resilience.simulated_time))
-        (Units.time_pp o.Resilience.wall_seconds)
-    | Error f -> Format.printf "resynthesis:  NONE — %a@." Resilience.pp_failure f);
-    (match (repair, full) with
-    | Ok r, Ok o when r.Resilience.synth_wall_seconds > 0. ->
-      Format.printf "speedup:      %.1fx less synthesis wall-clock from repairing@."
-        (o.Resilience.wall_seconds /. r.Resilience.synth_wall_seconds)
-    | _ -> ());
-    (match json with
-    | None -> ()
-    | Some dest ->
-      let outcome_json = function
-        | Ok (o : Resilience.outcome) ->
-          Json.Object
-            [
-              ("completion_seconds", Json.Number (at +. o.Resilience.simulated_time));
-              ("synth_wall_seconds", Json.Number o.Resilience.wall_seconds);
-            ]
-        | Error f -> Resilience.failure_to_json f
-      in
-      let doc =
-        Json.Object
-          [
-            ("topology", Json.String (Topology.name topo));
-            ("pattern", Json.String (Pattern.name spec.Spec.pattern));
-            ("buffer_bytes", Json.Number size);
-            ("seed", Json.Number (float_of_int seed));
-            ("at_seconds", Json.Number at);
-            ("healthy_seconds", Json.Number healthy_time);
-            ("faults", Json.Array (List.map Fault.to_json faults));
-            ( "replay",
-              match replay with
-              | Ok t -> Json.Object [ ("completion_seconds", Json.Number t) ]
-              | Error why -> Json.Object [ ("stranded", Json.String why) ] );
-            ( "repair",
-              match repair with
-              | Ok r ->
-                Json.Object
-                  [
-                    ("strategy", Json.String (Resilience.strategy_name r.Resilience.strategy));
-                    ("completion_seconds", Json.Number r.Resilience.completion_time);
-                    ("synth_wall_seconds", Json.Number r.Resilience.synth_wall_seconds);
-                    ( "verified",
-                      Json.Bool (match r.Resilience.verified with Ok () -> true | Error _ -> false) );
-                  ]
-              | Error f -> Resilience.failure_to_json f );
-            ("full_resynthesis", outcome_json full);
-          ]
-      in
-      let text = Json.encode doc in
-      (match dest with
-      | "-" -> print_endline text
-      | file ->
-        write_file file (text ^ "\n");
-        Format.printf "report written to %s@." file));
-    `Ok ()
+let midflight_run ~seed ~trials ~domains ~budget ~json topo spec faults at_spec =
+  let* healthy = healthy_schedule ~seed ~trials topo spec in
+  let healthy_time = (simulate topo healthy).finish_time in
+  let at = resolve_at healthy_time at_spec in
+  Format.printf "healthy:      %s simulated; fault lands at %s@."
+    (Units.time_pp healthy_time) (Units.time_pp at);
+  let replay =
+    match simulate ~faults:(Fault.timeline ~at topo faults) topo healthy with
+    | { stranded = []; finish_time; _ } -> Ok finish_time
+    | { stranded; _ } -> Error (Printf.sprintf "%d transfers stranded" (List.length stranded))
+    | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
+  in
+  (match replay with
+  | Ok t ->
+    Format.printf "replay:       %s (reroute in the engine, no re-planning)@." (Units.time_pp t)
+  | Error why -> Format.printf "replay:       FAILS — %s@." why);
+  let repair = Resilience.repair ~seed ~trials ~domains ?budget_ms:budget ~at topo faults healthy in
+  (match repair with
+  | Ok r ->
+    Format.printf "repair:       %s via %s (synthesized in %s)%s@."
+      (Units.time_pp r.completion_time) (Resilience.strategy_name r.strategy)
+      (Units.time_pp r.synth_wall_seconds) (invalid_note r)
+  | Error f -> Format.printf "repair:       NONE — %a@." Resilience.pp_failure f);
+  let full = Resilience.synthesize ~seed ~trials ~domains ?budget_ms:budget ~faults topo spec in
+  (match full with
+  | Ok o ->
+    Format.printf "resynthesis:  %s (full, synthesized in %s)@."
+      (Units.time_pp (at +. o.simulated_time)) (Units.time_pp o.wall_seconds)
+  | Error f -> Format.printf "resynthesis:  NONE — %a@." Resilience.pp_failure f);
+  (match (repair, full) with
+  | Ok r, Ok o when r.synth_wall_seconds > 0. ->
+    Format.printf "speedup:      %.1fx less synthesis wall-clock from repairing@."
+      (o.wall_seconds /. r.synth_wall_seconds)
+  | _ -> ());
+  Option.iter
+    (emit_report ~seed topo spec
+       [
+         ("at_seconds", Json.Number at);
+         ("healthy_seconds", Json.Number healthy_time);
+         ("faults", Json.Array (List.map Fault.to_json faults));
+         ( "replay",
+           Json.Object
+             (match replay with
+             | Ok t -> [ ("completion_seconds", Json.Number t) ]
+             | Error why -> [ ("stranded", Json.String why) ]) );
+         ( "repair",
+           match repair with
+           | Ok r -> Json.Object (repaired_fields r)
+           | Error f -> Resilience.failure_to_json f );
+         ( "full_resynthesis",
+           match full with
+           | Ok o ->
+             Json.Object
+               [
+                 ("completion_seconds", Json.Number (at +. o.simulated_time));
+                 ("synth_wall_seconds", Json.Number o.wall_seconds);
+               ]
+           | Error f -> Resilience.failure_to_json f );
+       ])
+    json;
+  Ok ()
 
 (* A multi-epoch fault timeline: each "--at T:SPEC" lands its own fault list
    mid-flight and the composite is incrementally re-repaired at every epoch
    (Resilience.repair_timeline). *)
-let multiflight_run ~seed ~trials ~domains ~budget ~json topo spec size
-    events_spec =
-  match Synth.synthesize ~seed ~trials topo spec with
-  | exception Synth.Stuck msg -> fail "healthy synthesis stuck: %s" msg
-  | exception Synth.Unsupported msg ->
-    fail "--at needs a synthesizer-supported pattern: %s" msg
-  | healthy ->
-    let chunk_size = Spec.chunk_size spec in
-    let healthy_time =
-      (Engine.run topo (Sim_program.of_schedule ~chunk_size healthy.Synth.schedule))
-        .Engine.finish_time
-    in
-    let events =
-      List.map
-        (fun (at_spec, faults) ->
-          ( (match at_spec with
-            | `Seconds v -> v
-            | `Fraction f -> f *. healthy_time),
-            faults ))
-        events_spec
-    in
-    Format.printf "healthy:      %s simulated; %d fault epochs@."
-      (Units.time_pp healthy_time) (List.length events);
+let multiflight_run ~seed ~trials ~domains ~budget ~json topo spec events_spec =
+  let* healthy = healthy_schedule ~seed ~trials topo spec in
+  let healthy_time = (simulate topo healthy).finish_time in
+  let events =
+    List.map (fun (at_spec, faults) -> (resolve_at healthy_time at_spec, faults)) events_spec
+  in
+  Format.printf "healthy:      %s simulated; %d fault epochs@." (Units.time_pp healthy_time)
+    (List.length events);
+  List.iter
+    (fun (at, faults) ->
+      Format.printf "epoch:        %s — %s@." (Units.time_pp at)
+        (String.concat ", " (List.map Fault.to_string faults)))
+    events;
+  match
+    Resilience.repair_timeline ~seed ~trials ~domains ?budget_ms:budget ~events topo healthy
+  with
+  | exception Invalid_argument msg -> Error msg
+  | Error f -> errorf "timeline repair failed: %s" (Format.asprintf "%a" Resilience.pp_failure f)
+  | Ok tr ->
     List.iter
-      (fun (at, faults) ->
-        Format.printf "epoch:        %s — %s@." (Units.time_pp at)
-          (String.concat ", " (List.map Fault.to_string faults)))
-      events;
-    (match
-       Resilience.repair_timeline ~seed ~trials ~domains ?budget_ms:budget
-         ~events topo healthy
-     with
-    | exception Invalid_argument msg -> fail "%s" msg
-    | Error f ->
-      fail "timeline repair failed: %s"
-        (Format.asprintf "%a" Resilience.pp_failure f)
-    | Ok tr ->
-      List.iter
-        (fun (e : Resilience.epoch) ->
-          let r = e.Resilience.repaired in
-          Format.printf "repair @@ %s: %s → completes %s (synthesized in %s)%s@."
-            (Units.time_pp e.Resilience.at)
-            (Resilience.strategy_name r.Resilience.strategy)
-            (Units.time_pp r.Resilience.completion_time)
-            (Units.time_pp r.Resilience.synth_wall_seconds)
-            (match r.Resilience.verified with
-            | Ok () -> ""
-            | Error e -> Printf.sprintf " [INVALID: %s]" e))
-        tr.Resilience.epochs;
-      Format.printf "final:        %s, %d sends, %s@."
-        (Units.time_pp tr.Resilience.completion_time)
-        (Schedule.num_sends tr.Resilience.schedule)
-        (match tr.Resilience.verified with
-        | Ok () -> "composite verified end to end"
-        | Error e -> "INVALID: " ^ e);
-      (match json with
-      | None -> ()
-      | Some dest ->
-        let doc =
-          Json.Object
-            [
-              ("topology", Json.String (Topology.name topo));
-              ("pattern", Json.String (Pattern.name spec.Spec.pattern));
-              ("buffer_bytes", Json.Number size);
-              ("seed", Json.Number (float_of_int seed));
-              ("healthy_seconds", Json.Number healthy_time);
-              ( "epochs",
-                Json.Array
-                  (List.map
-                     (fun (e : Resilience.epoch) ->
-                       let r = e.Resilience.repaired in
-                       Json.Object
-                         [
-                           ("at_seconds", Json.Number e.Resilience.at);
-                           ( "faults",
-                             Json.Array (List.map Fault.to_json e.Resilience.faults) );
-                           ( "strategy",
-                             Json.String
-                               (Resilience.strategy_name r.Resilience.strategy) );
-                           ( "completion_seconds",
-                             Json.Number r.Resilience.completion_time );
-                           ( "synth_wall_seconds",
-                             Json.Number r.Resilience.synth_wall_seconds );
-                           ( "verified",
-                             Json.Bool
-                               (match r.Resilience.verified with
-                               | Ok () -> true
-                               | Error _ -> false) );
-                         ])
-                     tr.Resilience.epochs) );
-              ("completion_seconds", Json.Number tr.Resilience.completion_time);
-              ("sends", Json.Number (float_of_int (Schedule.num_sends tr.Resilience.schedule)));
-              ( "verified",
-                Json.Bool
-                  (match tr.Resilience.verified with Ok () -> true | Error _ -> false)
-              );
-            ]
-        in
-        let text = Json.encode doc in
-        match dest with
-        | "-" -> print_endline text
-        | file ->
-          write_file file (text ^ "\n");
-          Format.printf "report written to %s@." file);
-      `Ok ())
+      (fun ({ at; repaired = r; _ } : Resilience.epoch) ->
+        Format.printf "repair @@ %s: %s → completes %s (synthesized in %s)%s@." (Units.time_pp at)
+          (Resilience.strategy_name r.strategy) (Units.time_pp r.completion_time)
+          (Units.time_pp r.synth_wall_seconds) (invalid_note r))
+      tr.epochs;
+    Format.printf "final:        %s, %d sends, %s@." (Units.time_pp tr.completion_time)
+      (Schedule.num_sends tr.schedule)
+      (match tr.verified with
+      | Ok () -> "composite verified end to end"
+      | Error e -> "INVALID: " ^ e);
+    let epoch ({ at; faults; repaired } : Resilience.epoch) =
+      Json.Object
+        (("at_seconds", Json.Number at)
+        :: ("faults", Json.Array (List.map Fault.to_json faults))
+        :: repaired_fields repaired)
+    in
+    Option.iter
+      (emit_report ~seed topo spec
+         [
+           ("healthy_seconds", Json.Number healthy_time);
+           ("epochs", Json.Array (List.map epoch tr.epochs));
+           ("completion_seconds", Json.Number tr.completion_time);
+           ("sends", Json.Number (float_of_int (Schedule.num_sends tr.schedule)));
+           ("verified", Json.Bool (Result.is_ok tr.verified));
+         ])
+      json;
+    Ok ()
 
 let faults_cmd =
   let fail_links_arg =
@@ -984,196 +860,139 @@ let faults_cmd =
                 60%:kill-npu=2,degrade=7x4 — to repair a whole fault \
                 timeline incrementally, epoch by epoch.")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials domains
-      fail_links fail_npus degrade degrade_factor budget at_strs json =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern -> (
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
-            in
-            (* Deterministic fault set from one seed: kills, NPU kills, then
-               degradations, all drawn from the same stream. *)
-            let rng = Tacos_util.Rng.create seed in
-            match
-              let kills = Fault.random_link_kills rng topo fail_links in
-              let npus = Fault.random_npu_kills rng topo fail_npus in
-              let slow =
-                Fault.random_degradations rng ~factor:degrade_factor topo degrade
-              in
-              kills @ npus @ slow
-            with
-            | exception Invalid_argument msg -> fail "%s" msg
-            | faults when at_strs <> [] -> (
-              let parsed =
-                List.fold_left
-                  (fun acc s ->
-                    match (acc, parse_event s) with
-                    | Error _, _ -> acc
-                    | _, Error e -> Error e
-                    | Ok evs, Ok ev -> Ok (evs @ [ ev ]))
-                  (Ok []) at_strs
-              in
-              match parsed with
-              | Error e -> fail "%s" e
-              | Ok [ (at_spec, None) ] ->
-                (* Legacy single-event form: the sampled faults land at T. *)
-                Format.printf "topology:     %a@." Topology.pp topo;
-                Format.printf "collective:   %a@." Spec.pp spec;
-                if faults = [] then Format.printf "faults:       none@."
-                else
-                  List.iter
-                    (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-                    faults;
-                midflight_run ~seed ~trials ~domains ~budget ~json topo spec size
-                  faults at_spec
-              | Ok events when List.exists (fun (_, fs) -> fs = None) events ->
-                fail
-                  "a fault timeline needs each --at to carry its faults: --at \
-                   T:kill-link=N,..."
-              | Ok _ when faults <> [] ->
-                fail
-                  "--fail-links/--fail-npus/--degrade cannot combine with an \
-                   explicit --at T:SPEC timeline"
-              | Ok events ->
-                let events =
-                  List.map (fun (at, fs) -> (at, Option.get fs)) events
-                in
-                Format.printf "topology:     %a@." Topology.pp topo;
-                Format.printf "collective:   %a@." Spec.pp spec;
-                multiflight_run ~seed ~trials ~domains ~budget ~json topo spec
-                  size events)
-            | faults ->
-              Obs.enable ();
-              Obs.reset ();
-              Format.printf "topology:     %a@." Topology.pp topo;
-              Format.printf "collective:   %a@." Spec.pp spec;
-              if faults = [] then Format.printf "faults:       none@."
-              else
-                List.iter
-                  (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-                  faults;
-              let degraded = Fault.apply topo faults in
-              Format.printf "degraded:     %a@." Topology.pp degraded;
-              let connectivity = Fault.connectivity degraded in
-              Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
-              (* The whole pipeline: fallback-ladder synthesis on the
-                 degraded fabric, then — when faults were injected — the
-                 degradation analysis of the healthy schedule. *)
-              let outcome =
-                Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo
-                  spec
-              in
-              (match outcome with
-              | Ok o ->
-                (match o.Resilience.plan with
-                | Resilience.Synthesized result ->
-                  Format.printf "plan:         synthesized (%d sends, makespan %s)@."
-                    (Schedule.num_sends result.Synth.schedule)
-                    (Units.time_pp result.Synth.collective_time);
-                  (match Synth.verify degraded result with
-                  | Ok () ->
-                    Format.printf
-                      "validation:   ok (congestion-free, postconditions met)@."
-                  | Error e -> Format.printf "validation:   FAILED: %s@." e)
-                | Resilience.Baseline { algo; _ } ->
-                  Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
-                Format.printf "simulated:    %s (%s)@."
-                  (Units.time_pp o.Resilience.simulated_time)
-                  (Units.bandwidth_pp (size /. o.Resilience.simulated_time));
-                if o.Resilience.retries > 0 then
-                  Format.printf "retries:      %d@." o.Resilience.retries;
-                Format.printf "ladder:       %s@."
-                  (String.concat " -> " o.Resilience.rungs)
-              | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
-              (* Healthy-vs-degraded: what re-synthesis buys over replaying
-                 the healthy schedule (only meaningful with faults and a
-                 synthesizer-supported pattern). *)
-              let analysis =
-                if faults = [] then None
-                else
-                  match Synth.synthesize ~seed ~trials topo spec with
-                  | healthy ->
-                    Some (Resilience.analyze ~seed ~trials topo faults healthy)
-                  | exception (Synth.Stuck _ | Synth.Unsupported _) -> None
-              in
-              (match analysis with
-              | None -> ()
-              | Some a ->
-                Format.printf "healthy plan: %s on the degraded fabric@."
-                  (Resilience.health_to_string a.Resilience.health);
-                (match (a.Resilience.replay_time, a.Resilience.resynth_time) with
-                | Some replay, Some resynth ->
-                  Format.printf "replay:       %s; re-synthesis: %s@."
-                    (Units.time_pp replay) (Units.time_pp resynth)
-                | _ -> ());
-                match a.Resilience.advantage with
-                | Some adv -> Format.printf "advantage:    %.2fx from re-synthesis@." adv
-                | None -> ());
-              Format.printf "fallback counters:@.";
-              List.iter
-                (fun name ->
-                  Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
-                [
-                  "resilience.synth_ok";
-                  "resilience.synth_retries";
-                  "resilience.fallback_baseline";
-                  "resilience.failures";
-                  "resilience.disconnected_inputs";
-                ];
-              (match json with
-              | None -> ()
-              | Some dest ->
-                let doc =
-                  Json.Object
-                    [
-                      ("topology", Json.String (Topology.name topo));
-                      ("pattern", Json.String (Pattern.name pattern));
-                      ("buffer_bytes", Json.Number size);
-                      ("seed", Json.Number (float_of_int seed));
-                      ("faults", Json.Array (List.map Fault.to_json faults));
-                      ( "connectivity",
-                        Json.String
-                          (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
-                      ( "outcome",
-                        match outcome with
-                        | Ok o ->
-                          Json.Object
-                            [
-                              ( "plan",
-                                Json.String
-                                  (match o.Resilience.plan with
-                                  | Resilience.Synthesized _ -> "synthesized"
-                                  | Resilience.Baseline { algo; _ } ->
-                                    "baseline " ^ Algo.name algo) );
-                              ("simulated_seconds", Json.Number o.Resilience.simulated_time);
-                              ("retries", Json.Number (float_of_int o.Resilience.retries));
-                              ( "ladder",
-                                Json.Array
-                                  (List.map (fun r -> Json.String r) o.Resilience.rungs) );
-                            ]
-                        | Error f -> Resilience.failure_to_json f );
-                      ("obs", Obs.snapshot ());
-                    ]
-                in
-                let text = Json.encode doc in
-                (match dest with
-                | "-" -> print_endline text
-                | file ->
-                  write_file file (text ^ "\n");
-                  Format.printf "report written to %s@." file));
-              `Ok ())))
+  let run setup seed trials domains fail_links fail_npus degrade degrade_factor budget
+      at_strs json =
+    guard @@ fun () ->
+    let* topo, spec = setup in
+    let header () =
+      Format.printf "topology:     %a@." Topology.pp topo;
+      Format.printf "collective:   %a@." Spec.pp spec
+    in
+    (* Deterministic fault set from one seed: kills, NPU kills, then
+       degradations, all drawn from the same stream. *)
+    let rng = Tacos_util.Rng.create seed in
+    let* faults =
+      match
+        let kills = Fault.random_link_kills rng topo fail_links in
+        let npus = Fault.random_npu_kills rng topo fail_npus in
+        let slow = Fault.random_degradations rng ~factor:degrade_factor topo degrade in
+        kills @ npus @ slow
+      with
+      | exception Invalid_argument msg -> Error msg
+      | faults -> Ok faults
+    in
+    if at_strs <> [] then begin
+      let* events = map_result parse_event at_strs in
+      match events with
+      | [ (at_spec, None) ] ->
+        (* Legacy single-event form: the sampled faults land at T. *)
+        header ();
+        print_faults faults;
+        midflight_run ~seed ~trials ~domains ~budget ~json topo spec faults at_spec
+      | events when List.exists (fun (_, fs) -> fs = None) events ->
+        Error
+          "a fault timeline needs each --at to carry its faults: --at \
+           T:kill-link=N,..."
+      | _ when faults <> [] ->
+        Error
+          "--fail-links/--fail-npus/--degrade cannot combine with an explicit \
+           --at T:SPEC timeline"
+      | events ->
+        header ();
+        multiflight_run ~seed ~trials ~domains ~budget ~json topo spec
+          (List.map (fun (at, fs) -> (at, Option.get fs)) events)
+    end
+    else begin
+      Obs.enable ();
+      Obs.reset ();
+      header ();
+      print_faults faults;
+      let degraded = Fault.apply topo faults in
+      Format.printf "degraded:     %a@." Topology.pp degraded;
+      let connectivity = Fault.connectivity degraded in
+      Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
+      (* The whole pipeline: fallback-ladder synthesis on the degraded
+         fabric, then — when faults were injected — the degradation
+         analysis of the healthy schedule. *)
+      let outcome = Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo spec in
+      (match outcome with
+      | Ok o ->
+        (match o.plan with
+        | Resilience.Synthesized result ->
+          Format.printf "plan:         synthesized (%d sends, makespan %s)@."
+            (Schedule.num_sends result.schedule) (Units.time_pp result.collective_time);
+          (match Synth.verify degraded result with
+          | Ok () -> Format.printf "validation:   ok (congestion-free, postconditions met)@."
+          | Error e -> Format.printf "validation:   FAILED: %s@." e)
+        | Resilience.Baseline { algo; _ } ->
+          Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
+        Format.printf "simulated:    %s (%s)@." (Units.time_pp o.simulated_time)
+          (Units.bandwidth_pp (spec.buffer_size /. o.simulated_time));
+        if o.retries > 0 then Format.printf "retries:      %d@." o.retries;
+        Format.printf "ladder:       %s@." (String.concat " -> " o.rungs)
+      | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
+      (* Healthy-vs-degraded: what re-synthesis buys over replaying the
+         healthy schedule (only meaningful with faults and a
+         synthesizer-supported pattern). *)
+      let analysis =
+        if faults = [] then None
+        else
+          match healthy_schedule ~seed ~trials topo spec with
+          | Ok healthy -> Some (Resilience.analyze ~seed ~trials topo faults healthy)
+          | Error _ -> None
+      in
+      Option.iter
+        (fun (a : Resilience.analysis) ->
+          Format.printf "healthy plan: %s on the degraded fabric@."
+            (Resilience.health_to_string a.health);
+          (match (a.replay_time, a.resynth_time) with
+          | Some replay, Some resynth ->
+            Format.printf "replay:       %s; re-synthesis: %s@." (Units.time_pp replay)
+              (Units.time_pp resynth)
+          | _ -> ());
+          Option.iter (Format.printf "advantage:    %.2fx from re-synthesis@.") a.advantage)
+        analysis;
+      Format.printf "fallback counters:@.";
+      List.iter
+        (fun name -> Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
+        [
+          "resilience.synth_ok";
+          "resilience.synth_retries";
+          "resilience.fallback_baseline";
+          "resilience.failures";
+          "resilience.disconnected_inputs";
+        ];
+      Option.iter
+        (emit_report ~seed topo spec
+           [
+             ("faults", Json.Array (List.map Fault.to_json faults));
+             ( "connectivity",
+               Json.String (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
+             ( "outcome",
+               match outcome with
+               | Ok o ->
+                 Json.Object
+                   [
+                     ( "plan",
+                       Json.String
+                         (match o.plan with
+                         | Resilience.Synthesized _ -> "synthesized"
+                         | Resilience.Baseline { algo; _ } -> "baseline " ^ Algo.name algo) );
+                     ("simulated_seconds", Json.Number o.simulated_time);
+                     ("retries", Json.Number (float_of_int o.retries));
+                     ("ladder", Json.Array (List.map (fun r -> Json.String r) o.rungs));
+                   ]
+               | Error f -> Resilience.failure_to_json f );
+             ("obs", Obs.snapshot ());
+           ])
+        json;
+      Ok ()
+    end
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ domains_arg $ fail_links_arg
+        (const run $ spec $ seed_arg $ trials_arg $ domains_arg $ fail_links_arg
        $ fail_npus_arg $ degrade_arg $ degrade_factor_arg $ budget_arg $ at_arg
        $ json_out))
   in
@@ -1228,173 +1047,106 @@ let trace_cmd =
           else ' ')
     end
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials out top
-      validate_file =
+  let validate file =
+    let* doc =
+      Result.map_error (Printf.sprintf "%s: not JSON: %s" file) (Json.parse (read_file file))
+    in
+    let* () = Result.map_error (Printf.sprintf "%s: INVALID: %s" file) (Chrome.validate doc) in
+    Format.printf "%s: valid Chrome trace-event JSON@." file;
+    Ok ()
+  in
+  let share (cp : Critpath.t) v =
+    Table.cell_percent (if cp.makespan > 0. then v /. cp.makespan else 0.)
+  in
+  let sum cats = List.fold_left (fun acc (_, w) -> acc +. w) 0. cats in
+  let run setup seed trials out top validate_file =
+    guard @@ fun () ->
     match validate_file with
-    | Some file -> (
-      let text = In_channel.with_open_bin file In_channel.input_all in
-      match Json.parse text with
-      | Error e -> fail "%s: not JSON: %s" file e
-      | Ok doc -> (
-        match Chrome.validate doc with
-        | Ok () ->
-          Format.printf "%s: valid Chrome trace-event JSON@." file;
-          `Ok ()
-        | Error e -> fail "%s: INVALID: %s" file e))
-    | None ->
-      with_setup topo_str alpha bw (fun topo ->
-          match Parse.parse_size size_str with
-          | Error e -> fail "%s" e
-          | Ok size -> (
-            match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-            | Error e -> fail "%s" e
-            | Ok pattern -> (
-              let spec =
-                Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                  ~npus:(Topology.num_npus topo) ()
-              in
-              Trace.enable ();
-              Trace.reset ();
-              let synthesize () =
-                if pattern = Pattern.All_to_all then
-                  Tacos.Alltoall.synthesize ~seed topo spec
-                else Synth.synthesize ~seed ~trials topo spec
-              in
-              match synthesize () with
-              | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-              | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-              | result ->
-                (* Transfer tags carry the collective phase ("phase:chunkN")
-                   so the analyzer can attribute the makespan per phase. *)
-                let tag_of =
-                  match result.Synth.phases with
-                  | Some (rs, _) ->
-                    fun (s : Schedule.send) ->
-                      Printf.sprintf "%s:chunk%d"
-                        (Schedule.phase_of_send ~reduce_scatter:rs s)
-                        s.chunk
-                  | None ->
-                    let name = Pattern.name pattern in
-                    fun (s : Schedule.send) ->
-                      Printf.sprintf "%s:chunk%d" name s.chunk
-                in
-                let program =
-                  Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec)
-                    result.Synth.schedule
-                in
-                let sim = Engine.run topo program in
-                let d = Trace.dump () in
-                let transfers = Sim_program.transfers program in
-                let phase_of tid =
-                  let tag = transfers.(tid).Sim_program.tag in
-                  match String.index_opt tag ':' with
-                  | Some i -> String.sub tag 0 i
-                  | None -> tag
-                in
-                let edge_ends = Array.make (Topology.num_links topo) (0, 0) in
-                List.iter
-                  (fun (e : Topology.edge) -> edge_ends.(e.id) <- (e.src, e.dst))
-                  (Topology.edges topo);
-                let link_label l =
-                  let src, dst = edge_ends.(l) in
-                  Printf.sprintf "link %d (%d->%d)" l src dst
-                in
-                let transfer_label tid =
-                  Printf.sprintf "t%d %s" tid transfers.(tid).Sim_program.tag
-                in
-                let doc =
-                  Chrome.export ~link_label ~transfer_label
-                    ~num_links:(Topology.num_links topo) d
-                in
-                match Chrome.validate doc with
-                | Error e -> fail "internal: emitted trace fails validation: %s" e
-                | Ok () ->
-                  let text = Json.encode doc in
-                  (match out with
-                  | "-" -> print_endline text
-                  | file -> write_file file (text ^ "\n"));
-                  Format.printf "topology:        %a@." Topology.pp topo;
-                  Format.printf "collective:      %a@." Spec.pp spec;
-                  Format.printf "simulated time:  %s@."
-                    (Units.time_pp sim.Engine.finish_time);
-                  Format.printf "trace:           %d events, %d spans%s@."
-                    (List.length d.Trace.events)
-                    (List.length d.Trace.spans)
-                    (if d.Trace.dropped > 0 then
-                       Printf.sprintf " (%d dropped at the buffer cap)" d.Trace.dropped
-                     else "");
-                  (match Critpath.analyze ~phase_of d.Trace.events with
-                  | None ->
-                    Format.printf "critical path:   (no completed transfers)@."
-                  | Some cp ->
-                    let attributed = Critpath.attributed_total cp in
-                    Format.printf
-                      "critical path:   ends at t%d; %s attributed of %s makespan@."
-                      cp.Critpath.critical_transfer (Units.time_pp attributed)
-                      (Units.time_pp cp.Critpath.makespan);
-                    Table.print
-                      ~header:[ "where the time went"; "seconds"; "share" ]
-                      (List.map
-                         (fun (c, v) ->
-                           [
-                             Critpath.category_name c;
-                             Units.time_pp v;
-                             Table.cell_percent
-                               (if cp.Critpath.makespan > 0. then
-                                  v /. cp.Critpath.makespan
-                                else 0.);
-                           ])
-                         cp.Critpath.totals);
-                    if cp.Critpath.per_phase <> [] then begin
-                      Format.printf "per collective phase:@.";
-                      Table.print
-                        ~header:[ "phase"; "seconds"; "share" ]
-                        (List.map
-                           (fun (phase, cats) ->
-                             let v =
-                               List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                             in
-                             [
-                               phase;
-                               Units.time_pp v;
-                               Table.cell_percent
-                                 (if cp.Critpath.makespan > 0. then
-                                    v /. cp.Critpath.makespan
-                                  else 0.);
-                             ])
-                           cp.Critpath.per_phase)
-                    end;
-                    let top_links =
-                      List.filteri (fun i _ -> i < top) cp.Critpath.per_link
-                    in
-                    if top_links <> [] then begin
-                      Format.printf
-                        "top critical links (busy over [0, %s], # >=75%% busy):@."
-                        (Units.time_pp sim.Engine.finish_time);
-                      List.iter
-                        (fun (l, cats) ->
-                          let v =
-                            List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                          in
-                          Format.printf "  %-18s |%s| %s on path@." (link_label l)
-                            (gantt sim.Engine.finish_time
-                               sim.Engine.link_intervals.(l))
-                            (Units.time_pp v))
-                        top_links
-                    end);
-                  (match out with
-                  | "-" -> ()
-                  | file ->
-                    Format.printf
-                      "trace written to %s (load in Perfetto / chrome://tracing)@."
-                        file);
-                  `Ok ())))
+    | Some file -> validate file
+    | None -> (
+      let* topo, spec = setup in
+      Trace.enable ();
+      Trace.reset ();
+      let result = Router.synthesize_any ~seed ~trials topo spec in
+      (* Transfer tags carry the collective phase ("phase:chunkN") so the
+         analyzer can attribute the makespan per phase. *)
+      let tag_of =
+        match result.phases with
+        | Some (rs, _) ->
+          fun (s : Schedule.send) ->
+            Printf.sprintf "%s:chunk%d" (Schedule.phase_of_send ~reduce_scatter:rs s) s.chunk
+        | None ->
+          let name = Pattern.name spec.pattern in
+          fun (s : Schedule.send) -> Printf.sprintf "%s:chunk%d" name s.chunk
+      in
+      let program =
+        Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec) result.schedule
+      in
+      let sim = Engine.run topo program in
+      let d = Trace.dump () in
+      let transfers = Sim_program.transfers program in
+      let phase_of tid =
+        let tag = transfers.(tid).tag in
+        match String.index_opt tag ':' with
+        | Some i -> String.sub tag 0 i
+        | None -> tag
+      in
+      let link_label l =
+        let e = Topology.edge topo l in
+        Printf.sprintf "link %d (%d->%d)" l e.src e.dst
+      in
+      let transfer_label tid = Printf.sprintf "t%d %s" tid transfers.(tid).tag in
+      let doc = Chrome.export ~link_label ~transfer_label ~num_links:(Topology.num_links topo) d in
+      match Chrome.validate doc with
+      | Error e -> errorf "internal: emitted trace fails validation: %s" e
+      | Ok () ->
+        emit out (Json.encode doc ^ "\n");
+        Format.printf "topology:        %a@." Topology.pp topo;
+        Format.printf "collective:      %a@." Spec.pp spec;
+        Format.printf "simulated time:  %s@." (Units.time_pp sim.finish_time);
+        Format.printf "trace:           %d events, %d spans%s@." (List.length d.events)
+          (List.length d.spans)
+          (if d.dropped > 0 then
+             Printf.sprintf " (%d dropped at the buffer cap)" d.dropped
+           else "");
+        (match Critpath.analyze ~phase_of d.events with
+        | None -> Format.printf "critical path:   (no completed transfers)@."
+        | Some cp ->
+          Format.printf "critical path:   ends at t%d; %s attributed of %s makespan@."
+            cp.critical_transfer
+            (Units.time_pp (Critpath.attributed_total cp))
+            (Units.time_pp cp.makespan);
+          Table.print
+            ~header:[ "where the time went"; "seconds"; "share" ]
+            (List.map
+               (fun (c, v) -> [ Critpath.category_name c; Units.time_pp v; share cp v ])
+               cp.totals);
+          if cp.per_phase <> [] then begin
+            Format.printf "per collective phase:@.";
+            Table.print
+              ~header:[ "phase"; "seconds"; "share" ]
+              (List.map
+                 (fun (phase, cats) -> [ phase; Units.time_pp (sum cats); share cp (sum cats) ])
+                 cp.per_phase)
+          end;
+          let top_links = List.filteri (fun i _ -> i < top) cp.per_link in
+          if top_links <> [] then begin
+            Format.printf "top critical links (busy over [0, %s], # >=75%% busy):@."
+              (Units.time_pp sim.finish_time);
+            List.iter
+              (fun (l, cats) ->
+                Format.printf "  %-18s |%s| %s on path@." (link_label l)
+                  (gantt sim.finish_time sim.link_intervals.(l))
+                  (Units.time_pp (sum cats)))
+              top_links
+          end);
+        if out <> "-" then
+          Format.printf "trace written to %s (load in Perfetto / chrome://tracing)@." out;
+        Ok ())
   in
   let term =
     Term.(
-      ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ out_arg $ top_arg $ validate_arg))
+      ret (const run $ spec $ seed_arg $ trials_arg $ out_arg $ top_arg $ validate_arg))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1445,7 +1197,7 @@ let serve_cmd =
   in
   let queue_limit_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive 16
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Max in-flight requests before load is shed with structured \
@@ -1503,20 +1255,17 @@ let serve_cmd =
   in
   let run stdio socket registry_dir max_disk_mb queue_limit deadline_ms
       metrics_file metrics_interval access_log seed trials domains =
+    guard @@ fun () ->
     if (not stdio) && socket = None then
-      fail "pass --stdio or --socket PATH (nothing to serve on)"
-    else if trials <= 0 || domains <= 0 || queue_limit <= 0 then
-      fail "--trials, --domains and --queue-limit must be positive"
-    else if metrics_interval <= 0. then fail "--metrics-interval must be positive"
+      Error "pass --stdio or --socket PATH (nothing to serve on)"
+    else if metrics_interval <= 0. then Error "--metrics-interval must be positive"
     else if (match max_disk_mb with Some mb -> mb <= 0 | None -> false) then
-      fail "--max-disk-mb must be positive"
+      Error "--max-disk-mb must be positive"
     else if max_disk_mb <> None && registry_dir = None then
-      fail "--max-disk-mb needs --registry DIR (nothing on disk to cap)"
+      Error "--max-disk-mb needs --registry DIR (nothing on disk to cap)"
     else begin
-      reporting_write_errors @@ fun () ->
-      (* The daemon keeps observability on: serve.* counters feed the
-         stats op, the metrics exposition, and any profile taken against a
-         long-running server. *)
+      (* The daemon keeps observability on for the metrics exposition and
+         any profile taken against a long-running server. *)
       Obs.enable ();
       let access_sink, close_access =
         match access_log with
@@ -1552,7 +1301,7 @@ let serve_cmd =
           try
             write_file tmp (Service.metrics svc);
             Sys.rename tmp path
-          with Cannot_write _ | Sys_error _ -> ())
+          with File_error _ | Sys_error _ -> ())
       in
       if metrics_file <> None then
         ignore
@@ -1570,7 +1319,7 @@ let serve_cmd =
            flush once more so --metrics-file always has the final state. *)
         flush_metrics ();
         close_access ();
-        `Ok ()
+        Ok ()
       | Some path -> (
         (* A socket file left behind by a previous run would make bind fail
            with EADDRINUSE. Unlink it — but only if it actually is a
@@ -1583,7 +1332,7 @@ let serve_cmd =
           | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok false
         in
         match stale with
-        | Error msg -> fail "--socket: %s" msg
+        | Error msg -> Error ("--socket: " ^ msg)
         | Ok was_stale ->
           if was_stale then begin
             Printf.eprintf "tacos serve: removing stale socket %s\n%!" path;
@@ -1694,9 +1443,10 @@ let top_cmd =
     else if b >= 1024. then Printf.sprintf "%.1f KB" (b /. 1024.)
     else Printf.sprintf "%.0f B" b
   in
+  (* A number in a stats document, 0 when absent. *)
+  let field doc k = Option.value ~default:0. (Option.bind (Json.member k doc) Json.to_float) in
   let render path doc ~rps =
-    let num k = match Json.member k doc with Some (Json.Number v) -> v | _ -> 0. in
-    let obj k = match Json.member k doc with Some (Json.Object l) -> l | _ -> [] in
+    let num = field doc in
     let hits = num "hits" and misses = num "misses" in
     let accepted = num "accepted" and shed = num "shed" in
     let answered = hits +. misses in
@@ -1710,8 +1460,7 @@ let top_cmd =
       (if answered > 0. then Table.cell_percent (hits /. answered) else "-")
       (if offered > 0. then Table.cell_percent (shed /. offered) else "-")
       (num "degraded") (num "deadline_missed") (num "errors");
-    let reg = Json.Object (obj "registry") in
-    let rnum k = match Json.member k reg with Some (Json.Number v) -> v | _ -> 0. in
+    let rnum = field (Option.value ~default:Json.Null (Json.member "registry" doc)) in
     Printf.printf
       "registry  %.0f in memory, %.0f on disk (%s, %.0f corrupt, %.0f \
        quarantined)\n\n"
@@ -1719,24 +1468,25 @@ let top_cmd =
       (bytes_pp (rnum "disk_bytes"))
       (rnum "disk_corrupt") (num "quarantined");
     let rows =
-      List.filter_map
-        (fun (verb, q) ->
-          match q with
-          | Json.Object _ ->
-            let qn k =
-              match Json.member k q with Some (Json.Number v) -> v | _ -> 0.
-            in
-            Some
-              [
-                verb;
-                Printf.sprintf "%.0f" (qn "count");
-                Table.cell_float ~decimals:3 (qn "p50");
-                Table.cell_float ~decimals:3 (qn "p90");
-                Table.cell_float ~decimals:3 (qn "p95");
-                Table.cell_float ~decimals:3 (qn "p99");
-              ]
-          | _ -> None)
-        (obj "latency_ms")
+      match Json.member "latency_ms" doc with
+      | Some (Json.Object verbs) ->
+        List.filter_map
+          (fun (verb, q) ->
+            match q with
+            | Json.Object _ ->
+              let quantile k = Table.cell_float ~decimals:3 (field q k) in
+              Some
+                [
+                  verb;
+                  Printf.sprintf "%.0f" (field q "count");
+                  quantile "p50";
+                  quantile "p90";
+                  quantile "p95";
+                  quantile "p99";
+                ]
+            | _ -> None)
+          verbs
+      | _ -> []
     in
     if rows <> [] then
       Table.print
@@ -1744,66 +1494,56 @@ let top_cmd =
         rows
   in
   let run socket interval iterations validate =
-    match validate with
-    | Some file -> (
-      let text = In_channel.with_open_bin file In_channel.input_all in
-      match Tacos_obs.Expo.validate text with
-      | Ok () ->
-        let samples =
-          match Tacos_obs.Expo.parse text with Ok l -> List.length l | Error _ -> 0
+    guard @@ fun () ->
+    match (validate, socket) with
+    | Some file, _ ->
+      let text = read_file file in
+      let* () =
+        Result.map_error (Printf.sprintf "%s: invalid exposition: %s" file)
+          (Tacos_obs.Expo.validate text)
+      in
+      let samples =
+        match Tacos_obs.Expo.parse text with Ok l -> List.length l | Error _ -> 0
+      in
+      Printf.printf "%s: valid Prometheus text exposition (%d samples)\n" file samples;
+      Ok ()
+    | None, None -> Error "pass --socket PATH to watch a server (or --validate FILE)"
+    | None, Some _ when interval <= 0. -> Error "--interval must be positive"
+    | None, Some path -> (
+      let prev_accepted = ref nan in
+      let prev_t = ref nan in
+      let frame i =
+        let* doc =
+          Result.map_error (Printf.sprintf "%s: bad stats response: %s" path) (poll_stats path)
         in
-        Printf.printf "%s: valid Prometheus text exposition (%d samples)\n" file
-          samples;
-        `Ok ()
-      | Error e -> fail "%s: invalid exposition: %s" file e)
-    | None -> (
-      match socket with
-      | None -> fail "pass --socket PATH to watch a server (or --validate FILE)"
-      | Some path ->
-        if interval <= 0. then fail "--interval must be positive"
+        let accepted = field doc "accepted" in
+        let now = Unix.gettimeofday () in
+        let rps =
+          if Float.is_nan !prev_accepted || now <= !prev_t then 0.
+          else (accepted -. !prev_accepted) /. (now -. !prev_t)
+        in
+        prev_accepted := accepted;
+        prev_t := now;
+        (* ANSI clear + home, like every terminal dashboard; frames scroll
+           plainly when the output is not a tty. *)
+        if Unix.isatty Unix.stdout then print_string "\027[2J\027[H"
+        else if i > 0 then print_newline ();
+        render path doc ~rps;
+        flush stdout;
+        Ok ()
+      in
+      let rec loop i =
+        let* () = frame i in
+        if iterations > 0 && i + 1 >= iterations then Ok ()
         else begin
-          let prev_accepted = ref nan in
-          let prev_t = ref nan in
-          let frame i =
-            match poll_stats path with
-            | Error e -> fail "%s: bad stats response: %s" path e
-            | Ok doc ->
-              let accepted =
-                match Json.member "accepted" doc with
-                | Some (Json.Number v) -> v
-                | _ -> 0.
-              in
-              let now = Unix.gettimeofday () in
-              let rps =
-                if Float.is_nan !prev_accepted || now <= !prev_t then 0.
-                else (accepted -. !prev_accepted) /. (now -. !prev_t)
-              in
-              prev_accepted := accepted;
-              prev_t := now;
-              (* ANSI clear + home, like every terminal dashboard; frames
-                 scroll plainly when the output is not a tty. *)
-              if Unix.isatty Unix.stdout then print_string "\027[2J\027[H"
-              else if i > 0 then print_newline ();
-              render path doc ~rps;
-              flush stdout;
-              `Ok ()
-          in
-          let rec loop i =
-            match frame i with
-            | `Ok () ->
-              if iterations > 0 && i + 1 >= iterations then `Ok ()
-              else begin
-                Thread.delay interval;
-                loop (i + 1)
-              end
-            | err -> err
-          in
-          try loop 0 with
-          | Unix.Unix_error (e, _, _) ->
-            fail "%s: %s (is 'tacos serve --socket' running?)" path
-              (Unix.error_message e)
-          | End_of_file -> fail "%s: connection closed mid-response" path
-        end)
+          Thread.delay interval;
+          loop (i + 1)
+        end
+      in
+      try loop 0 with
+      | Unix.Unix_error (e, _, _) ->
+        errorf "%s: %s (is 'tacos serve --socket' running?)" path (Unix.error_message e)
+      | End_of_file -> errorf "%s: connection closed mid-response" path)
   in
   let term =
     Term.(
@@ -1821,39 +1561,40 @@ let top_cmd =
 (* --- info -------------------------------------------------------------------- *)
 
 let info_cmd =
-  let run topo_str alpha bw =
-    with_setup topo_str alpha bw (fun topo ->
-        Format.printf "%a@." Topology.pp topo;
-        Format.printf "strongly connected: %b@." (Topology.is_strongly_connected topo);
-        Format.printf "diameter (latency): %s@."
-          (Units.time_pp (Topology.diameter_latency topo));
-        Format.printf "min ingress bw:     %s@."
-          (Units.bandwidth_pp (Topology.min_ingress_bandwidth topo));
-        Format.printf "total bw:           %s@."
-          (Units.bandwidth_pp (Topology.total_bandwidth topo));
-        (match Topology.hierarchy topo with
-        | Some dims ->
-          Format.printf "hierarchy:          %s@."
-            (String.concat " x "
-               (Array.to_list
-                  (Array.map
-                     (fun (d : Topology.dim) ->
-                       let kind =
-                         match d.kind with
-                         | Topology.Ring_dim -> "Ring"
-                         | Topology.Mesh_dim -> "Mesh"
-                         | Topology.Fully_connected_dim -> "FC"
-                         | Topology.Switch_dim k -> Printf.sprintf "Switch(d=%d)" k
-                       in
-                       Printf.sprintf "%s[%d]" kind d.size)
-                     dims)))
-        | None -> ());
-        (match Topology.rings topo with
-        | Some rings -> Format.printf "ring embeddings:    %d recorded@." (List.length rings)
-        | None -> ());
-        `Ok ())
+  let run topology =
+    guard @@ fun () ->
+    let* topo = topology in
+    Format.printf "%a@." Topology.pp topo;
+    Format.printf "strongly connected: %b@." (Topology.is_strongly_connected topo);
+    Format.printf "diameter (latency): %s@."
+      (Units.time_pp (Topology.diameter_latency topo));
+    Format.printf "min ingress bw:     %s@."
+      (Units.bandwidth_pp (Topology.min_ingress_bandwidth topo));
+    Format.printf "total bw:           %s@."
+      (Units.bandwidth_pp (Topology.total_bandwidth topo));
+    (match Topology.hierarchy topo with
+    | Some dims ->
+      Format.printf "hierarchy:          %s@."
+        (String.concat " x "
+           (Array.to_list
+              (Array.map
+                 (fun (d : Topology.dim) ->
+                   let kind =
+                     match d.kind with
+                     | Topology.Ring_dim -> "Ring"
+                     | Topology.Mesh_dim -> "Mesh"
+                     | Topology.Fully_connected_dim -> "FC"
+                     | Topology.Switch_dim k -> Printf.sprintf "Switch(d=%d)" k
+                   in
+                   Printf.sprintf "%s[%d]" kind d.size)
+                 dims)))
+    | None -> ());
+    (match Topology.rings topo with
+    | Some rings -> Format.printf "ring embeddings:    %d recorded@." (List.length rings)
+    | None -> ());
+    Ok ()
   in
-  let term = Term.(ret (const run $ topology_arg $ alpha_arg $ bw_arg)) in
+  let term = Term.(ret (const run $ topology)) in
   Cmd.v (Cmd.info "info" ~doc:"Show topology properties") term
 
 let () =

@@ -11,7 +11,8 @@ type t =
   | All_to_all
       (** every NPU sends a distinct chunk to every other NPU (MoE-style);
           an extension beyond the paper's Table III, synthesized by
-          {!Tacos.Alltoall} rather than the matching loop *)
+          the time-space router ([Tacos.Router.synthesize_any]) rather
+          than the matching loop *)
 
 val name : t -> string
 

@@ -297,17 +297,10 @@ let evicted t =
    syntheses take seconds; lookups must not serialize behind them — then
    publishes under the lock and broadcasts. N concurrent identical
    requests therefore run exactly one synthesis; the N-1 joiners are
-   counted under [registry.inflight_joins] and report [`Hit]. *)
-(* The default miss backend: routed patterns go through [Router], the rest
-   through [Synthesizer]. Servers inject their own (deadline-carrying)
-   backend via [?synthesize]. *)
-let default_backend ~seed ~domains topo (spec : Spec.t) =
-  match spec.pattern with
-  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-    Router.synthesize ~seed topo spec
-  | _ -> Synthesizer.synthesize ~seed ~domains topo spec
-
-let find_or_synthesize ?(seed = 42) ?(domains = 1) ?(synthesize = default_backend)
+   counted under [registry.inflight_joins] and report [`Hit]. Servers
+   inject their own (deadline-carrying) miss backend via [?synthesize]. *)
+let find_or_synthesize ?(seed = 42) ?(domains = 1)
+    ?(synthesize = fun ~seed ~domains topo spec -> Router.synthesize_any ~seed ~domains topo spec)
     ?variant t topo (spec : Spec.t) =
   let k = key ?variant topo spec in
   let claim () =

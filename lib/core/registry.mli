@@ -56,10 +56,9 @@ val find_or_synthesize :
   Spec.t ->
   Synthesizer.result * [ `Hit | `Miss ]
 (** Return the cached schedule for this (topology, spec) or synthesize,
-    cache, and return it. By default routed patterns (All-to-All, Gather,
-    Scatter) go through {!Router}, everything else through {!Synthesizer}
-    (with [domains] forwarded, spreading synthesis trials over the shared
-    {!Tacos_util.Pool}); [synthesize] replaces that miss backend — the
+    cache, and return it. The default miss backend is
+    {!Router.synthesize_any} (with [domains] forwarded, spreading synthesis
+    trials over the shared {!Tacos_util.Pool}); [synthesize] replaces it — the
     serving layer injects one that carries the request deadline. Disk
     entries persist their provenance — the synthesis stats and, for
     All-Reduce, the reduce-scatter makespan — as extra JSON fields next to

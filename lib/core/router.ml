@@ -193,3 +193,17 @@ let synthesize ?(seed = 42) topo (spec : Spec.t) =
         trials = 1;
       };
   }
+
+let synthesize_any ?seed ?trials ?domains ?deadline ?sketch topo (spec : Spec.t) =
+  match spec.pattern with
+  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
+    (match deadline with
+    | Some d when Tacos_util.Deadline.expired d ->
+      raise Synthesizer.Deadline_exceeded
+    | _ -> ());
+    if Option.is_some sketch then
+      raise
+        (Synthesizer.Unsupported
+           (Pattern.name spec.pattern ^ ": sketches constrain the matching loop only"));
+    synthesize ?seed topo spec
+  | _ -> Synthesizer.synthesize ?seed ?trials ?domains ?deadline ?sketch topo spec

@@ -575,7 +575,7 @@ let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
     raise
       (Unsupported
          "All-to-All has pairwise demands the matching loop cannot pull; \
-          use Tacos.Router (or Tacos.Alltoall)")
+          use Tacos.Router")
 
 (* One full trial: the schedule and its phase split, rounds, matches. *)
 let trial ~prefer_cheap_links ?deadline ~constraints topo (spec : Spec.t) rng =

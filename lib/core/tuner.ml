@@ -23,12 +23,7 @@ let sweep ?(seed = 42) ?(domains = 1) ?(candidates = [ 1; 2; 4; 8; 16 ])
   let synthesize =
     match synthesize with
     | Some f -> f
-    | None ->
-      fun ~seed topo spec ->
-        (match (spec : Spec.t).pattern with
-        | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-          Router.synthesize ~seed topo spec
-        | _ -> Synthesizer.synthesize ~seed ~domains topo spec)
+    | None -> fun ~seed topo spec -> Router.synthesize_any ~seed ~domains topo spec
   in
   List.map
     (fun chunks_per_npu ->
@@ -37,11 +32,13 @@ let sweep ?(seed = 42) ?(domains = 1) ?(candidates = [ 1; 2; 4; 8; 16 ])
       { chunks_per_npu; result; simulated_time = simulated_time topo result })
     candidates
 
-let tune ?seed ?domains ?candidates ?synthesize topo ~pattern ~size =
-  match sweep ?seed ?domains ?candidates ?synthesize topo ~pattern ~size with
-  | [] -> invalid_arg "Tuner.tune: no candidates"
+let best = function
+  | [] -> invalid_arg "Tuner.best: no choices"
   | first :: rest ->
-    (* Strict [<] keeps ties on the earliest candidate, as before. *)
+    (* Strict [<] keeps ties on the earliest candidate. *)
     List.fold_left
       (fun best c -> if c.simulated_time < best.simulated_time then c else best)
       first rest
+
+let tune ?seed ?domains ?candidates ?synthesize topo ~pattern ~size =
+  best (sweep ?seed ?domains ?candidates ?synthesize topo ~pattern ~size)

@@ -48,8 +48,13 @@ val tune :
     pool); a custom [synthesize] backend receives only [seed] and should
     capture its own parallelism settings. [synthesize] swaps the backend
     the candidates are synthesized with — the hierarchical group planner
-    ([Tacos_groups.Plan]) plugs in here; the default dispatches to
-    {!Router}/{!Synthesizer} as above. *)
+    ([Tacos_groups.Plan]) plugs in here; the default is
+    {!Router.synthesize_any}. *)
+
+val best : choice list -> choice
+(** The choice with the lowest simulated time, the earliest on a tie: the
+    pick {!tune} makes from {!sweep}. Raises [Invalid_argument] on an
+    empty list. *)
 
 val simulated_time : Topology.t -> Synthesizer.result -> float
 (** Replay a synthesis result under the simulator backend (the paper's

@@ -113,7 +113,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
        fabric — reseeding cannot help, so it drops straight to baselines). *)
     let attempt s =
       if spec.Spec.pattern = Pattern.All_to_all then
-        Tacos.Alltoall.synthesize ~seed:s degraded spec
+        Tacos.Router.synthesize ~seed:s degraded spec
       else Synth.synthesize ~seed:s ~trials ~domains ?deadline:eff_deadline degraded spec
     in
     let finish ~retries ~rungs plan =

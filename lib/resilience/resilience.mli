@@ -83,8 +83,8 @@ val synthesize :
     and the fault set rather than pre-degrading, so failures can name the
     disconnecting fault. [max_retries] defaults to 3; [baselines]
     defaults to {!Tacos_baselines.Algo.all}. All-to-All specs dispatch to
-    {!Tacos.Alltoall}. [domains] (default 1) parallelizes each attempt's
-    trials on the shared {!Tacos_util.Pool}; the ladder's outcome stays
+    {!Tacos.Router.synthesize}. [domains] (default 1) parallelizes each
+    attempt's trials on the shared {!Tacos_util.Pool}; the ladder's outcome stays
     deterministic for a given [seed]. Never raises [Stuck]/[Unsupported].
 
     Time bounds are {e cooperative all the way down}: [budget_ms] (default

@@ -22,17 +22,6 @@ module Resilience = Tacos_resilience.Resilience
 module Fault = Tacos_resilience.Fault
 module Sketch = Tacos_sketch.Sketch
 
-(* Obs mirrors of the lifecycle counters — off by default like the rest of
-   the obs registry; the plain mutable counters below are always on so the
-   bench can assert on them without enabling observability. *)
-let c_accepted = Obs.counter "serve.accepted"
-let c_shed = Obs.counter "serve.shed"
-let c_hits = Obs.counter "serve.hits"
-let c_misses = Obs.counter "serve.misses"
-let c_degraded = Obs.counter "serve.degraded"
-let c_deadline_missed = Obs.counter "serve.deadline_missed"
-let c_errors = Obs.counter "serve.errors"
-
 (* Registry size accounting (the input signal of the disk-cap eviction in
    [Registry]): running-max gauges refreshed on every stats/metrics
    render. *)
@@ -121,29 +110,15 @@ type stats = {
   disk : Registry.disk_usage;
 }
 
-(* The default miss backend: routed patterns have no round loop to poll,
-   so an already-expired deadline refuses them up front — the caller
-   degrades exactly as it would for a pull synthesis that ran out of
-   time. *)
-let default_backend ~trials ~deadline ~sketch ~seed ~domains topo
-    (spec : Spec.t) =
-  match spec.Spec.pattern with
-  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-    (* Sketched routed requests never reach here: sketch compilation
-       rejects routed patterns up front with Unsupported_pattern. *)
-    (match deadline with
-    | Some d when Deadline.expired d -> raise Synth.Deadline_exceeded
-    | _ -> ());
-    Router.synthesize ~seed topo spec
-  | _ -> Synth.synthesize ~seed ~trials ~domains ?deadline ?sketch topo spec
-
 let create ?(config = default_config) ?synthesize () =
   if config.queue_limit <= 0 then
     invalid_arg "Service.create: queue_limit must be positive";
   let backend =
     match synthesize with
     | Some f -> f
-    | None -> default_backend ~trials:config.trials
+    | None ->
+      fun ~deadline ~sketch ~seed ~domains topo spec ->
+        Router.synthesize_any ~seed ~trials:config.trials ~domains ?deadline ?sketch topo spec
   in
   {
     config;
@@ -198,11 +173,10 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let bump t obs set =
+let bump t set =
   Mutex.lock t.lock;
   set t;
-  Mutex.unlock t.lock;
-  Obs.incr obs
+  Mutex.unlock t.lock
 
 let elapsed_ms t0 = Clock.elapsed t0 *. 1e3
 
@@ -214,7 +188,7 @@ let record_ms t q ms =
 let respond = Protocol.response
 
 let error_response t ~id ?failure msg =
-  bump t c_errors (fun t -> t.errors <- t.errors + 1);
+  bump t (fun t -> t.errors <- t.errors + 1);
   respond ~id ~status:"error"
     (("message", Json.String msg)
     ::
@@ -306,13 +280,13 @@ let ok_fields ~t0 ~cached ~degraded ~algorithm ~collective_time ~sends extra =
    request with headroom should synthesize the real schedule. *)
 let degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec ~deadline_missed =
   if deadline_missed then
-    bump t c_deadline_missed (fun t -> t.deadline_missed <- t.deadline_missed + 1);
+    bump t (fun t -> t.deadline_missed <- t.deadline_missed + 1);
   match
     Resilience.synthesize ~seed ~trials:t.config.trials ~domains:t.config.domains
       ?deadline ~faults healthy spec
   with
   | Ok { Resilience.plan = Resilience.Baseline { algo; report }; _ } ->
-    bump t c_degraded (fun t -> t.degraded <- t.degraded + 1);
+    bump t (fun t -> t.degraded <- t.degraded + 1);
     let slack =
       match deadline with
       | Some d -> [ ("deadline_slack_ms", Json.Number (Deadline.slack_ms d)) ]
@@ -337,8 +311,8 @@ let handle_synthesize t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
     ~deadline ~seed ~spec ~sketch =
   let id = req.Protocol.id in
   let answer ~cached (result : Synth.result) =
-    if cached then bump t c_hits (fun t -> t.hits <- t.hits + 1)
-    else bump t c_misses (fun t -> t.misses <- t.misses + 1);
+    if cached then bump t (fun t -> t.hits <- t.hits + 1)
+    else bump t (fun t -> t.misses <- t.misses + 1);
     respond ~id ~status:"ok"
       (ok_fields ~t0 ~cached ~degraded:false ~algorithm:"tacos"
          ~collective_time:result.Synth.collective_time
@@ -396,7 +370,7 @@ let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
       ~pattern ~size:req.Protocol.size
   with
   | choice ->
-    bump t c_misses (fun t -> t.misses <- t.misses + 1);
+    bump t (fun t -> t.misses <- t.misses + 1);
     respond ~id ~status:"ok"
       (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
          ~collective_time:choice.Tuner.simulated_time
@@ -690,14 +664,12 @@ let handle_request t (req : Protocol.request) ~t0 =
           t.shed <- t.shed + 1;
           let hint = Float.max 1. t.ema_ms in
           Mutex.unlock t.lock;
-          Obs.incr c_shed;
           Error hint
         end
         else begin
           t.inflight <- t.inflight + 1;
           t.accepted <- t.accepted + 1;
           Mutex.unlock t.lock;
-          Obs.incr c_accepted;
           Ok ()
         end
       in

@@ -30,9 +30,8 @@ module Registry := Tacos.Registry
       atomically; corrupt files found on load are quarantined to
       [*.corrupt] and re-synthesized, never fatal.
 
-    Every lifecycle event is counted twice: in always-on plain counters
-    ({!stats}, for assertions and the [stats] op) and in the off-by-default
-    [serve.*] {!Tacos_obs.Obs} registry (for profiles and bench rows).
+    Every lifecycle event is counted once, in always-on plain counters
+    read by {!stats}, the [stats] op and {!metrics}.
 
     On top of the counters sits the telemetry layer: every request's
     end-to-end latency lands in a per-verb {!Tacos_obs.Quantile} sketch
@@ -78,14 +77,12 @@ type backend =
   Topology.t ->
   Spec.t ->
   Synth.result
-(** The synthesis function run on a cache miss. The default dispatches
-    routed patterns to {!Tacos.Router} and the rest to
-    {!Tacos.Synthesizer.synthesize} with the deadline and the compiled
-    communication sketch threaded through (and refuses routed syntheses
-    whose deadline already passed, raising
-    {!Tacos.Synthesizer.Deadline_exceeded}; sketched routed requests are
-    rejected upstream at sketch compilation). Tests and benches inject
-    stubs — a backend that blocks, fails once, or sleeps. *)
+(** The synthesis function run on a cache miss. The default is
+    {!Tacos.Router.synthesize_any} with the configured trials and the
+    deadline and the compiled communication sketch threaded through
+    (sketched routed requests are rejected upstream at sketch
+    compilation). Tests and benches inject stubs — a backend that blocks,
+    fails once, or sleeps. *)
 
 type t
 

@@ -84,11 +84,7 @@ let sweep ?seed ?(trials = 1) ?(domains = 1) ?candidates ?sketch topo ~pattern
          count, and infeasibility must surface before matching starts. *)
       let c = Sketch.compile topo spec sk in
       Tacos.Synthesizer.synthesize ~seed ~trials ~domains ~sketch:c topo spec
-    | None -> (
-      match (spec : Spec.t).pattern with
-      | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-        Tacos.Router.synthesize ~seed topo spec
-      | _ -> Tacos.Synthesizer.synthesize ~seed ~trials ~domains topo spec)
+    | None -> Tacos.Router.synthesize_any ~seed ~trials ~domains topo spec
   in
   let choices =
     Tacos.Tuner.sweep ?seed ?candidates ~synthesize topo ~pattern ~size

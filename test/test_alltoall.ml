@@ -4,7 +4,7 @@
 open Tacos_topology
 open Tacos_collective
 module Synth = Tacos.Synthesizer
-module Alltoall = Tacos.Alltoall
+module Router = Tacos.Router
 
 let time = Alcotest.float 1e-9
 let unit_link = Link.make ~alpha:1. ~beta:0.
@@ -31,7 +31,7 @@ let test_spec_conditions () =
 let test_fc_one_shot () =
   (* On FullyConnected, All-to-All is a single direct exchange. *)
   let topo = Builders.fully_connected ~link:unit_link 5 in
-  let r = Alltoall.synthesize topo (spec 5) in
+  let r = Router.synthesize topo (spec 5) in
   check_valid topo r;
   Alcotest.check time "one span" 1.0 r.Synth.collective_time
 
@@ -39,19 +39,19 @@ let test_ring_serializes () =
   (* Unidirectional unit ring of 4: total relayed hops = sum of distances
      = 4 * (1+2+3) = 24 over 4 links => at least 6 time units. *)
   let topo = Builders.ring ~link:unit_link ~bidirectional:false 4 in
-  let r = Alltoall.synthesize topo (spec 4) in
+  let r = Router.synthesize topo (spec 4) in
   check_valid topo r;
   Alcotest.(check bool) "bisection lower bound" true (r.Synth.collective_time >= 6.0 -. 1e-9)
 
 let test_mesh_validates_with_chunks () =
   let topo = Builders.mesh ~link:unit_link [| 3; 3 |] in
-  let r = Alltoall.synthesize topo (spec ~chunks_per_npu:2 9) in
+  let r = Router.synthesize topo (spec ~chunks_per_npu:2 9) in
   check_valid topo r
 
 let test_deterministic () =
   let topo = Builders.mesh ~link:unit_link [| 3; 2 |] in
-  let a = Alltoall.synthesize ~seed:4 topo (spec 6) in
-  let b = Alltoall.synthesize ~seed:4 topo (spec 6) in
+  let a = Router.synthesize ~seed:4 topo (spec 6) in
+  let b = Router.synthesize ~seed:4 topo (spec 6) in
   Alcotest.check time "same seed, same makespan" a.Synth.collective_time
     b.Synth.collective_time
 
@@ -59,16 +59,7 @@ let test_matching_loop_rejects_a2a () =
   let topo = Builders.ring 4 in
   match Synth.synthesize topo (spec 4) with
   | exception Synth.Unsupported _ -> ()
-  | _ -> Alcotest.fail "the matching loop should defer All-to-All to Alltoall"
-
-let test_wrong_pattern_rejected () =
-  let topo = Builders.ring 4 in
-  Alcotest.check_raises "not an A2A spec"
-    (Invalid_argument "Alltoall.synthesize: spec pattern must be All_to_all")
-    (fun () ->
-      ignore
-        (Alltoall.synthesize topo
-           (Spec.make ~pattern:Pattern.All_gather ~npus:4 ())))
+  | _ -> Alcotest.fail "the matching loop should defer All-to-All to the router"
 
 let test_beats_or_matches_direct_on_mesh () =
   (* Congestion-aware reservations should not lose to blindly routed Direct
@@ -76,7 +67,7 @@ let test_beats_or_matches_direct_on_mesh () =
   let link = Link.of_bandwidth 50e9 in
   let topo = Builders.mesh ~link [| 4; 4 |] in
   let s = spec ~buffer_size:64e6 16 in
-  let r = Alltoall.synthesize topo s in
+  let r = Router.synthesize topo s in
   check_valid topo r;
   let program = Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size s) r.Synth.schedule in
   let tacos = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
@@ -88,7 +79,7 @@ let test_beats_or_matches_direct_on_mesh () =
 let test_gather_to_root () =
   let topo = Builders.mesh ~link:unit_link [| 3; 3 |] in
   let s = Spec.make ~buffer_size:9. ~pattern:(Pattern.Gather 4) ~npus:9 () in
-  let r = Tacos.Router.synthesize topo s in
+  let r = Router.synthesize topo s in
   (match Schedule.validate topo s r.Synth.schedule with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid gather: %s" e);
@@ -98,7 +89,7 @@ let test_gather_to_root () =
 let test_scatter_from_root () =
   let topo = Builders.ring ~link:unit_link 6 in
   let s = Spec.make ~buffer_size:6. ~pattern:(Pattern.Scatter 0) ~npus:6 () in
-  let r = Tacos.Router.synthesize topo s in
+  let r = Router.synthesize topo s in
   match Schedule.validate topo s r.Synth.schedule with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid scatter: %s" e
@@ -111,8 +102,8 @@ let test_gather_scatter_same_cost_regime () =
   let topo = Builders.torus ~link:unit_link [| 3; 3 |] in
   let gather = Spec.make ~buffer_size:9. ~pattern:(Pattern.Gather 0) ~npus:9 () in
   let scatter = Spec.make ~buffer_size:9. ~pattern:(Pattern.Scatter 0) ~npus:9 () in
-  let g = (Tacos.Router.synthesize ~seed:2 topo gather).Synth.collective_time in
-  let sc = (Tacos.Router.synthesize ~seed:2 topo scatter).Synth.collective_time in
+  let g = (Router.synthesize ~seed:2 topo gather).Synth.collective_time in
+  let sc = (Router.synthesize ~seed:2 topo scatter).Synth.collective_time in
   List.iter
     (fun t -> Alcotest.(check bool) "within the cost regime" true (t >= 2.0 && t <= 6.0))
     [ g; sc ];
@@ -121,10 +112,34 @@ let test_gather_scatter_same_cost_regime () =
 let test_router_rejects_matching_patterns () =
   let topo = Builders.ring 4 in
   match
-    Tacos.Router.synthesize topo (Spec.make ~pattern:Pattern.All_gather ~npus:4 ())
+    Router.synthesize topo (Spec.make ~pattern:Pattern.All_gather ~npus:4 ())
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "All-Gather belongs to the matching loop"
+
+(* [synthesize_any] routes All-to-All, Gather and Scatter and hands every
+   other pattern to the matching loop, bit for bit. *)
+let test_synthesize_any_dispatch () =
+  let topo = Builders.mesh ~link:unit_link [| 3; 3 |] in
+  let same what (a : Synth.result) (b : Synth.result) =
+    Alcotest.(check string) what (Schedule.to_json a.schedule) (Schedule.to_json b.schedule)
+  in
+  List.iter
+    (fun pattern ->
+      let s = Spec.make ~chunks_per_npu:2 ~pattern ~npus:9 () in
+      same (Pattern.name pattern) (Router.synthesize ~seed:3 topo s)
+        (Router.synthesize_any ~seed:3 ~trials:2 topo s))
+    [ Pattern.All_to_all; Pattern.Gather 4; Pattern.Scatter 0 ];
+  let ag = Spec.make ~pattern:Pattern.All_gather ~npus:9 () in
+  same "All-Gather" (Synth.synthesize ~seed:3 ~trials:2 topo ag)
+    (Router.synthesize_any ~seed:3 ~trials:2 topo ag);
+  let expired = Tacos_util.Deadline.after_ms (-1.) in
+  (match Router.synthesize_any ~deadline:expired topo (spec 9) with
+  | exception Synth.Deadline_exceeded -> ()
+  | _ -> Alcotest.fail "an expired deadline refuses a routed pattern");
+  match Router.synthesize_any ~sketch:Synth.no_constraints topo (spec 9) with
+  | exception Synth.Unsupported _ -> ()
+  | _ -> Alcotest.fail "a sketch does not apply to a routed pattern"
 
 (* --- Calendar ------------------------------------------------------------ *)
 
@@ -179,7 +194,7 @@ let prop_always_valid =
     (fun (a, b) ->
       let topo = Builders.torus ~link:unit_link [| a; b |] in
       let s = spec (a * b) in
-      let r = Alltoall.synthesize ~seed:(a + (10 * b)) topo s in
+      let r = Router.synthesize ~seed:(a + (10 * b)) topo s in
       Schedule.validate topo s r.Synth.schedule = Ok ())
 
 let () =
@@ -204,7 +219,6 @@ let () =
           Alcotest.test_case "mesh with chunks" `Quick test_mesh_validates_with_chunks;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "matching loop defers" `Quick test_matching_loop_rejects_a2a;
-          Alcotest.test_case "wrong pattern rejected" `Quick test_wrong_pattern_rejected;
           Alcotest.test_case "competitive with Direct" `Quick
             test_beats_or_matches_direct_on_mesh;
         ] );
@@ -216,6 +230,7 @@ let () =
             test_gather_scatter_same_cost_regime;
           Alcotest.test_case "rejects matching patterns" `Quick
             test_router_rejects_matching_patterns;
+          Alcotest.test_case "synthesize_any dispatch" `Quick test_synthesize_any_dispatch;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_always_valid ]);
     ]
