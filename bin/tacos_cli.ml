@@ -523,9 +523,8 @@ let profile_cmd =
       value & flag
       & info [ "trace" ]
           ~doc:
-            "Include the raw structured trace in the output: the Obs event \
-             stream and the full per-transfer lifecycle (schema documented \
-             in Tacos_obs.Trace).")
+            "Include the full per-transfer lifecycle in the output, under \
+             $(b,lifecycle) (schema documented in Tacos_obs.Trace).")
   in
   let run setup seed trials out trace =
     guard @@ fun () ->
@@ -571,9 +570,7 @@ let profile_cmd =
            ("obs", snap);
          ]
         @
-        if trace then
-          [ ("trace", Obs.trace_events ()); ("lifecycle", Trace.to_json (Trace.dump ())) ]
-        else [])
+        if trace then [ ("lifecycle", Trace.to_json (Trace.dump ())) ] else [])
     in
     emit ~what:"profile" out (Json.encode doc ^ "\n");
     Ok ()

@@ -1,5 +1,4 @@
 (* Namespaces of the substrate libraries. *)
-open Tacos_collective
 open Tacos_sim
 
 type t =
@@ -44,6 +43,9 @@ let simulate ?routing_size t topo spec =
 
 let all = [ Ring { bidirectional = true }; Direct; Rhd; Dbt; Multitree; Taccl_like ]
 
+(* Build and simulate, turning the structural exceptions (unsupported
+   pattern, non-power-of-two NPU count, missing hierarchy, unroutable
+   fabric) into [Error]. *)
 let probe ?routing_size t topo spec =
   match simulate ?routing_size t topo spec with
   | report -> Ok report
@@ -65,6 +67,3 @@ let best_feasible ?routing_size ?(candidates = all) topo spec =
 
 let collective_time ?routing_size t topo spec =
   (simulate ?routing_size t topo spec).Engine.finish_time
-
-let bandwidth ?routing_size t topo spec =
-  spec.Spec.buffer_size /. collective_time ?routing_size t topo spec

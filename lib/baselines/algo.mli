@@ -33,13 +33,6 @@ val all : t list
     Direct, RHD, DBT, MultiTree, TACCL-like (the hierarchy-bound algorithms
     need extra parameters and are probed separately when applicable). *)
 
-val probe : ?routing_size:float -> t -> Topology.t -> Spec.t -> (Engine.report, string) result
-(** Feasibility probe: build and simulate, turning the structural
-    [Invalid_argument]/[Failure] exceptions (unsupported pattern, non-power-
-    of-two NPU count, missing hierarchy, unroutable fabric) into [Error] —
-    the building block of the degraded-fabric fallback ladder in
-    [Tacos_resilience]. *)
-
 val best_feasible :
   ?routing_size:float -> ?candidates:t list -> Topology.t -> Spec.t ->
   (t * Engine.report) option
@@ -48,7 +41,3 @@ val best_feasible :
 
 val collective_time : ?routing_size:float -> t -> Topology.t -> Spec.t -> float
 (** The simulated completion time. *)
-
-val bandwidth : ?routing_size:float -> t -> Topology.t -> Spec.t -> float
-(** Collective bandwidth = buffer size / completion time (the paper's
-    reporting metric). *)

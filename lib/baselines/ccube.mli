@@ -14,4 +14,5 @@ val program : Topology.t -> Spec.t -> Program.t
 
 val tree_links_used : Topology.t -> int
 (** Number of directed physical links the two trees touch (for the
-    utilization argument of §VI-B.5). *)
+    utilization argument of §VI-B.5). Only tests call it: test_baselines'
+    "C-Cube idle links" pins the count. *)

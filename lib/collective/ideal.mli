@@ -16,8 +16,10 @@ val reduce_scatter_time : Topology.t -> size:float -> float
 
 val bandwidth : size:float -> time:float -> float
 (** Collective bandwidth = collective size ÷ collective time (the paper's
-    reporting metric). *)
+    reporting metric). Only tests call it: test_collective's "efficiency and
+    bandwidth". *)
 
 val efficiency : ideal:float -> measured:float -> float
 (** [ideal /. measured] for times (equivalently measured/ideal for
-    bandwidths); 1.0 means the theoretical optimum. *)
+    bandwidths); 1.0 means the theoretical optimum. Only tests call it:
+    test_collective's "efficiency and bandwidth". *)

@@ -10,7 +10,8 @@ type op =
   | Recv of { chunk : int; peer : int; link : int; start : float; finish : float }
 
 val time_of : op -> float
-(** The op's start time (sort key). *)
+(** The op's start time (sort key). Outside this module only tests call it:
+    test_collective's "per-NPU lowering" checks each program is in its order. *)
 
 val npu_programs : npus:int -> Schedule.t -> op list array
 (** [npu_programs ~npus sched]: for each NPU, its sends and receives in

@@ -3,6 +3,31 @@ open Tacos_topology
 
 let lowercase = String.lowercase_ascii
 
+(* The largest fabric a description may ask for: at about 112 bytes per
+   directed link, 2^24 links stay under 2 GB, far above the paper's
+   fabrics (at most 1,024 NPUs). Past the bounds, building would end in
+   [Out_of_memory], so sizes are computed and refused before allocating. *)
+let max_npus = 1 lsl 20
+let max_links = 1 lsl 24
+
+(* [a * b] for non-negative ints, saturating at [max_int]. *)
+let mul_sat a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+let too_large count unit bound =
+  Printf.sprintf "%s %s, over the bound of %d"
+    (if count = max_int then Printf.sprintf "%d or more" count else string_of_int count)
+    unit bound
+
+(* Refuse a fabric of [npus] NPUs past the bounds, then one of [links ()]
+   links; the link count is only computed once [npus] is in bounds, where
+   it cannot overflow. *)
+let bounded desc ~npus ~links build =
+  let refuse count unit bound = Error (desc ^ ": " ^ too_large count unit bound) in
+  if npus > max_npus then refuse npus "NPUs" max_npus
+  else
+    let links = links () in
+    if links > max_links then refuse links "links" max_links else Ok (build ())
+
 (* "4x4x4" -> [|4;4;4|] *)
 let parse_dims s =
   let parts = String.split_on_char 'x' s in
@@ -94,8 +119,15 @@ let parse_topology_lines ?(name = "custom") lines =
   in
   let require_link lineno bw_str alpha_str =
     match (parse_bandwidth bw_str, parse_time alpha_str) with
-    | Ok bw, Ok alpha -> Link.of_bandwidth ~alpha bw
+    | Ok bw, Ok alpha -> (
+      (* A bandwidth so small that its β overflows, e.g. 1e-320B/s. *)
+      match Link.of_bandwidth ~alpha bw with
+      | link -> link
+      | exception Invalid_argument _ -> fail lineno "bandwidth %S is too small" bw_str)
     | Error e, _ | _, Error e -> fail lineno "%s" e
+  in
+  let require_distinct lineno a b =
+    if a = b then fail lineno "a link from NPU %d to itself" a
   in
   let require_npu lineno topo token =
     match int_of_string_opt token with
@@ -111,18 +143,21 @@ let parse_topology_lines ?(name = "custom") lines =
         | [], _ -> ()
         | [ "npus"; count ], None -> (
           match int_of_string_opt count with
+          | Some n when n > max_npus -> fail lineno "%s" (too_large n "NPUs" max_npus)
           | Some n when n > 0 -> topo := Some (Topology.create ~name n)
           | _ -> fail lineno "bad NPU count %S" count)
         | "npus" :: _, Some _ -> fail lineno "duplicate npus directive"
         | _, None -> fail lineno "the first directive must be: npus N"
         | [ "link"; a; b; bw; alpha ], Some t ->
           let link = require_link lineno bw alpha in
-          ignore
-            (Topology.add_link t ~src:(require_npu lineno t a)
-               ~dst:(require_npu lineno t b) link)
+          let a = require_npu lineno t a and b = require_npu lineno t b in
+          require_distinct lineno a b;
+          ignore (Topology.add_link t ~src:a ~dst:b link)
         | [ "bilink"; a; b; bw; alpha ], Some t ->
           let link = require_link lineno bw alpha in
-          Topology.add_bidir t (require_npu lineno t a) (require_npu lineno t b) link
+          let a = require_npu lineno t a and b = require_npu lineno t b in
+          require_distinct lineno a b;
+          Topology.add_bidir t a b link
         | "ring" :: rest, Some t when List.length rest >= 4 ->
           (* ring n0 n1 ... nk BW ALPHA *)
           let rec split_last2 = function
@@ -140,6 +175,7 @@ let parse_topology_lines ?(name = "custom") lines =
           let n = Array.length arr in
           for i = 0 to n - 1 do
             let a = arr.(i) and b = arr.((i + 1) mod n) in
+            require_distinct lineno a b;
             if n = 2 && i = 1 then () else Topology.add_bidir t a b link
           done
         | tok :: _, Some _ -> fail lineno "unknown directive %S" tok)
@@ -166,20 +202,39 @@ let build_topology ~alpha ~bw link s =
       (lowercase (String.sub s 0 i), String.sub s (i + 1) (String.length s - i - 1))
     | None -> (lowercase s, "")
   in
-  let with_dims f = Result.map f (parse_dims arg) in
-  let with_int f =
+  (* An integer-sized fabric of [npus n] NPUs and [links n] links. *)
+  let with_int npus links build =
     match int_of_string_opt arg with
-    | Some n when n > 1 -> Ok (f n)
+    | Some n when n > 1 ->
+      bounded s ~npus:(npus n) ~links:(fun () -> links n) (fun () -> build n)
     | _ -> Error (Printf.sprintf "%s needs an integer size, got %S" kind arg)
   in
+  (* A hierarchical fabric has the product of its dimensions as NPUs, and
+     its dimension [i] of size [d] holds [npus / d] groups of
+     [per_group i d] links each. *)
+  let hierarchical dims per_group build =
+    let npus = Array.fold_left mul_sat 1 dims in
+    let links () =
+      Array.fold_left ( + ) 0 (Array.mapi (fun i d -> npus / d * per_group i d) dims)
+    in
+    bounded s ~npus ~links (fun () -> build dims)
+  in
+  let with_dims per_group build =
+    Result.bind (parse_dims arg) (fun dims -> hierarchical dims (fun _ -> per_group) build)
+  in
+  let ring_links d = if d = 1 then 0 else if d = 2 then 2 else 2 * d in
   match kind with
-  | "ring" -> with_int (fun n -> Builders.ring ~link n)
-  | "uniring" -> with_int (fun n -> Builders.ring ~link ~bidirectional:false n)
-  | "fc" | "fullyconnected" -> with_int (fun n -> Builders.fully_connected ~link n)
-  | "mesh" -> with_dims (fun dims -> Builders.mesh ~link dims)
-  | "torus" -> with_dims (fun dims -> Builders.torus ~link dims)
-  | "hypercube" | "hc" -> with_int (fun k -> Builders.hypercube ~link k)
-  | "switch" -> with_int (fun n -> Builders.switch ~link ~degree:1 n)
+  | "ring" -> with_int Fun.id ring_links (Builders.ring ~link)
+  | "uniring" -> with_int Fun.id Fun.id (Builders.ring ~link ~bidirectional:false)
+  | "fc" | "fullyconnected" ->
+    with_int Fun.id (fun n -> n * (n - 1)) (Builders.fully_connected ~link)
+  | "mesh" -> with_dims (fun d -> 2 * (d - 1)) (Builders.mesh ~link)
+  | "torus" -> with_dims ring_links (Builders.torus ~link)
+  | "hypercube" | "hc" ->
+    (* 2^k NPUs, saturating past k = 61 as the dimension product does. *)
+    let pow2 k = if k < Sys.int_size - 1 then 1 lsl k else max_int in
+    with_int pow2 (fun k -> k lsl k) (Builders.hypercube ~link)
+  | "switch" -> with_int Fun.id Fun.id (Builders.switch ~link ~degree:1)
   | "dgx1" -> Ok (Builders.dgx1 ~link ())
   | "dragonfly" | "df" ->
     let build (groups, group_size) =
@@ -193,14 +248,22 @@ let build_topology ~alpha ~bw link s =
           Error
             (Printf.sprintf "dragonfly:%dx%d needs at least %d members per group" g m
                (g - 1))
-        | [| g; m |] -> Ok (build (g, m))
+        | [| g; m |] ->
+          let links () = (g * m * (m - 1)) + (g * (g - 1)) in
+          bounded s ~npus:(mul_sat g m) ~links (fun () -> build (g, m))
         | _ -> Error "dragonfly expects GROUPSxMEMBERS, e.g. 4x5")
   | "file" ->
     if arg = "" then Error "file: needs a path, e.g. file:cluster.topo"
     else parse_topology_file arg
   | "rfs" ->
     Result.bind (parse_dims arg) (function
-      | [| r; f; s |] -> Ok (Builders.rfs3d ~alpha ~bw:(bw, bw /. 2., bw /. 4.) (r, f, s))
+      | [| r; f; s |] as dims ->
+        (* Ring, fully connected, then a degree-1 switch. *)
+        let per_group i d =
+          [| ring_links d; d * (d - 1); (if d > 1 then d else 0) |].(i)
+        in
+        hierarchical dims per_group (fun _ ->
+            Builders.rfs3d ~alpha ~bw:(bw, bw /. 2., bw /. 4.) (r, f, s))
       | _ -> Error "rfs expects RxFxS, e.g. 2x4x8")
   | _ -> Error (Printf.sprintf "unknown topology %S" s)
 

@@ -4,10 +4,6 @@ open Tacos_topology
 (** Textual descriptions of topologies, sizes and patterns — the input
     format of the [tacos] CLI (and handy in scripts and tests). *)
 
-val parse_dims : string -> (int array, string) result
-(** ["4x4x4"] → [[|4; 4; 4|]]. A dimension below 1 is an error that names
-    it. *)
-
 val parse_size : string -> (float, string) result
 (** Decimal byte sizes: ["1GB"], ["64MB"], ["512KB"], ["100B"], ["4096"].
     Non-positive and non-finite sizes are errors. *)
@@ -24,7 +20,8 @@ val parse_topology :
 
 val parse_time : string -> (float, string) result
 (** Durations: ["0.5us"], ["30ns"], ["2ms"], ["1s"], or plain seconds.
-    Negative and non-finite durations are errors. *)
+    Negative and non-finite durations are errors. Outside this module only tests
+    call it: test_collective's "durations". *)
 
 val parse_topology_lines : ?name:string -> string list -> (Topology.t, string) result
 (** Build a topology from an edge-list description, one directive per line:
@@ -37,11 +34,14 @@ val parse_topology_lines : ?name:string -> string list -> (Topology.t, string) r
     ring 0 1 2 3 50GB/s 0.5us # bidirectional ring through the listed NPUs
     v}
 
-    The [npus] directive must come first. Errors carry the line number. *)
+    The [npus] directive must come first. Errors carry the line number. Outside
+    this module only tests call it: test_collective's "topology files" and
+    "topology file errors". *)
 
 val parse_topology_file : string -> (Topology.t, string) result
 (** [parse_topology_lines] over a file's contents; the topology is named
-    after the file. Used by the CLI's [file:PATH] topology syntax. *)
+    after the file. Used by the CLI's [file:PATH] topology syntax. Outside this
+    module only tests call it: test_collective's "topology file round trip". *)
 
 val parse_pattern : string -> int -> (Pattern.t, string) result
 (** Pattern names: [all-gather]/[ag], [reduce-scatter]/[rs],

@@ -565,7 +565,9 @@ let of_json text =
           (Some []) entries
       with
       | Some sends -> (
-        match make sends with
+        (* [make] keeps tied sends in the order given, and replay depends
+           on that order: hand them over in the file's order. *)
+        match make (List.rev sends) with
         | sched -> Ok sched
         | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
       | None -> Error "Schedule.of_json: malformed send entry"))

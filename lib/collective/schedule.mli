@@ -81,7 +81,9 @@ val reverse : t -> t
 
 val concat : t -> t -> t
 (** [concat a b] runs [b] after [a] ([b] shifted by [a.makespan]) — how
-    All-Reduce is assembled from Reduce-Scatter and All-Gather. *)
+    All-Reduce is assembled from Reduce-Scatter and All-Gather. Only tests call
+    it: test_schedule_equiv's "concat matches" pins it against the list-sort
+    reference. *)
 
 val union : t -> t -> t
 (** [union a b] overlays two schedules as-is (no shifting): [merge [a; b]].
@@ -116,7 +118,9 @@ val validate_positioned :
     chunks actually were when the fault landed. Non-combining semantics.
     [forbidden] lists [(link, dead_from)] pairs: a send overlapping a link's
     dead interval fails validation, which lets composite repaired schedules
-    (kept prefix + patches) validate on the {e healthy} topology. *)
+    (kept prefix + patches) validate on the {e healthy} topology. Only tests
+    call it: test_schedule_equiv's "validate_positioned matches" pins it against
+    the reference validator. *)
 
 val validate_reduction :
   Topology.t ->

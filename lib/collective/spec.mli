@@ -40,7 +40,8 @@ val a2a_chunk : t -> src:int -> dst:int -> int -> int
     the [All_to_all] pattern, whose chunks are indexed per ordered pair. *)
 
 val a2a_dest : t -> int -> int
-(** The destination NPU encoded in an All-to-All chunk id. *)
+(** The destination NPU encoded in an All-to-All chunk id. Outside this module
+    only tests call it: test_alltoall's "spec conditions". *)
 
 val precondition : t -> (int * int) list
 (** [(npu, chunk)] pairs held at t = 0. For the composite [All_reduce] this

@@ -19,7 +19,9 @@ val synthesize : ?seed:int -> Topology.t -> Spec.t -> Ten.t
 (** Raises [Invalid_argument] if the topology's links do not all share one
     cost at the spec's chunk size, or the pattern is not All-Gather /
     Broadcast. Raises {!Synthesizer.Stuck} on a non-strongly-connected
-    topology. *)
+    topology. The oracle of test_synthesizer's "reference agrees on ring" and
+    "reference agrees on FC", its only callers. *)
 
 val schedule : Ten.t -> Schedule.t
-(** The synthesized TEN as a timed schedule ({!Ten.to_schedule}). *)
+(** The synthesized TEN as a timed schedule ({!Ten.to_schedule}). Only
+    test_synthesizer's "reference agrees on ring" calls it. *)

@@ -53,6 +53,7 @@ module Calendar = struct
     t := insert !t
 end
 
+(* Route every job, in an order shuffled by [seed], into one schedule. *)
 let route_jobs ?(seed = 42) topo ~chunk_size jobs =
   if not (Topology.is_strongly_connected topo) then
     raise (Synthesizer.Stuck "routing needs a strongly connected topology");

@@ -20,8 +20,6 @@ open Tacos_collective
     the same checker, replayable by the same simulator, exportable to the
     same JSON. *)
 
-type job = { chunk : int; src : int; dst : int }
-
 (** Per-link reservation calendar: sorted disjoint busy intervals, with all
     comparisons under the magnitude-scaled {!Schedule.eps_for} tolerance.
     Exposed for testing. *)
@@ -29,20 +27,18 @@ module Calendar : sig
   type t
 
   val create : unit -> t
+  (** An empty calendar. Only test_alltoall's calendar cases call it ("empty
+      calendar is free", "fits into gaps", "reserve rejects overlap"). *)
 
   val earliest_free : t -> ready:float -> dur:float -> float
-  (** Earliest [start >= ready] such that [\[start, start + dur)] is free. *)
+  (** Earliest [start >= ready] such that [\[start, start + dur)] is free. Only
+      test_alltoall's calendar cases call it from outside. *)
 
   val reserve : t -> start:float -> dur:float -> unit
   (** Mark [\[start, start + dur)] busy. Raises [Invalid_argument] if the
       interval overlaps an existing reservation by more than the scaled
-      tolerance. *)
+      tolerance. Only test_alltoall's calendar cases call it from outside. *)
 end
-
-val route_jobs :
-  ?seed:int -> Topology.t -> chunk_size:float -> job list -> Schedule.t
-(** Route every job (shuffled by [seed]); returns the combined schedule.
-    Raises {!Synthesizer.Stuck} when some destination is unreachable. *)
 
 val synthesize : ?seed:int -> Topology.t -> Spec.t -> Synthesizer.result
 (** Synthesis by routing, for the point-to-point demand patterns:

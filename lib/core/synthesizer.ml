@@ -2,7 +2,7 @@
 open Tacos_topology
 open Tacos_collective
 module Rng = Tacos_util.Rng
-module Fheap = Tacos_util.Fheap
+module Pq = Tacos_util.Pq
 module Ivec = Tacos_util.Ivec
 module Pool = Tacos_util.Pool
 module Deadline = Tacos_util.Deadline
@@ -360,7 +360,9 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
      the event heap never schedules it, and (crucially) the RNG draw sequence
      of the healthy path is untouched when the mask is empty. *)
   List.iter (fun e -> link_free.(e) <- infinity) dead;
-  let events = Fheap.create () in
+  (* Send finish times, keyed; the payload (the link) is unused. [next]
+     is the cell [Pq.pop] writes each popped key into. *)
+  let events = Pq.create () and next = [| 0. |] in
   (* The send log, oldest first: one send per unsatisfied postcondition. *)
   let total = !unsatisfied in
   let log_chunk = Array.make total 0 and log_edge = Array.make total 0 in
@@ -508,7 +510,7 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
             remove_want d c;
             wants_version.(d) <- wants_version.(d) + 1;
             link_free.(e) <- finish;
-            Fheap.push events finish;
+            Pq.push events finish e;
             decr unsatisfied;
             incr matches;
             Obs.incr obs_matches
@@ -520,16 +522,21 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
         end
       end
     done;
-    if !unsatisfied > 0 then
-      match Fheap.pop_above events t with
-      | Some t' -> now := t'
-      | None ->
+    if !unsatisfied > 0 then begin
+      (* Advance past [t] to the next distinct finish time. *)
+      next.(0) <- t;
+      while next.(0) <= t && not (Pq.is_empty events) do
+        ignore (Pq.pop events next)
+      done;
+      if next.(0) > t then now := next.(0)
+      else
         raise
           (Stuck
              (Printf.sprintf
                 "no progress possible with %d postconditions unsatisfied — is \
                  the topology strongly connected?"
                 !unsatisfied))
+    end
   in
   (* The cooperative cancellation point: one wall-clock poll per expansion
      round, between rounds — a round's matching work is never left half

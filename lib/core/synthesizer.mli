@@ -91,7 +91,9 @@ type constraints = {
 
 val no_constraints : constraints
 (** The empty record: [synthesize ~sketch:no_constraints] is bit-identical
-    to not passing a sketch at all (same RNG draw sequence). *)
+    to not passing a sketch at all (same RNG draw sequence). Outside this module
+    only tests use it: test_sketch's "empty sketch is identity" pins that
+    bit-identity. *)
 
 val synthesize :
   ?seed:int ->
@@ -166,7 +168,8 @@ val goal_of_spec : Spec.t -> goal
     {!Spec.postcondition} verbatim, with no reduction state. For [All_reduce]
     this is the Reduce-Scatter precondition against the All-Gather
     postcondition — not directly synthesizable as one pull goal; split into
-    phases instead. *)
+    phases instead. Outside this module only tests call it: test_synthesizer's
+    "parallel goal trials bit-identical". *)
 
 type plan = { combining : Schedule.t; pull : Schedule.t }
 (** A reduction-aware repair plan on one clock: [combining] sends move

@@ -8,6 +8,9 @@ type t = {
   link_map : int array;
 }
 
+(* The induced sub-topology: every global link with both endpoints in
+   [members], remapped to local ranks, added in canonical order. [name]
+   defaults to ["<topo>/g<gid>"]. *)
 let extract ?name topo ~gid members =
   let n = Array.length members in
   if n = 0 then invalid_arg "Group.extract: empty member set";

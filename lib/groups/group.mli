@@ -25,13 +25,6 @@ type t = {
   link_map : int array;  (** sub-topology link id → global link id *)
 }
 
-val extract : ?name:string -> Topology.t -> gid:int -> int array -> t
-(** [extract topo ~gid members] builds the induced sub-topology: every
-    global link with both endpoints in [members], remapped to local ranks,
-    added in canonical order. Raises [Invalid_argument] on an empty set,
-    out-of-range ids or duplicate members. [name] defaults to
-    ["<topo>/g<gid>"]. *)
-
 val of_dim : Topology.t -> dim:int -> t list
 (** Partition by coordinate [dim] of the recorded hierarchy: group [g]
     holds the NPUs whose [dim]-coordinate is [g] (ascending id order), so
@@ -66,4 +59,5 @@ val validate : Topology.t -> t list -> (unit, string) result
 
 val fingerprint : t -> string
 (** {!Tacos.Registry.fingerprint} of the induced sub-topology — equal for
-    groups whose fabrics are isomorphic under rank order. *)
+    groups whose fabrics are isomorphic under rank order. Only tests call it:
+    test_groups' "one synthesis per fingerprint". *)

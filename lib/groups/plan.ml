@@ -202,15 +202,6 @@ let run_phase ctx ~phase ~offset elements =
     }
   in
   Obs.incr c_phases;
-  Obs.trace "groups.phase"
-    [
-      ("phase", Tacos_util.Json.String phase);
-      ("parts", Tacos_util.Json.Number (float_of_int info.parts));
-      ("syntheses", Tacos_util.Json.Number (float_of_int syntheses));
-      ("dedup_hits", Tacos_util.Json.Number (float_of_int dedup_hits));
-      ("wall_seconds", Tacos_util.Json.Number wall);
-      ("makespan", Tacos_util.Json.Number info.makespan);
-    ];
   (runs, finish, info)
 
 (* --- decomposition ----------------------------------------------------- *)
@@ -425,15 +416,6 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
       }
     in
     Obs.incr c_phases;
-    Obs.trace "groups.phase"
-      [
-        ("phase", Tacos_util.Json.String i2.phase);
-        ("parts", Tacos_util.Json.Number (float_of_int i2.parts));
-        ("syntheses", Tacos_util.Json.Number (float_of_int syntheses));
-        ("dedup_hits", Tacos_util.Json.Number (float_of_int dedup_hits));
-        ("wall_seconds", Tacos_util.Json.Number wall);
-        ("makespan", Tacos_util.Json.Number i2.makespan);
-      ];
     let s3, _, i3 =
       run_phase ctx ~phase:"intra-all-gather" ~offset:!t2 (intra_elems Pattern.All_gather)
     in

@@ -24,9 +24,8 @@ open Tacos_collective
     measured, not assumed.
 
     Obs metrics (when enabled): [groups.groups], [groups.phases],
-    [groups.syntheses], [groups.dedup_hits] counters, the
-    [groups.phase_synth_seconds] timer, and one [groups.phase] trace event
-    per phase. *)
+    [groups.syntheses], [groups.dedup_hits] counters and the
+    [groups.phase_synth_seconds] timer. *)
 
 (** How to derive the partition. *)
 type grouping =

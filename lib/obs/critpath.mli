@@ -22,7 +22,6 @@
 type category = Dependency | Queue | Serialization | Propagation
 
 val category_name : category -> string
-val all_categories : category list
 
 type segment = {
   tid : int;  (** transfer whose lifecycle this interval belongs to *)

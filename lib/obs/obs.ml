@@ -1,6 +1,6 @@
 (* Lightweight observability substrate: counters, running-max gauges,
-   log-scale histograms, span timers and a structured trace sink behind
-   one global registry that is OFF by default.
+   log-scale histograms and span timers behind one global registry that
+   is OFF by default. Structured events go to [Trace].
 
    Design constraints, in order:
    - near-zero cost when disabled: every record operation is one atomic
@@ -8,10 +8,10 @@
      stay permanently instrumented;
    - domain-safe: synthesis trials run on multiple domains sharing the
      registry, so all metric state is Atomic (CAS loops for the float
-     aggregates) and the registry/trace sink are mutex-protected;
-   - machine-readable: [snapshot] and [trace_events] serialize to
-     Tacos_util.Json, which is what the CLI `profile` subcommand and the
-     BENCH_*.json benchmark rows embed.
+     aggregates) and the registry is mutex-protected;
+   - machine-readable: [snapshot] serializes to Tacos_util.Json, which is
+     what the CLI `profile` subcommand and the BENCH_*.json benchmark rows
+     embed.
 
    Metrics are interned by name: [counter "x"] returns the same counter
    everywhere, so modules can intern at load time and tests/CLI can look
@@ -28,9 +28,9 @@ let enabled () = Atomic.get enabled_flag
 (* --- recording context ---------------------------------------------------- *)
 
 (* Synthesis trial index, carried in domain-local storage so trials running
-   concurrently on several domains tag their own records: [trace] (and
-   [Trace.emit]) stamp events with the emitting domain id plus this index,
-   keeping the interleaved shared buffers attributable. *)
+   concurrently on several domains tag their own records: [Trace.emit]
+   stamps events with the emitting domain id plus this index, keeping the
+   interleaved shared buffer attributable. *)
 
 let trial_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -187,50 +187,6 @@ let time tm f =
     Fun.protect ~finally:(fun () -> observe_unchecked tm.t_hist (Clock.elapsed s)) f
   end
 
-(* --- trace sink ---------------------------------------------------------- *)
-
-(* Bounded so a long simulation cannot exhaust memory: past [trace_cap]
-   events are counted as dropped instead of stored. Timestamps are seconds
-   since the last [reset] (or [enable]), not absolute wall time. *)
-let trace_cap = 100_000
-let trace_mutex = Mutex.create ()
-let traces_rev : Json.t list ref = ref []
-let trace_len = ref 0
-let trace_dropped = ref 0
-let trace_epoch = ref 0.
-
-let trace name fields =
-  if enabled () then begin
-    (* Stamp outside the lock: domain id and trial context belong to the
-       emitting domain, not to whoever flushes the buffer. *)
-    let stamp =
-      ("domain", Json.Number (float_of_int (Domain.self () :> int)))
-      ::
-      (match current_trial () with
-      | Some i -> [ ("trial", Json.Number (float_of_int i)) ]
-      | None -> [])
-    in
-    with_lock trace_mutex (fun () ->
-        if !trace_len >= trace_cap then trace_dropped := !trace_dropped + 1
-        else begin
-          let t = Clock.now () -. !trace_epoch in
-          traces_rev :=
-            Json.Object
-              (("event", Json.String name) :: ("t", Json.Number t)
-              :: (stamp @ fields))
-            :: !traces_rev;
-          trace_len := !trace_len + 1
-        end)
-  end
-
-let trace_events () =
-  with_lock trace_mutex (fun () ->
-      Json.Object
-        [
-          ("dropped", Json.Number (float_of_int !trace_dropped));
-          ("events", Json.Array (List.rev !traces_rev));
-        ])
-
 (* --- reset / snapshot ---------------------------------------------------- *)
 
 let reset_metric = function
@@ -244,12 +200,7 @@ let reset_metric = function
     Array.iter (fun b -> Atomic.set b 0) h.h_buckets
 
 let reset () =
-  with_lock registry_mutex (fun () -> Hashtbl.iter (fun _ m -> reset_metric m) registry);
-  with_lock trace_mutex (fun () ->
-      traces_rev := [];
-      trace_len := 0;
-      trace_dropped := 0;
-      trace_epoch := Clock.now ())
+  with_lock registry_mutex (fun () -> Hashtbl.iter (fun _ m -> reset_metric m) registry)
 
 let histogram_json h =
   let count = Atomic.get h.h_count in
@@ -295,5 +246,3 @@ let snapshot () =
       ("histograms", Json.Object (sorted !hists));
       ("timers", Json.Object (sorted !timers));
     ]
-
-let snapshot_string () = Json.encode (snapshot ())

@@ -1,6 +1,6 @@
 (** Lightweight observability substrate: counters, running-max gauges,
-    log-scale histograms, span timers and a structured trace sink behind one
-    global registry that is OFF by default.
+    log-scale histograms and span timers behind one global registry that is
+    OFF by default. Structured events go to {!Trace}.
 
     When disabled (the default) every record operation is a single atomic
     flag load and a branch, so the synthesizer and simulator hot paths stay
@@ -16,15 +16,14 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every registered metric and drop buffered trace events. Metric
-    identities survive: handles interned before [reset] remain valid. *)
+(** Zero every registered metric. Metric identities survive: handles
+    interned before [reset] remain valid. *)
 
 (** {1 Recording context}
 
-    Trace events (here and in {!Trace}) are stamped with the emitting domain
-    id; synthesis additionally tags each record with the trial index it is
-    working on, so concurrent multi-domain trials stay attributable in the
-    shared buffers. *)
+    {!Trace} events are stamped with the emitting domain id; synthesis
+    additionally tags each record with the trial index it is working on, so
+    concurrent multi-domain trials stay attributable in the shared buffer. *)
 
 val with_trial : int -> (unit -> 'a) -> 'a
 (** Run the thunk with the current domain's trial context set to [i];
@@ -55,7 +54,8 @@ val gauge : string -> gauge
 val observe_max : gauge -> float -> unit
 
 val gauge_value : gauge -> float
-(** Largest observation since the last {!reset}; 0 when none. *)
+(** Largest observation since the last {!reset}; 0 when none. Outside this
+    module only tests call it: test_obs's "counter and gauge". *)
 
 (** {1 Histograms} *)
 
@@ -77,20 +77,8 @@ val time : timer -> (unit -> 'a) -> 'a
 (** Run the thunk, recording its wall-clock duration as a histogram
     observation (in seconds) when enabled; a plain call when disabled. *)
 
-(** {1 Trace sink} *)
-
-val trace : string -> (string * Tacos_util.Json.t) list -> unit
-(** Append a structured trace event (name, seconds since the last [reset],
-    caller-supplied fields). Buffered in memory, bounded: events past the
-    cap are counted as dropped. *)
-
-val trace_events : unit -> Tacos_util.Json.t
-(** [{dropped; events}] — the buffered trace as JSON. *)
-
 (** {1 Snapshot} *)
 
 val snapshot : unit -> Tacos_util.Json.t
 (** All registered metrics as one JSON object with [counters], [gauges],
     [histograms] and [timers] sections, each sorted by metric name. *)
-
-val snapshot_string : unit -> string

@@ -24,14 +24,19 @@ val create : ?accuracy:float -> ?max_buckets:int -> unit -> t
     Raises [Invalid_argument] outside those ranges. *)
 
 val accuracy : t -> float
+(** The sketch's relative accuracy. Outside this module only tests call it:
+    test_telemetry's "estimates respect the rank-error bound". *)
+
 val count : t -> int
 val sum : t -> float
 
 val min_value : t -> float
-(** Smallest observation; [nan] when empty. *)
+(** Smallest observation; [nan] when empty. Only tests call it: test_telemetry's
+    "empty sketch" and "merge is associative". *)
 
 val max_value : t -> float
-(** Largest observation; [nan] when empty. *)
+(** Largest observation; [nan] when empty. Only tests call it: test_telemetry's
+    "merge is associative". *)
 
 val add : t -> float -> unit
 (** Record one observation. Non-positive (and sub-[1e-12]) values share a
@@ -42,11 +47,13 @@ val quantile : t -> float -> float
     nearest-rank convention (rank [ceil (q * count)], 1-based; [q = 0] is
     the minimum). Returns [nan] when the sketch is empty; raises
     [Invalid_argument] when [q] is outside [[0, 1]]. The estimate is clamped
-    into [[min_value, max_value]]. *)
+    into [[min_value, max_value]]. Outside this module only tests call it:
+    test_telemetry's "rank error on 1..1000" and "zero bucket". *)
 
 val merge : t -> t -> t
 (** A new sketch holding both inputs' observations; the inputs are not
-    modified. Raises [Invalid_argument] when the accuracies differ. *)
+    modified. Raises [Invalid_argument] when the accuracies differ. Only tests
+    call it: test_telemetry's "merge is associative". *)
 
 val summary : t -> (float * float) list
 (** The service's standard reporting grid:

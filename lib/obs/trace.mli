@@ -72,6 +72,9 @@ type dump = { events : event list; spans : span list; dropped : int }
 
 val enable : unit -> unit
 val disable : unit -> unit
+(** Only tests call it, to leave recording off for the next case: test_trace's
+    "disabled leaves the engine bit-identical". *)
+
 val enabled : unit -> bool
 
 val reset : unit -> unit

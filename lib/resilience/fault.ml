@@ -176,12 +176,6 @@ let validate_events topo events =
   in
   check None [] events
 
-let timeline_events topo events =
-  (match validate_events topo events with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Fault.timeline_events: " ^ msg));
-  List.concat_map (fun (at, faults) -> timeline ~at topo faults) events
-
 let link_id_map topo faults =
   (match validate topo faults with
   | Ok () -> ()

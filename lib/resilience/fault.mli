@@ -59,12 +59,6 @@ val validate_events : Topology.t -> (float * t list) list -> (unit, string) resu
     kills or degrades a link an earlier epoch already removed ([Kill_npu]s
     count through their incident links). *)
 
-val timeline_events :
-  Topology.t -> (float * t list) list -> Tacos_sim.Engine.fault_event list
-(** Lower a multi-epoch timeline [(at, faults); ...] to engine fault events —
-    {!timeline} per epoch, concatenated in epoch order. Raises
-    [Invalid_argument] when {!validate_events} fails. *)
-
 val link_id_map : Topology.t -> t list -> int array
 (** The degraded-to-healthy link-id map of {!apply}: element [k] is the
     healthy id of the degraded topology's link [k] (surviving links are

@@ -95,8 +95,6 @@ let is_full t ~npu ~chunk =
   (not (Iset.is_empty t.contributors.(chunk)))
   && Iset.equal t.absorbed.(npu).(chunk) t.contributors.(chunk)
 
-let absorbed t ~npu ~chunk = Iset.elements t.absorbed.(npu).(chunk)
-
 (* Fully-reduced copies, in (npu, chunk) index order. *)
 let positions t =
   let acc = ref [] in

@@ -38,10 +38,6 @@ val replay : t -> combining:Schedule.t -> pull:Schedule.t -> at:float -> unit
 val is_full : t -> npu:int -> chunk:int -> bool
 (** Has the copy at [npu] absorbed every contribution of [chunk]? *)
 
-val absorbed : t -> npu:int -> chunk:int -> int list
-(** The contributing ranks absorbed by the copy at [npu], sorted. Empty when
-    [npu] holds nothing of [chunk] (or spent it into a kept send). *)
-
 val positions : t -> (int * int) list
 (** All fully-reduced copies as [(npu, chunk)], in index order — the
     [precondition] of a repair goal. *)

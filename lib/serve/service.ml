@@ -144,7 +144,6 @@ let create ?(config = default_config) ?synthesize () =
     q_export = Quantile.create ();
   }
 
-let registry t = t.registry
 let uptime_seconds t = Clock.elapsed t.started
 
 let stats t =

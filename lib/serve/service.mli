@@ -89,9 +89,6 @@ type t
 val create : ?config:config -> ?synthesize:backend -> unit -> t
 (** A fresh service. Safe to drive from multiple threads/domains. *)
 
-val registry : t -> Registry.t
-(** The underlying schedule cache (shared, single-flight). *)
-
 type stats = {
   accepted : int;  (** requests admitted past the queue gate *)
   shed : int;  (** requests refused with [overloaded] *)

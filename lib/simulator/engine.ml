@@ -381,14 +381,7 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
       if obs_on then begin
         Obs.observe obs_queue_depth (float_of_int depth);
         Obs.observe_max obs_max_queue (float_of_int depth);
-        Obs.observe_max obs_max_backlog (backlog.(link) -. t);
-        Obs.trace "engine.enqueue"
-          [
-            ("link", Tacos_util.Json.Number (float_of_int link));
-            ("now", Tacos_util.Json.Number t);
-            ("depth", Tacos_util.Json.Number (float_of_int depth));
-            ("backlog_seconds", Tacos_util.Json.Number (backlog.(link) -. t));
-          ]
+        Obs.observe_max obs_max_backlog (backlog.(link) -. t)
       end;
       if in_service.(link) < 0 then start_service link msg
       else begin

@@ -44,6 +44,8 @@ type fault_event =
       (** the link returns to its healthy α/β (and to life, if dead) *)
 
 val fault_time : fault_event -> float
+(** When the fault fires. Outside this module only tests call it:
+    test_resilience's "timeline lowers fault sets". *)
 
 type stranded = {
   tid : int;  (** transfer id that could not complete *)

@@ -50,12 +50,16 @@ val import : (string * int * int * float * int list) array -> t
     dependencies; pair with {!validate_acyclic}, and note
     {!Tacos_sim.Engine.run} rejects a cyclic import with a typed
     [Simulation_error] instead of executing it. Raises [Invalid_argument]
-    on a negative size or a dep naming no transfer at all. *)
+    on a negative size or a dep naming no transfer at all. Only tests call it:
+    test_simulator's "cyclic import is a typed error" and test_replay's random
+    programs. *)
 
 (** {1 Inspection} *)
 
 val transfers : t -> transfer array
 val num_transfers : t -> int
+(** Only tests call it: test_baselines_structure's "RS is half of AR". *)
+
 val total_bytes : t -> float
 
 val first_forward_dep : t -> (int * int) option
@@ -67,7 +71,8 @@ val first_forward_dep : t -> (int * int) option
 val validate_acyclic : t -> (unit, string) result
 (** Check the dependency graph has no cycles (a cyclic program would
     deadlock the simulator); names the offending transfer pair on
-    [Error]. *)
+    [Error]. Only tests call it: test_simulator's "cyclic import is a typed
+    error" and test_baselines_structure's acyclicity checks. *)
 
 val of_schedule : ?tag_of:(Schedule.send -> string) -> chunk_size:float -> Schedule.t -> t
 (** Re-express a synthesized schedule as a program: each send becomes a

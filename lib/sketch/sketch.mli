@@ -35,7 +35,12 @@ type rule =
 type t = { name : string option; rules : rule list }
 
 val make : ?name:string -> rule list -> t
+(** A named sketch of [rules]. Only tests call it: test_sketch's "round-trip",
+    "unknown link" and "bad weight". *)
+
 val empty : t
+(** The sketch with no rules. Outside this module only tests use it:
+    test_sketch's "empty sketch is identity". *)
 
 (** {1 Typed infeasibility} *)
 
@@ -83,11 +88,14 @@ exception Infeasible of offender
                  { "buddy": { "dim": 1 } } ] }
     v} *)
 
-val to_json_value : t -> Tacos_util.Json.t
 val to_json : t -> string
+(** Outside this module only tests call it: test_sketch's "round-trip" pins it
+    against {!of_json}. *)
 
 val of_json_value : Tacos_util.Json.t -> (t, string) result
 val of_json : string -> (t, string) result
+(** Outside this module only tests call it: test_sketch's "round-trip" and
+    "rejects malformed JSON". *)
 
 val of_file : string -> (t, string) result
 (** Read and parse a sketch file; I/O errors are reported in the [Error]. *)

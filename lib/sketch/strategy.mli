@@ -40,7 +40,8 @@ type outcome = {
 
 val dominates : point -> point -> bool
 (** [dominates a b]: [a] is no worse than [b] on all of (chunks per NPU,
-    steps, simulated time) and strictly better on at least one. *)
+    steps, simulated time) and strictly better on at least one. Outside this
+    module only tests call it: test_sketch's "dgx1 frontier". *)
 
 val sweep :
   ?seed:int ->
@@ -64,5 +65,4 @@ val point_fields : point -> (string * Tacos_util.Json.t) list
 (** The point as JSON fields — shared by the CLI's [--json] output and the
     bench harness rows, so the two never drift. *)
 
-val to_json_value : outcome -> Tacos_util.Json.t
 val to_json : outcome -> string

@@ -18,9 +18,7 @@ let create ?(spans = 0) topo ~span_cost =
   done;
   t
 
-let topology t = t.topo
 let spans t = t.num_spans
-let span_cost t = t.span_cost
 
 let expand t =
   t.grid <- Array.make (Topology.num_links t.topo) None :: t.grid;
@@ -151,8 +149,6 @@ module Expansion = struct
   let beta t = t.beta
   let out_links t = t.out_links
   let in_links t = t.in_links
-
-  let cost t ~chunk_size e = t.alpha.(e) +. (t.beta.(e) *. chunk_size)
 
   let reversed t =
     match t.rev with

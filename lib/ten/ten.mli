@@ -21,9 +21,7 @@ val create : ?spans:int -> Topology.t -> span_cost:float -> t
 (** An empty TEN over [topo] with uniform span duration [span_cost],
     initially expanded to [spans] (default 0) spans. *)
 
-val topology : t -> Topology.t
 val spans : t -> int
-val span_cost : t -> float
 
 val expand : t -> unit
 (** Append one more time span (Alg. 2's expansion step). *)
@@ -87,9 +85,6 @@ module Expansion : sig
   (** Per NPU: outgoing link ids, in topology insertion order. *)
 
   val in_links : t -> int array array
-
-  val cost : t -> chunk_size:float -> int -> float
-  (** α-β cost of moving one chunk over a link. *)
 
   val reversed : t -> t
   (** The reversed-topology view (link ids preserved, endpoints swapped),

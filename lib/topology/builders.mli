@@ -16,7 +16,8 @@ val hierarchical :
 (** General multi-dimensional builder: within each dimension, every group of
     NPUs that differ only in that coordinate is connected according to the
     dimension's kind and link. Dimension 0 varies fastest in node numbering.
-    The hierarchy is recorded on the result. *)
+    The hierarchy is recorded on the result. Outside this module only tests call
+    it: test_topology's "hierarchical coords". *)
 
 val mesh : ?link:Link.t -> int array -> Topology.t
 (** k-dimensional mesh (bidirectional chains, no wraparound — asymmetric).

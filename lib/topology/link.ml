@@ -14,8 +14,3 @@ let default = of_bandwidth 50e9
 let cost t size = t.alpha +. (t.beta *. size)
 let bandwidth t = if t.beta = 0. then infinity else 1. /. t.beta
 let scale_beta t k = make ~alpha:t.alpha ~beta:(t.beta *. k)
-
-let pp ppf t =
-  Format.fprintf ppf "link(alpha=%s, bw=%s)"
-    (Tacos_util.Units.time_pp t.alpha)
-    (Tacos_util.Units.bandwidth_pp (bandwidth t))

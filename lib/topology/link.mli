@@ -30,5 +30,3 @@ val scale_beta : t -> float -> t
 (** [scale_beta link k] multiplies β by [k] — used by switch unwinding
     (§IV-G), where a degree-[d] unwinding shares the switch bandwidth and
     multiplies the β cost by [d]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,8 +12,7 @@ module Pq = Tacos_util.Pq
    cost at the table's message size. The queue pops (dist, node) pairs in
    lexicographic order and an edge relaxes only on a strict improvement, so
    among equal-cost routes the one found first wins. Unreachable sources
-   keep [dist = infinity] / [next = -1]; whether that is an error is the
-   caller's policy ([build] vs [build_partial]). *)
+   keep [dist = infinity] / [next = -1]. *)
 let dijkstra_to pq ~in_src ~in_cost dst =
   let n = Array.length in_src in
   let dist = Array.make n infinity in
@@ -54,19 +53,6 @@ let build_partial topo ~size =
   done;
   { n; next; dist }
 
-let build topo ~size =
-  let t = build_partial topo ~size in
-  Array.iteri
-    (fun dst per_src ->
-      Array.iteri
-        (fun src d ->
-          if d = infinity then
-            failwith
-              (Printf.sprintf "Routing.build: NPU %d cannot reach NPU %d" src dst))
-        per_src)
-    t.dist;
-  t
-
 let check t src dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Routing: NPU out of range"
@@ -91,14 +77,6 @@ let path_opt t ~src ~dst =
     in
     Some (go src [])
 
-let path t ~src ~dst =
-  match path_opt t ~src ~dst with
-  | Some p -> p
-  | None ->
-    failwith (Printf.sprintf "Routing.path: NPU %d cannot reach NPU %d" src dst)
-
 let path_cost t ~src ~dst =
   check t src dst;
   t.dist.(dst).(src)
-
-let hop_count t ~src ~dst = List.length (path t ~src ~dst) - 1

@@ -12,32 +12,25 @@
 
 type table
 
-val build : Topology.t -> size:float -> table
-(** All-pairs next-hop table via one Dijkstra per destination. Raises
-    [Failure] if the topology is not strongly connected. *)
-
 val build_partial : Topology.t -> size:float -> table
-(** Like {!build} but tolerates unreachable pairs — the table over a fabric
-    degraded by mid-flight link failures, where some NPUs may have become
-    unreachable. Query unreachable pairs with {!reachable}/{!path_opt};
-    {!path}/{!next_hop} on them raise. *)
+(** All-pairs next-hop table via one Dijkstra per destination. It tolerates
+    unreachable pairs — the table over a fabric degraded by mid-flight link
+    failures, where some NPUs may have become unreachable. Query
+    unreachable pairs with {!reachable}/{!path_opt}; {!next_hop} on them
+    raises. *)
 
 val reachable : table -> src:int -> dst:int -> bool
-(** Whether the table holds a finite-cost route. Always true on a table from
-    {!build}. *)
+(** Whether the table holds a finite-cost route. *)
 
 val next_hop : table -> src:int -> dst:int -> int
 (** The neighbor [src] forwards to on the way to [dst]. Meaningless (raises
     [Invalid_argument]) when [src = dst]. *)
 
-val path : table -> src:int -> dst:int -> int list
-(** Node sequence from [src] to [dst], inclusive; [[src]] when equal.
-    Raises [Failure] when [dst] is unreachable (partial tables only). *)
-
 val path_opt : table -> src:int -> dst:int -> int list option
-(** [path] as an option: [None] when the table holds no route. *)
+(** Node sequence from [src] to [dst], inclusive ([[src]] when equal), or
+    [None] when the table holds no route. Only tests call it: test_replay's
+    "build_partial matches Set Dijkstra" pins the routes against an oracle. *)
 
 val path_cost : table -> src:int -> dst:int -> float
-(** Total min-path cost at the table's message size. *)
-
-val hop_count : table -> src:int -> dst:int -> int
+(** Total min-path cost at the table's message size. Only tests call it:
+    test_replay's "build_partial matches Set Dijkstra" pins it bit for bit. *)

@@ -247,17 +247,16 @@ let fold_nodes t f init =
   done;
   !acc
 
-let min_dir_bandwidth (adj : edge list array) t =
+let min_ingress_bandwidth t =
   fold_nodes t
     (fun acc v ->
       let bw =
-        List.fold_left (fun s (e : edge) -> s +. Link.bandwidth e.link) 0. adj.(v)
+        List.fold_left
+          (fun s (e : edge) -> s +. Link.bandwidth e.link)
+          0. t.in_adj.(v)
       in
       Float.min acc bw)
     infinity
-
-let min_ingress_bandwidth t = min_dir_bandwidth t.in_adj t
-let min_egress_bandwidth t = min_dir_bandwidth t.out_adj t
 
 let total_bandwidth t =
   List.fold_left (fun s (e : edge) -> s +. Link.bandwidth e.link) 0. (edges t)

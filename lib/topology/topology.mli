@@ -76,7 +76,8 @@ val without_links : t -> int list -> t
     coordinates and slab subsets still make sense on the degraded fabric);
     ring embeddings are invalidated by design — they enumerate physical
     paths that the removed links may have broken — and are dropped. Raises
-    [Invalid_argument] on an unknown id. *)
+    [Invalid_argument] on an unknown id. Only tests call it: test_synthesizer's
+    "re-synthesis after link failure" and "without_links bad id". *)
 
 val map_links : ?name:string -> t -> (edge -> Link.t option) -> t
 (** [map_links t f] rebuilds the topology, keeping each edge [e] with link
@@ -100,7 +101,8 @@ val coords : t -> int -> int array
     [Invalid_argument] if the topology has none. *)
 
 val of_coords : t -> int array -> int
-(** Inverse of [coords]. *)
+(** Inverse of [coords]. Outside this module only tests call it: test_topology's
+    "coords/of_coords round-trip". *)
 
 val dim_group : t -> dim:int -> int -> int list
 (** [dim_group t ~dim node]: the nodes reachable by varying coordinate [dim]
@@ -131,8 +133,6 @@ val rings : t -> int array list option
 val min_ingress_bandwidth : t -> float
 (** Minimum over NPUs of the sum of incoming link bandwidths. *)
 
-val min_egress_bandwidth : t -> float
-
 val diameter_latency : t -> float
 (** Maximum over ordered NPU pairs of the cheapest-path α cost — the minimum
     latency for the farthest two NPUs to communicate. Raises [Failure] if the
@@ -146,4 +146,4 @@ val pp : Format.formatter -> t -> unit
 val to_dot : t -> string
 (** GraphViz rendering of the topology. Bidirectional link pairs collapse to
     one undirected edge; edges are annotated with bandwidth (and latency when
-    links differ). *)
+    links differ). Only tests call it: test_topology's "GraphViz export". *)

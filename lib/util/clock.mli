@@ -14,4 +14,5 @@ val elapsed : span -> float
 (** Seconds since the span started; never negative. *)
 
 val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f] and returns its result with the elapsed seconds. *)
+(** [time f] runs [f] and returns its result with the elapsed seconds. Only
+    tests call it: test_util's "time wrapper". *)

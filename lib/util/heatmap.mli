@@ -13,4 +13,5 @@ val render :
 
 val ramp_char : float -> char
 (** [ramp_char v] maps a normalized value in \[0, 1\] to the ramp
-    [" .:-=+*%@"] (0 maps to space, 1 to '@'). *)
+    [" .:-=+*%@"] (0 maps to space, 1 to '@'). Outside this module only tests
+    call it: test_util's "heatmap ramp". *)

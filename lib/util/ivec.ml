@@ -25,11 +25,6 @@ let swap_remove t i =
     t.data.(i)
   end
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let exists_from t ~start p =
   if t.len = 0 then -1
   else begin

@@ -13,8 +13,6 @@ val swap_remove : t -> int -> int
     returns the element that now lives at [i] (or [-1] if [i] became the
     end). O(1). *)
 
-val iter : (int -> unit) -> t -> unit
-
 val exists_from : t -> start:int -> (int -> bool) -> int
 (** [exists_from t ~start p] scans circularly from index [start], returning
     the first index whose element satisfies [p], or [-1]. *)

@@ -42,7 +42,9 @@ val create : ?size:int -> unit -> t
     during [await]. *)
 
 val size : t -> int
-(** Current concurrent-task capacity (workers + the awaiting caller). *)
+(** Current concurrent-task capacity (workers + the awaiting caller). Outside
+    this module only tests call it: test_pool's "size-1 runs inline" and "global
+    pool is shared and grows". *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task. Tasks start in FIFO order as workers free up.

@@ -1,5 +1,6 @@
 (** Binary min-heap keyed by float with an int payload — the event queue
-    of the discrete-event network simulator. Ties are popped in insertion
+    of the discrete-event network simulator, and the synthesizer's queue of
+    send finish times. Ties are popped in insertion
     order, which gives the simulator deterministic FCFS behavior: pops
     follow (key, insertion number) in lexicographic order. Keys must not be
     NaN. *)
@@ -9,6 +10,9 @@ type t
 val create : unit -> t
 val is_empty : t -> bool
 val size : t -> int
+(** The number of entries. Outside this module only tests call it: test_replay's
+    "pops in (key, insertion) order". *)
+
 val push : t -> float -> int -> unit
 
 val pop : t -> float array -> int

@@ -15,11 +15,13 @@ val create : int -> t
 
 val split : t -> t
 (** [split t] draws a new, statistically independent generator from [t],
-    advancing [t]. *)
+    advancing [t]. Only tests call it: test_util's "split independent" and
+    "stream pinned". *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state (the copy and the original then
-    produce identical streams). *)
+    produce identical streams). Only tests call it: test_util's "copy" and
+    "stream pinned". *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -16,7 +16,8 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in \[0,100\], linear interpolation. *)
 
 val linear_fit : (float * float) list -> float * float
-(** Least-squares fit [y = a + b*x]; returns [(a, b)]. *)
+(** Least-squares fit [y = a + b*x]; returns [(a, b)]. Outside this module only
+    tests call it: test_util's "linear fit". *)
 
 val loglog_exponent : (float * float) list -> float
 (** Fit the exponent [k] of [y = c * x^k] from (x, y) samples with positive

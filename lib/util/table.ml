@@ -35,5 +35,4 @@ let render ?aligns ~header rows =
 
 let print ?aligns ~header rows = print_string (render ?aligns ~header rows)
 let cell_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
-let cell_ratio v = Printf.sprintf "%.2fx" v
 let cell_percent v = Printf.sprintf "%.2f%%" (100. *. v)

@@ -8,16 +8,14 @@ type align = Left | Right
 val render : ?aligns:align list -> header:string list -> string list list -> string
 (** [render ~header rows] lays out a table with a header rule. [aligns]
     defaults to left for the first column and right elsewhere. Rows shorter
-    than the header are padded with empty cells. *)
+    than the header are padded with empty cells. Outside this module only tests
+    call it: test_util's "table". *)
 
 val print : ?aligns:align list -> header:string list -> string list list -> unit
 (** [render] followed by [print_string]. *)
 
 val cell_float : ?decimals:int -> float -> string
 (** Fixed-point cell, default 2 decimals. *)
-
-val cell_ratio : float -> string
-(** Ratio cell such as ["4.27x"]. *)
 
 val cell_percent : float -> string
 (** [cell_percent 0.9084] is ["90.84%"]. *)

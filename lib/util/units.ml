@@ -1,8 +1,3 @@
-let kb = 1e3
-let mb = 1e6
-let gb = 1e9
-let us = 1e-6
-let ns = 1e-9
 let gbps x = x *. 1e9
 
 let with_unit value steps =

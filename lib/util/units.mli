@@ -4,16 +4,6 @@
     bandwidth in bytes per second. The paper quotes sizes in decimal units
     (1 KB = 1e3 B, 1 GB = 1e9 B) and bandwidths in GB/s; we follow that. *)
 
-val kb : float
-val mb : float
-val gb : float
-
-val us : float
-(** One microsecond, in seconds. *)
-
-val ns : float
-(** One nanosecond, in seconds. *)
-
 val gbps : float -> float
 (** [gbps x] is [x] GB/s expressed in bytes per second. *)
 

@@ -41,7 +41,8 @@ type op = { label : string; pattern : Pattern.t; bytes : float }
 
 val plan : t -> Models.t -> op list
 (** The collectives one iteration exposes, in execution order. Sizes come
-    from the model's weight-gradient and activation-gradient volumes. *)
+    from the model's weight-gradient and activation-gradient volumes. Outside
+    this module only tests call it: test_workload's "plan sizes". *)
 
 val patterns : t -> Pattern.t list
 (** The distinct patterns the strategy needs — Table III's row. *)
@@ -55,6 +56,7 @@ type cost = {
 
 val total : cost -> float
 val comm_total : cost -> float
+(** Only tests call it: test_workload's "DP consistency with Training". *)
 
 val iteration :
   ?npu:Training.npu -> Models.t -> t -> Training.backend -> cost

@@ -4,6 +4,7 @@ open Tacos_collective
 
 type npu = { peak_flops : float; compute_efficiency : float }
 
+(* 120 TFLOPS peak at 50% sustained efficiency — an A100-class NPU. *)
 let default_npu = { peak_flops = 120e12; compute_efficiency = 0.5 }
 
 type backend = { backend_name : string; collective : Pattern.t -> float -> float }
@@ -83,5 +84,3 @@ let iteration ?(npu = default_npu) model backend =
     input_grad_comm = comm_time (Models.total_input_grad_bytes model);
     weight_grad_comm = comm_time (Models.total_weight_grad_bytes model);
   }
-
-let pattern_for (_ : Models.t) = Pattern.All_reduce

@@ -22,9 +22,6 @@ open Tacos_collective
 
 type npu = { peak_flops : float; compute_efficiency : float }
 
-val default_npu : npu
-(** 120 TFLOPS peak at 50% sustained efficiency — an A100-class NPU. *)
-
 (** Collective time as a function of pattern and size on a fixed topology. *)
 type backend = { backend_name : string; collective : Pattern.t -> float -> float }
 
@@ -55,6 +52,3 @@ val iteration : ?npu:npu -> Models.t -> backend -> breakdown
 
 val compute_time : ?npu:npu -> Models.t -> float * float
 (** (forward, backward) compute seconds on one NPU. *)
-
-val pattern_for : Models.t -> Pattern.t
-(** The collective pattern plain data parallelism needs (Table III). *)

@@ -478,6 +478,32 @@ let test_parse_topology_bad_dims () =
     (fun input -> Alcotest.(check bool) input true (Result.is_ok (Parse.parse_topology input)))
     [ "mesh:1x1"; "torus:1x4"; "rfs:1x1x1"; "dragonfly:2x1"; "dragonfly:1x1" ]
 
+(* Past 2^20 NPUs or 2^24 links a description is refused before anything
+   is built; each builder kind's link count is named in its message. *)
+let test_parse_topology_too_large () =
+  List.iter
+    (fun (input, expected) ->
+      match Parse.parse_topology input with
+      | Ok _ -> Alcotest.failf "%s should be rejected" input
+      | Error e -> Alcotest.(check string) input expected e)
+    [
+      ("hypercube:40", "hypercube:40: 1099511627776 NPUs, over the bound of 1048576");
+      ("hypercube:20", "hypercube:20: 20971520 links, over the bound of 16777216");
+      ( "mesh:4611686018427387903x4",
+        "mesh:4611686018427387903x4: 4611686018427387903 or more NPUs, over the bound \
+         of 1048576" );
+      ("fc:4097", "fc:4097: 16781312 links, over the bound of 16777216");
+      ("ring:1048577", "ring:1048577: 1048577 NPUs, over the bound of 1048576");
+      ( "torus:4x4x4x4x4x4x4x4x4x4",
+        "torus:4x4x4x4x4x4x4x4x4x4: 20971520 links, over the bound of 16777216" );
+      ("rfs:4x4096x64", "rfs:4x4096x64: 4297064448 links, over the bound of 16777216");
+      ("dragonfly:2x8192", "dragonfly:2x8192: 134201346 links, over the bound of 16777216");
+    ];
+  match Parse.parse_topology_lines [ "npus 1000000000000" ] with
+  | Ok _ -> Alcotest.fail "npus 1000000000000 should be rejected"
+  | Error e ->
+    Alcotest.(check string) "npus header" "line 1: 1000000000000 NPUs, over the bound of 1048576" e
+
 let test_parse_topology_link_params () =
   (match Parse.parse_topology ~alpha:1e-6 ~bw:100e9 "ring:4" with
   | Error e -> Alcotest.fail e
@@ -643,6 +669,7 @@ let () =
           Alcotest.test_case "topologies" `Quick test_parse_topologies;
           Alcotest.test_case "zero or negative dimensions" `Quick test_parse_topology_bad_dims;
           Alcotest.test_case "link parameters" `Quick test_parse_topology_link_params;
+          Alcotest.test_case "oversized fabrics" `Quick test_parse_topology_too_large;
           Alcotest.test_case "patterns" `Quick test_parse_patterns;
           Alcotest.test_case "durations" `Quick test_parse_time;
           Alcotest.test_case "topology files" `Quick test_parse_topology_lines;

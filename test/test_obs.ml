@@ -1,5 +1,5 @@
 (* Tests for the observability substrate: off-by-default recording, the
-   metric kinds, snapshot shape, reset semantics, and the trace sink. *)
+   metric kinds, snapshot shape and reset semantics. *)
 
 module Obs = Tacos_obs.Obs
 module Json = Tacos_util.Json
@@ -25,14 +25,8 @@ let test_disabled_is_noop () =
   Obs.add c 100;
   Obs.observe_max g 5.;
   Obs.observe h 1.5;
-  Obs.trace "t.noop" [];
   Alcotest.(check int) "counter untouched" 0 (Obs.value c);
-  Alcotest.(check (float 0.)) "gauge untouched" 0. (Obs.gauge_value g);
-  (match Obs.trace_events () with
-  | Json.Object fields ->
-    Alcotest.(check bool) "no trace events" true
-      (List.assoc "events" fields = Json.Array [])
-  | _ -> Alcotest.fail "trace_events shape")
+  Alcotest.(check (float 0.)) "gauge untouched" 0. (Obs.gauge_value g)
 
 let test_counter_and_gauge () =
   with_fresh_obs (fun () ->
@@ -105,33 +99,12 @@ let test_timer_records_on_raise () =
       | Some (Json.Number 1.) -> ()
       | _ -> Alcotest.fail "raising span not recorded")
 
-let test_trace_events () =
-  with_fresh_obs (fun () ->
-      Obs.trace "first" [ ("x", Json.Number 1.) ];
-      Obs.trace "second" [];
-      match Obs.trace_events () with
-      | Json.Object fields -> (
-        Alcotest.(check bool) "nothing dropped" true
-          (List.assoc "dropped" fields = Json.Number 0.);
-        match List.assoc "events" fields with
-        | Json.Array [ e1; e2 ] ->
-          Alcotest.(check bool) "in order" true
-            (member "event" e1 = Some (Json.String "first")
-            && member "event" e2 = Some (Json.String "second"));
-          Alcotest.(check bool) "payload kept" true
-            (member "x" e1 = Some (Json.Number 1.));
-          Alcotest.(check bool) "timestamped" true
-            (match member "t" e1 with Some (Json.Number t) -> t >= 0. | _ -> false)
-        | _ -> Alcotest.fail "expected two events")
-      | _ -> Alcotest.fail "trace_events shape")
-
 let test_reset_zeroes () =
   with_fresh_obs (fun () ->
       let c = Obs.counter "t.reset_counter" in
       let h = Obs.histogram "t.reset_hist" in
       Obs.add c 5;
       Obs.observe h 2.;
-      Obs.trace "gone" [];
       Obs.reset ();
       Alcotest.(check int) "counter zeroed" 0 (Obs.value c);
       let hist =
@@ -139,18 +112,13 @@ let test_reset_zeroes () =
         |> Option.get
       in
       Alcotest.(check bool) "histogram zeroed" true
-        (member "count" hist = Some (Json.Number 0.));
-      match Obs.trace_events () with
-      | Json.Object fields ->
-        Alcotest.(check bool) "traces cleared" true
-          (List.assoc "events" fields = Json.Array [])
-      | _ -> Alcotest.fail "trace_events shape")
+        (member "count" hist = Some (Json.Number 0.)))
 
 let test_snapshot_is_valid_json () =
   with_fresh_obs (fun () ->
       Obs.incr (Obs.counter "t.roundtrip");
       Obs.observe (Obs.histogram "t.roundtrip_hist") 0.25;
-      match Json.parse (Obs.snapshot_string ()) with
+      match Json.parse (Json.encode (Obs.snapshot ())) with
       | Ok (Json.Object sections) ->
         List.iter
           (fun s ->
@@ -172,7 +140,6 @@ let () =
           Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
           Alcotest.test_case "timer records" `Quick test_timer_records;
           Alcotest.test_case "timer records on raise" `Quick test_timer_records_on_raise;
-          Alcotest.test_case "trace events" `Quick test_trace_events;
           Alcotest.test_case "reset zeroes" `Quick test_reset_zeroes;
           Alcotest.test_case "snapshot is valid json" `Quick test_snapshot_is_valid_json;
         ] );

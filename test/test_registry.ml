@@ -179,6 +179,41 @@ let test_find_cached_peek () =
     (Registry.find_cached reg2 topo s <> None);
   rm_rf dir
 
+(* A disk hit is the schedule that was saved, for every pattern: the same
+   sends in the same order (replay serves tied sends in schedule order),
+   the same time and the same phase split. *)
+let test_disk_hit_is_the_saved_schedule () =
+  let topo = Builders.mesh [| 3; 3 |] in
+  let bytes s = Schedule.to_json s in
+  List.iter
+    (fun pattern ->
+      let name = Pattern.name pattern in
+      let dir = fresh_dir () in
+      let s = spec ~buffer_size:64e6 pattern 9 in
+      let saved, _ = warm_entry dir topo s in
+      (match Registry.find_cached (Registry.create ~dir ()) topo s with
+      | None -> Alcotest.failf "%s: warm disk peek missed" name
+      | Some loaded ->
+        Alcotest.(check string) (name ^ ": same sends") (bytes saved.Synth.schedule)
+          (bytes loaded.Synth.schedule);
+        Alcotest.(check (float 0.)) (name ^ ": same time") saved.Synth.collective_time
+          loaded.Synth.collective_time;
+        let split r = Option.map (fun (rs, ag) -> (bytes rs, bytes ag)) r.Synth.phases in
+        Alcotest.(check (option (pair string string))) (name ^ ": same phases")
+          (split saved) (split loaded));
+      rm_rf dir)
+    Pattern.
+      [
+        All_gather;
+        Reduce_scatter;
+        All_reduce;
+        All_to_all;
+        Broadcast 0;
+        Reduce 0;
+        Gather 0;
+        Scatter 0;
+      ]
+
 let test_disk_usage_accounting () =
   let dir = fresh_dir () in
   let topo = ring 6 in
@@ -349,6 +384,8 @@ let () =
         [
           Alcotest.test_case "find_cached peeks memory and disk" `Quick
             test_find_cached_peek;
+          Alcotest.test_case "disk hit is the saved schedule" `Quick
+            test_disk_hit_is_the_saved_schedule;
           Alcotest.test_case "disk usage accounting" `Quick
             test_disk_usage_accounting;
           Alcotest.test_case "failed synthesis releases the key" `Quick

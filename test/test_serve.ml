@@ -133,6 +133,32 @@ let test_zero_dimension_is_plain_error () =
   | _ -> Alcotest.failf "no error message in %s" r);
   Alcotest.(check int) "counted" 1 (Service.stats svc).Service.errors
 
+(* An oversized fabric is refused with the bound it passes, before any
+   allocation could fail and surface as an internal error. *)
+let test_oversized_topology_is_plain_error () =
+  let svc = service () in
+  let file = Filename.temp_file "tacos-huge" ".topo" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "npus 1000000000000\n");
+  List.iter
+    (fun topology ->
+      let r =
+        Service.handle_line svc
+          (Printf.sprintf
+             {|{"op":"synthesize","topology":%S,"pattern":"all-gather","size":1048576}|}
+             topology)
+      in
+      Alcotest.(check string) "status" "error" (status r);
+      match Json.member "message" (parse_response r) with
+      | Some (Json.String msg) ->
+        Alcotest.(check bool) ("names the bound: " ^ msg) true
+          (has_substring "over the bound" msg);
+        Alcotest.(check bool) ("not internal: " ^ msg) false
+          (has_substring "internal error" msg)
+      | _ -> Alcotest.failf "no error message in %s" r)
+    [ "hypercube:40"; "mesh:100000x100000"; "file:" ^ file ];
+  Sys.remove file;
+  Alcotest.(check int) "counted" 3 (Service.stats svc).Service.errors
+
 let test_miss_then_cached () =
   let svc = service () in
   let a = Service.handle_line svc (synth_req "ring:4") in
@@ -596,6 +622,8 @@ let () =
             test_malformed_line_is_structured_error;
           Alcotest.test_case "zero dimension -> plain error" `Quick
             test_zero_dimension_is_plain_error;
+          Alcotest.test_case "oversized topology -> plain error" `Quick
+            test_oversized_topology_is_plain_error;
           Alcotest.test_case "non-finite size -> size error" `Quick
             test_non_finite_size_is_size_error;
           Alcotest.test_case "miss then cached" `Quick test_miss_then_cached;

@@ -298,49 +298,27 @@ let test_fault_events_traced_and_exportable () =
 (* --- domain / trial stamping -------------------------------------------- *)
 
 let test_obs_trace_stamps_domain_and_trial () =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    (fun () ->
-      Obs.with_trial 3 (fun () -> Obs.trace "t.stamped" []);
-      Alcotest.(check bool) "trial context restored" true (Obs.current_trial () = None);
-      match Obs.trace_events () with
-      | Json.Object fields -> (
-        match List.assoc "events" fields with
-        | Json.Array [ Json.Object ev ] ->
-          Alcotest.(check bool) "trial stamped" true
-            (List.assoc_opt "trial" ev = Some (Json.Number 3.));
-          Alcotest.(check bool) "domain stamped" true
-            (match List.assoc_opt "domain" ev with
-            | Some (Json.Number _) -> true
-            | _ -> false)
-        | _ -> Alcotest.fail "expected exactly one event")
-      | _ -> Alcotest.fail "trace_events shape")
+  let d =
+    with_fresh_trace (fun () ->
+        Obs.with_trial 3 (fun () -> Trace.emit ~t:0. (Trace.Completed { tid = 0 }));
+        Alcotest.(check bool) "trial context restored" true (Obs.current_trial () = None);
+        Trace.dump ())
+  in
+  match d.Trace.events with
+  | [ e ] ->
+    Alcotest.(check (option int)) "trial stamped" (Some 3) e.Trace.trial;
+    Alcotest.(check int) "domain stamped" (Domain.self () :> int) e.Trace.domain
+  | _ -> Alcotest.fail "expected exactly one event"
 
 let test_concurrent_domains_attributable () =
-  (* Satellite regression test: events emitted concurrently from several
-     domains, each under its own trial context, interleave in the shared
-     buffer yet stay attributable — every event of trial i carries the
-     domain that ran trial i. *)
-  Obs.reset ();
-  Obs.enable ();
-  Trace.reset ();
-  Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ();
-      Trace.disable ();
-      Trace.reset ())
-    (fun () ->
+  (* Events emitted concurrently from several domains, each under its own
+     trial context, interleave in the shared buffer yet stay attributable —
+     every event of trial i carries the domain that ran trial i. *)
+  with_fresh_trace (fun () ->
       let worker i =
         Domain.spawn (fun () ->
             Obs.with_trial i (fun () ->
                 for k = 0 to 9 do
-                  Obs.trace "t.worker" [ ("k", Json.Number (float_of_int k)) ];
                   Trace.emit ~t:(float_of_int k) (Trace.Completed { tid = (100 * i) + k })
                 done;
                 (Domain.self () :> int)))
@@ -348,28 +326,6 @@ let test_concurrent_domains_attributable () =
       let d1 = worker 1 and d2 = worker 2 in
       let dom1 = Domain.join d1 and dom2 = Domain.join d2 in
       Alcotest.(check bool) "distinct domains" true (dom1 <> dom2);
-      (* Obs stream: group by trial, check each group's domain is constant
-         and equal to the domain that ran that trial. *)
-      (match Obs.trace_events () with
-      | Json.Object fields -> (
-        match List.assoc "events" fields with
-        | Json.Array evs ->
-          Alcotest.(check int) "all obs events captured" 20 (List.length evs);
-          List.iter
-            (fun ev ->
-              match ev with
-              | Json.Object f -> (
-                match (List.assoc_opt "trial" f, List.assoc_opt "domain" f) with
-                | Some (Json.Number trial), Some (Json.Number dom) ->
-                  let expect = if trial = 1. then dom1 else dom2 in
-                  Alcotest.(check bool) "obs event domain matches its trial" true
-                    (int_of_float dom = expect)
-                | _ -> Alcotest.fail "obs event missing trial/domain stamp")
-              | _ -> Alcotest.fail "obs event shape")
-            evs
-        | _ -> Alcotest.fail "events shape")
-      | _ -> Alcotest.fail "trace_events shape");
-      (* Lifecycle stream: same attribution invariant. *)
       let d = Trace.dump () in
       Alcotest.(check int) "all lifecycle events captured" 20
         (List.length d.Trace.events);

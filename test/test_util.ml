@@ -2,7 +2,6 @@
    growable vectors, statistics, and text rendering. *)
 
 module Rng = Tacos_util.Rng
-module Fheap = Tacos_util.Fheap
 module Ivec = Tacos_util.Ivec
 module Stats = Tacos_util.Stats
 module Units = Tacos_util.Units
@@ -183,32 +182,6 @@ let test_rng_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty") (fun () ->
       ignore (Rng.pick rng []))
 
-(* --- Fheap -------------------------------------------------------------- *)
-
-let test_fheap_sorts () =
-  let h = Fheap.create () in
-  let rng = Rng.create 31 in
-  let values = List.init 200 (fun _ -> Rng.float rng 100.) in
-  List.iter (Fheap.push h) values;
-  Alcotest.(check int) "size" 200 (Fheap.size h);
-  let drained = List.init 200 (fun _ -> Fheap.pop h) in
-  Alcotest.(check (list (float 1e-12)))
-    "ascending" (List.sort compare values) drained;
-  Alcotest.(check bool) "empty after drain" true (Fheap.is_empty h)
-
-let test_fheap_pop_above () =
-  let h = Fheap.create () in
-  List.iter (Fheap.push h) [ 1.; 1.; 2.; 2.; 3. ];
-  Alcotest.(check (option (float 0.))) "skips duplicates" (Some 2.)
-    (Fheap.pop_above h 1.);
-  Alcotest.(check (option (float 0.))) "next distinct" (Some 3.) (Fheap.pop_above h 2.);
-  Alcotest.(check (option (float 0.))) "exhausted" None (Fheap.pop_above h 3.)
-
-let test_fheap_pop_empty () =
-  let h = Fheap.create () in
-  Alcotest.check_raises "empty pop" (Invalid_argument "Fheap.pop: empty") (fun () ->
-      ignore (Fheap.pop h))
-
 (* --- Pq ----------------------------------------------------------------- *)
 
 module Pq = Tacos_util.Pq
@@ -316,7 +289,6 @@ let test_table_render () =
     (List.for_all (fun w -> w = List.hd widths) widths)
 
 let test_table_cells () =
-  Alcotest.(check string) "ratio" "4.27x" (Table.cell_ratio 4.27);
   Alcotest.(check string) "percent" "90.84%" (Table.cell_percent 0.9084);
   Alcotest.(check string) "float" "2.5" (Table.cell_float ~decimals:1 2.52)
 
@@ -473,12 +445,6 @@ let () =
           Alcotest.test_case "shuffle is permutation" `Quick
             test_rng_shuffle_is_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
-        ] );
-      ( "fheap",
-        [
-          Alcotest.test_case "sorts" `Quick test_fheap_sorts;
-          Alcotest.test_case "pop_above" `Quick test_fheap_pop_above;
-          Alcotest.test_case "pop empty" `Quick test_fheap_pop_empty;
         ] );
       ( "pq",
         [
