@@ -35,11 +35,7 @@ let run () =
         (match Schedule.validate topo s result.Synth.schedule with
         | Ok () -> ()
         | Error e -> failwith ("invalid All-to-All schedule: " ^ e));
-        let program =
-          Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size s)
-            result.Synth.schedule
-        in
-        let tacos = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
+        let tacos = Tacos.Tuner.simulated_time topo result in
         let direct = Algo.collective_time Algo.Direct topo s in
         [
           name;

@@ -92,10 +92,7 @@ let tacos_result ?(chunks_per_npu = 4) ?(seed = 42) ?(trials = 1) topo ~size pat
    structure is replayed, so bandwidth-bound collectives reproduce the
    makespan while latency-bound ones pipeline the α terms the TEN spans
    serialize. *)
-let simulate_schedule topo (result : Synth.result) =
-  let chunk_size = Spec.chunk_size result.Synth.spec in
-  let program = Tacos_sim.Program.of_schedule ~chunk_size result.Synth.schedule in
-  (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time
+let simulate_schedule = Tacos.Tuner.simulated_time
 
 let tacos_time ?(chunks_per_npu = 4) ?(seed = 42) ?(trials = 1) topo ~size pattern =
   simulate_schedule topo (tacos_result ~chunks_per_npu ~seed ~trials topo ~size pattern)

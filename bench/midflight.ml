@@ -23,7 +23,6 @@ open Exp_common
 module Table = Tacos_util.Table
 module Units = Tacos_util.Units
 module Engine = Tacos_sim.Engine
-module Program = Tacos_sim.Program
 module Fault = Tacos_resilience.Fault
 module Resilience = Tacos_resilience.Resilience
 
@@ -61,9 +60,7 @@ let measure name topo pattern frac =
       ~npus:(Topology.num_npus topo) ()
   in
   let healthy = Synth.synthesize topo sp in
-  let chunk_size = Spec.chunk_size sp in
-  let program () = Program.of_schedule ~chunk_size healthy.Synth.schedule in
-  let healthy_time = (Engine.run topo (program ())).Engine.finish_time in
+  let healthy_time = Tacos.Tuner.simulated_time topo healthy in
   let at = frac *. healthy_time in
   match pick_victim topo healthy ~at with
   | None ->
@@ -74,7 +71,7 @@ let measure name topo pattern frac =
     let victim = victim_send.Schedule.edge in
     let faults = [ Fault.Kill_link victim ] in
     let replay =
-      match Engine.run ~faults:(Fault.timeline ~at topo faults) topo (program ()) with
+      match Tacos.Tuner.replay ~faults:(Fault.timeline ~at topo faults) topo healthy with
       | r when r.Engine.stranded = [] -> Some r.Engine.finish_time
       | _ -> None
       | exception Engine.Simulation_error _ -> None
@@ -170,11 +167,7 @@ let measure_multi name topo pattern epochs =
       ~npus:(Topology.num_npus topo) ()
   in
   let healthy = Synth.synthesize topo sp in
-  let chunk_size = Spec.chunk_size sp in
-  let healthy_time =
-    (Engine.run topo (Program.of_schedule ~chunk_size healthy.Synth.schedule))
-      .Engine.finish_time
-  in
+  let healthy_time = Tacos.Tuner.simulated_time topo healthy in
   let ats = List.map (fun f -> f *. healthy_time) (epoch_fractions epochs) in
   match pick_victims topo healthy ~ats with
   | None ->

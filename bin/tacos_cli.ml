@@ -231,12 +231,6 @@ let guard body =
     `Error (false, "sketch infeasible: " ^ Sketch.offender_to_string off)
   | exception File_error msg -> `Error (false, msg)
 
-(* Replay a synthesis result under the congestion-aware simulator. *)
-let simulate ?faults topo (result : Synth.result) =
-  Engine.run ?faults topo
-    (Sim_program.of_schedule ~chunk_size:(Spec.chunk_size result.spec)
-       result.schedule)
-
 (* --- synthesize ----------------------------------------------------------- *)
 
 let synthesize_cmd =
@@ -310,10 +304,7 @@ let synthesize_cmd =
       (Schedule.num_sends result.schedule)
       result.stats.rounds
       (Units.time_pp result.stats.wall_seconds);
-    (match
-       if pattern = Pattern.All_to_all then Schedule.validate topo spec result.schedule
-       else Synth.verify topo result
-     with
+    (match Synth.verify topo result with
     | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
     | Error e -> Format.printf "validation:      FAILED: %s@." e);
     (match sketch with
@@ -387,7 +378,7 @@ let compare_cmd =
           | exception _ -> [ name; "n/a"; "n/a" ])
         baselines
     in
-    let t = (simulate topo (Synth.synthesize ~seed ~trials topo (spec chunks))).finish_time in
+    let t = Tacos.Tuner.simulated_time topo (Synth.synthesize ~seed ~trials topo (spec chunks)) in
     Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
     Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ]
       (rows @ [ row "TACOS" t; row "Ideal" (Ideal.all_reduce_time topo ~size) ]);
@@ -540,7 +531,7 @@ let profile_cmd =
       Trace.reset ()
     end;
     let result = Router.synthesize_any ~seed ~trials topo spec in
-    let sim = simulate topo result in
+    let sim = Tacos.Tuner.replay topo result in
     let snap = Obs.snapshot () in
     let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
     let scans = Obs.value (Obs.counter "synth.pick_scans") in
@@ -694,12 +685,12 @@ let repaired_fields (r : Resilience.repaired) =
    repair vs full re-synthesis, all timed from the same fault instant. *)
 let midflight_run ~seed ~trials ~domains ~budget ~json topo spec faults at_spec =
   let* healthy = healthy_schedule ~seed ~trials topo spec in
-  let healthy_time = (simulate topo healthy).finish_time in
+  let healthy_time = Tacos.Tuner.simulated_time topo healthy in
   let at = resolve_at healthy_time at_spec in
   Format.printf "healthy:      %s simulated; fault lands at %s@."
     (Units.time_pp healthy_time) (Units.time_pp at);
   let replay =
-    match simulate ~faults:(Fault.timeline ~at topo faults) topo healthy with
+    match Tacos.Tuner.replay ~faults:(Fault.timeline ~at topo faults) topo healthy with
     | { stranded = []; finish_time; _ } -> Ok finish_time
     | { stranded; _ } -> Error (Printf.sprintf "%d transfers stranded" (List.length stranded))
     | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
@@ -759,7 +750,7 @@ let midflight_run ~seed ~trials ~domains ~budget ~json topo spec faults at_spec 
    (Resilience.repair_timeline). *)
 let multiflight_run ~seed ~trials ~domains ~budget ~json topo spec events_spec =
   let* healthy = healthy_schedule ~seed ~trials topo spec in
-  let healthy_time = (simulate topo healthy).finish_time in
+  let healthy_time = Tacos.Tuner.simulated_time topo healthy in
   let events =
     List.map (fun (at_spec, faults) -> (resolve_at healthy_time at_spec, faults)) events_spec
   in

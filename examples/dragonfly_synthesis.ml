@@ -42,12 +42,7 @@ let () =
   (match Synth.verify topo result with
   | Ok () -> ()
   | Error e -> failwith ("invalid schedule: " ^ e));
-  let program =
-    Tacos_sim.Program.of_schedule
-      ~chunk_size:(Spec.chunk_size (spec 4))
-      result.Synth.schedule
-  in
-  let tacos = ("TACOS", (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time) in
+  let tacos = ("TACOS", Tacos.Tuner.simulated_time topo result) in
   let ideal = ("Ideal bound", Ideal.all_reduce_time topo ~size) in
 
   Printf.printf "\n256 MB All-Reduce on DragonFly 4x5:\n";

@@ -25,11 +25,7 @@ let collective_time topo size =
   | Ok () -> ()
   | Error e -> failwith e);
   (* Evaluate under the simulator, like the benches. *)
-  let program =
-    Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
-      result.Synth.schedule
-  in
-  (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time
+  Tacos.Tuner.simulated_time topo result
 
 let () =
   Printf.printf "8-NPU switch (NIC 50 GB/s, alpha 2 us) unwound at degree d:\n\n";

@@ -38,32 +38,31 @@ let program t topo spec =
   | Taccl_like -> Taccl_like.program topo spec
   | Ccube -> Ccube.program topo spec
 
-let simulate ?routing_size t topo spec =
-  Engine.run ?routing_size topo (program t topo spec)
+let simulate t topo spec = Engine.run topo (program t topo spec)
 
+(* The topology-agnostic candidates of [best_feasible]. *)
 let all = [ Ring { bidirectional = true }; Direct; Rhd; Dbt; Multitree; Taccl_like ]
 
 (* Build and simulate, turning the structural exceptions (unsupported
    pattern, non-power-of-two NPU count, missing hierarchy, unroutable
    fabric) into [Error]. *)
-let probe ?routing_size t topo spec =
-  match simulate ?routing_size t topo spec with
+let probe t topo spec =
+  match simulate t topo spec with
   | report -> Ok report
   | exception Invalid_argument msg | (exception Failure msg) -> Error msg
   | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
   | exception Not_found -> Error "internal lookup failed"
 
-let best_feasible ?routing_size ?(candidates = all) topo spec =
+let best_feasible topo spec =
   List.fold_left
     (fun best algo ->
-      match probe ?routing_size algo topo spec with
+      match probe algo topo spec with
       | Error _ -> best
       | Ok report -> (
         match best with
         | Some (_, prev) when prev.Engine.finish_time <= report.Engine.finish_time ->
           best
         | _ -> Some (algo, report)))
-    None candidates
+    None all
 
-let collective_time ?routing_size t topo spec =
-  (simulate ?routing_size t topo spec).Engine.finish_time
+let collective_time t topo spec = (simulate t topo spec).Engine.finish_time

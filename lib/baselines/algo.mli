@@ -25,19 +25,14 @@ val ring : t
 val program : t -> Topology.t -> Spec.t -> Program.t
 (** Build the algorithm's logical program for this collective instance. *)
 
-val simulate : ?routing_size:float -> t -> Topology.t -> Spec.t -> Engine.report
+val simulate : t -> Topology.t -> Spec.t -> Engine.report
 (** [program] then {!Engine.run}. *)
 
-val all : t list
-(** The topology-agnostic candidates a fallback ladder can always try: Ring,
-    Direct, RHD, DBT, MultiTree, TACCL-like (the hierarchy-bound algorithms
-    need extra parameters and are probed separately when applicable). *)
+val best_feasible : Topology.t -> Spec.t -> (t * Engine.report) option
+(** Among the topology-agnostic candidates a fallback ladder can always try
+    (Ring, Direct, RHD, DBT, MultiTree, TACCL-like; the hierarchy-bound
+    algorithms need extra parameters), the feasible one with the smallest
+    simulated completion time, or [None] when every probe fails. *)
 
-val best_feasible :
-  ?routing_size:float -> ?candidates:t list -> Topology.t -> Spec.t ->
-  (t * Engine.report) option
-(** The feasible candidate (default {!all}) with the smallest simulated
-    completion time, or [None] when every probe fails. *)
-
-val collective_time : ?routing_size:float -> t -> Topology.t -> Spec.t -> float
+val collective_time : t -> Topology.t -> Spec.t -> float
 (** The simulated completion time. *)

@@ -272,11 +272,16 @@ let parse_topology ?(alpha = 0.5e-6) ?(bw = 50e9) s =
     Error
       (Printf.sprintf "link latency must be finite and non-negative, got %s"
          (Tacos_util.Units.time_pp alpha))
+  else if not (bw > 0.) then
+    Error
+      (Printf.sprintf "link bandwidth must be positive, got %s"
+         (Tacos_util.Units.bandwidth_pp bw))
   else
+    (* A positive bandwidth so small that its β overflows, e.g. 1e-320 GB/s. *)
     match Link.of_bandwidth ~alpha bw with
     | exception Invalid_argument _ ->
       Error
-        (Printf.sprintf "link bandwidth must be positive, got %s"
+        (Printf.sprintf "link bandwidth %s is too small"
            (Tacos_util.Units.bandwidth_pp bw))
     | link -> build_topology ~alpha ~bw link s
 

@@ -357,7 +357,7 @@ let check_positions topo ~forbidden ~precondition ~postcondition ~num_chunks ~ch
       if arrival.(cell d c) = infinity then
         bad "postcondition unmet: NPU %d never gets chunk %d" d c)
 
-let result_of f = match f () with () -> Ok () | exception Bad msg -> Error msg
+let result_of f = match f () with v -> Ok v | exception Bad msg -> Error msg
 let iter_list l f = List.iter (fun (d, c) -> f d c) l
 
 let validate_positioned topo ?(forbidden = []) ~precondition ~postcondition
@@ -408,107 +408,149 @@ let validate_all_reduce topo spec ~reduce_scatter ~all_gather =
       end)
   | _ -> Error "Schedule.validate_all_reduce: spec is not All-Reduce"
 
-(* Reduction-aware validation in positional form. The plan is split
-   structurally: [combining] sends move *partial sums* (the source's
-   accumulated contributions are spent and merged into the destination —
-   exact, disjoint set union), [pull] sends replicate *fully reduced* values.
-   The replay applies events in chronological order (a merge finishing at t
-   can feed a send starting at t), so multi-epoch composites — kept healthy
-   prefix plus per-epoch repair patches, all in one schedule pair — validate
+(* Reduction replay in positional form. The plan is split structurally:
+   [combining] sends move *partial sums* (the source's accumulated
+   contributions are spent and merged into the destination — exact,
+   disjoint set union), [pull] sends replicate *fully reduced* values. The
+   replay applies events in chronological order (a merge finishing at t can
+   feed a send starting at t), so multi-epoch composites — kept healthy
+   prefix plus per-epoch repair patches, all in one schedule pair — replay
    in a single pass. *)
+module Reduction = struct
+  module Iset = Set.Make (Int)
+
+  (* absorbed.(v).(c): the ranks whose input the copy of chunk c at NPU v
+     has accumulated; contributors.(c): every rank contributing to c. *)
+  type state = { contributors : Iset.t array; absorbed : Iset.t array array }
+
+  let run topo ~forbidden ~contributions ~num_chunks ~chunk_size ~combining ~pull =
+    let eps = eps_for (Float.max combining.makespan pull.makespan) in
+    let npus = Topology.num_npus topo in
+    if num_chunks <= 0 then bad "num_chunks must be positive";
+    let contributors = Array.make num_chunks Iset.empty in
+    let absorbed = Array.make_matrix npus num_chunks Iset.empty in
+    List.iter
+      (fun (v, c) ->
+        if v < 0 || v >= npus || c < 0 || c >= num_chunks then
+          bad "contribution (%d, %d) out of range" v c;
+        contributors.(c) <- Iset.add v contributors.(c);
+        absorbed.(v).(c) <- Iset.add v absorbed.(v).(c))
+      contributions;
+    (* Physical legality of the union, merged by start time (a combining
+       send first on equal starts): links exist and match endpoints,
+       durations cover the α-β cost, one chunk per link at a time, no send
+       overlaps a dead interval. *)
+    let links = links_of topo ~chunk_size in
+    let nc = num_sends combining and np = num_sends pull in
+    let ic = ref 0 and ip = ref 0 in
+    while !ic < nc || !ip < np do
+      if !ic < nc && (!ip >= np || combining.starts.(!ic) <= pull.starts.(!ip)) then begin
+        check_physical links ~eps ~forbidden ~num_chunks combining !ic;
+        incr ic
+      end
+      else begin
+        check_physical links ~eps ~forbidden ~num_chunks pull !ip;
+        incr ip
+      end
+    done;
+    (* Semantic replay. A combining send snapshots (and spends) the
+       source's partial at its start and merges it into the destination at
+       its finish; a pull send requires the source to hold the fully
+       reduced value at its start and replicates it at its finish.
+       Finishes sort before starts at equal times. *)
+    let events =
+      List.concat_map
+        (fun s -> [ (s.start, 1, `Combine_start, s); (s.finish, 0, `Combine_finish, s) ])
+        (sends combining)
+      @ List.concat_map
+          (fun s -> [ (s.start, 1, `Pull_start, s); (s.finish, 0, `Pull_finish, s) ])
+          (sends pull)
+    in
+    let events =
+      List.sort
+        (fun (ta, pa, _, _) (tb, pb, _, _) ->
+          let c = Float.compare ta tb in
+          if c <> 0 then c else compare pa pb)
+        events
+    in
+    (* In-flight partials keyed by the unique (edge, start) of the carrying
+       send — each link carries one chunk at a time. *)
+    let in_flight : (int * float, Iset.t) Hashtbl.t = Hashtbl.create 64 in
+    let key s = (s.edge, s.start) in
+    List.iter
+      (fun (_, _, kind, s) ->
+        let c = s.chunk in
+        match kind with
+        | `Combine_start ->
+          Hashtbl.replace in_flight (key s) absorbed.(s.src).(c);
+          absorbed.(s.src).(c) <- Iset.empty
+        | `Combine_finish ->
+          let carried =
+            match Hashtbl.find_opt in_flight (key s) with
+            | Some set ->
+              Hashtbl.remove in_flight (key s);
+              set
+            | None -> Iset.empty
+          in
+          let clash = Iset.inter carried absorbed.(s.dst).(c) in
+          if not (Iset.is_empty clash) then
+            bad "NPU %d absorbs the contribution of rank %d to chunk %d twice" s.dst
+              (Iset.min_elt clash) c;
+          absorbed.(s.dst).(c) <- Iset.union carried absorbed.(s.dst).(c)
+        | `Pull_start ->
+          if not (Iset.equal absorbed.(s.src).(c) contributors.(c)) then
+            bad "NPU %d forwards chunk %d at %g holding a partial copy (%d of %d \
+                 contributions)"
+              s.src c s.start
+              (Iset.cardinal absorbed.(s.src).(c))
+              (Iset.cardinal contributors.(c))
+        | `Pull_finish -> absorbed.(s.dst).(c) <- contributors.(c))
+      events;
+    { contributors; absorbed }
+
+  let replay topo ~contributions ~num_chunks ~chunk_size ~combining ~pull =
+    result_of (fun () ->
+        run topo ~forbidden:[] ~contributions ~num_chunks ~chunk_size ~combining ~pull)
+
+  let is_full st ~npu ~chunk =
+    (not (Iset.is_empty st.contributors.(chunk)))
+    && Iset.equal st.absorbed.(npu).(chunk) st.contributors.(chunk)
+
+  (* The (npu, chunk) cells, in index order, that [f] maps to [Some]. *)
+  let collect st f =
+    let acc = ref [] in
+    for v = Array.length st.absorbed - 1 downto 0 do
+      for c = Array.length st.contributors - 1 downto 0 do
+        Option.iter (fun x -> acc := x :: !acc) (f v c)
+      done
+    done;
+    !acc
+
+  let positions st =
+    collect st (fun v c -> if is_full st ~npu:v ~chunk:c then Some (v, c) else None)
+
+  let partials st =
+    collect st (fun v c ->
+        let set = st.absorbed.(v).(c) in
+        if Iset.is_empty set || Iset.equal set st.contributors.(c) then None
+        else Some (v, c, Iset.elements set))
+end
+
 let validate_reduction topo ?(forbidden = []) ~contributions ~postcondition
     ~num_chunks ~chunk_size ~combining ~pull () =
-  let module Iset = Set.Make (Int) in
-  let eps = eps_for (Float.max combining.makespan pull.makespan) in
-  let npus = Topology.num_npus topo in
   result_of (fun () ->
-      if num_chunks <= 0 then bad "num_chunks must be positive";
-      let contributors = Array.make num_chunks Iset.empty in
-      let absorbed = Array.make_matrix npus num_chunks Iset.empty in
-      List.iter
-        (fun (v, c) ->
-          if v < 0 || v >= npus || c < 0 || c >= num_chunks then
-            bad "contribution (%d, %d) out of range" v c;
-          contributors.(c) <- Iset.add v contributors.(c);
-          absorbed.(v).(c) <- Iset.add v absorbed.(v).(c))
-        contributions;
-      (* Physical legality of the union, merged by start time (a combining
-         send first on equal starts): links exist and match endpoints,
-         durations cover the α-β cost, one chunk per link at a time, no
-         send overlaps a dead interval. *)
-      let links = links_of topo ~chunk_size in
-      let nc = num_sends combining and np = num_sends pull in
-      let ic = ref 0 and ip = ref 0 in
-      while !ic < nc || !ip < np do
-        if !ic < nc && (!ip >= np || combining.starts.(!ic) <= pull.starts.(!ip)) then begin
-          check_physical links ~eps ~forbidden ~num_chunks combining !ic;
-          incr ic
-        end
-        else begin
-          check_physical links ~eps ~forbidden ~num_chunks pull !ip;
-          incr ip
-        end
-      done;
-      (* Semantic replay. A combining send snapshots (and spends) the
-         source's partial at its start and merges it into the destination at
-         its finish; a pull send requires the source to hold the fully
-         reduced value at its start and replicates it at its finish.
-         Finishes sort before starts at equal times. *)
-      let events =
-        List.concat_map
-          (fun s -> [ (s.start, 1, `Combine_start, s); (s.finish, 0, `Combine_finish, s) ])
-          (sends combining)
-        @ List.concat_map
-            (fun s -> [ (s.start, 1, `Pull_start, s); (s.finish, 0, `Pull_finish, s) ])
-            (sends pull)
+      let st =
+        Reduction.run topo ~forbidden ~contributions ~num_chunks ~chunk_size ~combining ~pull
       in
-      let events =
-        List.sort
-          (fun (ta, pa, _, _) (tb, pb, _, _) ->
-            let c = Float.compare ta tb in
-            if c <> 0 then c else compare pa pb)
-          events
-      in
-      let in_flight : (int * float, Iset.t) Hashtbl.t = Hashtbl.create 64 in
-      let key s = (s.edge, s.start) in
-      List.iter
-        (fun (_, _, kind, s) ->
-          let c = s.chunk in
-          match kind with
-          | `Combine_start ->
-            Hashtbl.replace in_flight (key s) absorbed.(s.src).(c);
-            absorbed.(s.src).(c) <- Iset.empty
-          | `Combine_finish ->
-            let carried =
-              match Hashtbl.find_opt in_flight (key s) with
-              | Some set ->
-                Hashtbl.remove in_flight (key s);
-                set
-              | None -> Iset.empty
-            in
-            let clash = Iset.inter carried absorbed.(s.dst).(c) in
-            if not (Iset.is_empty clash) then
-              bad "NPU %d absorbs the contribution of rank %d to chunk %d twice" s.dst
-                (Iset.min_elt clash) c;
-            absorbed.(s.dst).(c) <- Iset.union carried absorbed.(s.dst).(c)
-          | `Pull_start ->
-            if not (Iset.equal absorbed.(s.src).(c) contributors.(c)) then
-              bad "NPU %d forwards chunk %d at %g holding a partial copy (%d of %d \
-                   contributions)"
-                s.src c s.start
-                (Iset.cardinal absorbed.(s.src).(c))
-                (Iset.cardinal contributors.(c))
-          | `Pull_finish -> absorbed.(s.dst).(c) <- contributors.(c))
-        events;
+      let npus = Array.length st.absorbed in
       List.iter
         (fun (d, c) ->
           if d < 0 || d >= npus || c < 0 || c >= num_chunks then
             bad "postcondition (%d, %d) out of range" d c;
-          if not (Iset.equal absorbed.(d).(c) contributors.(c)) then
+          let held = st.absorbed.(d).(c) and all = st.contributors.(c) in
+          if not (Reduction.Iset.equal held all) then
             bad "postcondition unmet: NPU %d holds %d of %d contributions to chunk %d" d
-              (Iset.cardinal absorbed.(d).(c))
-              (Iset.cardinal contributors.(c))
-              c)
+              (Reduction.Iset.cardinal held) (Reduction.Iset.cardinal all) c)
         postcondition)
 
 (* --- analyses ---------------------------------------------------------- *)
@@ -624,11 +666,11 @@ let to_json ?spec t =
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
-let pp_events ?(chunk_names = string_of_int) ppf t =
+let pp_events ppf t =
   List.iter
     (fun s ->
-      Format.fprintf ppf "[%10s - %10s] chunk %-6s  NPU %d -> NPU %d (link %d)@."
+      Format.fprintf ppf "[%10s - %10s] chunk %-6d  NPU %d -> NPU %d (link %d)@."
         (Tacos_util.Units.time_pp s.start)
         (Tacos_util.Units.time_pp s.finish)
-        (chunk_names s.chunk) s.src s.dst s.edge)
+        s.chunk s.src s.dst s.edge)
     (sends t)

@@ -147,6 +147,44 @@ val validate_reduction :
     time, [forbidden] intervals) is checked over the union. The
     [postcondition] requires the named NPUs to hold the fully reduced chunk. *)
 
+(** The replay {!validate_reduction} runs, exported so mid-flight repair can
+    read the reduction state a kept prefix left behind: which contributions
+    every surviving copy of a chunk holds. *)
+module Reduction : sig
+  type state
+  (** Per (NPU, chunk) copy, the set of contributing ranks it has absorbed. *)
+
+  val replay :
+    Topology.t ->
+    contributions:(int * int) list ->
+    num_chunks:int ->
+    chunk_size:float ->
+    combining:t ->
+    pull:t ->
+    (state, string) result
+  (** Replay [combining] and [pull] with {!validate_reduction}'s checks
+      (every one but the postcondition, and no dead links) and return the
+      state they leave. Each [(npu, chunk)] of [contributions] starts holding
+      exactly its own contribution; for a pure-movement chunk, list its one
+      initial holder, and a held copy is then "fully reduced", so one replay
+      tracks positions for every supported pattern. [Error] carries the
+      first failed check's message, the one {!validate_reduction} reports:
+      only sends that are not a valid reduction fail. *)
+
+  val is_full : state -> npu:int -> chunk:int -> bool
+  (** Has the copy at [npu] absorbed every contribution of [chunk]? *)
+
+  val positions : state -> (int * int) list
+  (** Every fully reduced copy as [(npu, chunk)], in index order: the
+      precondition of a repair goal. *)
+
+  val partials : state -> (int * int * int list) list
+  (** Every strictly partial, non-empty copy as [(npu, chunk, absorbed)],
+      in index order: the partial sums of a repair goal. On a valid replay
+      a chunk's partials are pairwise disjoint, and when the chunk has no
+      full copy they cover its contributors. *)
+end
+
 val validate : Topology.t -> Spec.t -> t -> (unit, string) result
 (** Check physical legality and semantic correctness:
     - every send's link exists and matches its endpoints;
@@ -182,7 +220,7 @@ val average_utilization : Topology.t -> t -> float
 val chunk_path : t -> int -> send list
 (** The sends that move one chunk, in time order — its static route. *)
 
-val pp_events : ?chunk_names:(int -> string) -> Format.formatter -> t -> unit
+val pp_events : Format.formatter -> t -> unit
 (** Human-readable event listing, one line per send. *)
 
 val of_json : string -> (t, string) result

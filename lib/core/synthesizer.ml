@@ -810,9 +810,8 @@ let relay_closure exp ~dead_mask ~dest holders =
       end)
     (Iset.singleton dest) holders
 
-let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
-    ?(prefer_cheap_links = true) ?deadline ?reuse ?(dead = []) ?(slowed = [])
-    topo goal =
+let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1) ?reuse ?(dead = [])
+    ?(slowed = []) topo goal =
   validate_goal ~num_npus:(Topology.num_npus topo) goal;
   let t0 = Unix.gettimeofday () in
   let exp =
@@ -887,13 +886,13 @@ let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
           if not need_combine then (Schedule.empty, 0, 0)
           else
             let s, r, m =
-              synthesize_pull ~prefer_cheap_links ?deadline ~reuse:rexp ~dead
+              synthesize_pull ~prefer_cheap_links:true ~reuse:rexp ~dead
                 ~slowed rng rtopo combine_goal
             in
             (Schedule.reverse s, r, m)
         in
         let spread, r2, m2 =
-          synthesize_pull ~prefer_cheap_links ?deadline ~reuse:exp ~dead ~slowed
+          synthesize_pull ~prefer_cheap_links:true ~reuse:exp ~dead ~slowed
             rng topo spread_goal
         in
         let pull = Schedule.shift spread combining.Schedule.makespan in

@@ -183,8 +183,6 @@ val synthesize_goal_plan :
   ?seed:int ->
   ?trials:int ->
   ?domains:int ->
-  ?prefer_cheap_links:bool ->
-  ?deadline:Tacos_util.Deadline.t ->
   ?reuse:Tacos_ten.Ten.Expansion.t ->
   ?dead:int list ->
   ?slowed:(int * float) list ->

@@ -8,12 +8,13 @@ type choice = {
   simulated_time : float;
 }
 
-let simulated_time topo (result : Synthesizer.result) =
-  let chunk_size = Spec.chunk_size result.Synthesizer.spec in
-  let program =
-    Tacos_sim.Program.of_schedule ~chunk_size result.Synthesizer.schedule
-  in
-  (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time
+let replay ?faults topo (result : Synthesizer.result) =
+  Tacos_sim.Engine.run ?faults topo
+    (Tacos_sim.Program.of_schedule
+       ~chunk_size:(Spec.chunk_size result.Synthesizer.spec)
+       result.Synthesizer.schedule)
+
+let simulated_time topo result = (replay topo result).Tacos_sim.Engine.finish_time
 
 let sweep ?(seed = 42) ?(domains = 1) ?(candidates = [ 1; 2; 4; 8; 16 ])
     ?synthesize topo ~pattern ~size =

@@ -56,6 +56,14 @@ val best : choice list -> choice
     pick {!tune} makes from {!sweep}. Raises [Invalid_argument] on an
     empty list. *)
 
-val simulated_time : Topology.t -> Synthesizer.result -> float
+val replay :
+  ?faults:Tacos_sim.Engine.fault_event list ->
+  Topology.t ->
+  Synthesizer.result ->
+  Tacos_sim.Engine.report
 (** Replay a synthesis result under the simulator backend (the paper's
-    measurement model). *)
+    measurement model): its schedule as a {!Tacos_sim.Program} at the spec's
+    chunk size, run by {!Tacos_sim.Engine.run} with [faults]. *)
+
+val simulated_time : Topology.t -> Synthesizer.result -> float
+(** The finish time of a healthy {!replay}. *)

@@ -59,7 +59,6 @@ let c_groups = Obs.counter "groups.groups"
 let c_phases = Obs.counter "groups.phases"
 let c_syntheses = Obs.counter "groups.syntheses"
 let c_dedup = Obs.counter "groups.dedup_hits"
-let c_inflight_joins = Obs.counter "groups.inflight_joins"
 let t_phase_synth = Obs.timer "groups.phase_synth_seconds"
 let t_validate = Obs.timer "groups.validate_seconds"
 let t_lift = Obs.timer "groups.lift_seconds"
@@ -75,95 +74,78 @@ let sub_key (group : Group.t) (spec : Spec.t) =
 
 type ctx = {
   cache : (string, Synthesizer.result) Hashtbl.t;
-  inflight : (string, Synthesizer.result Pool.future) Hashtbl.t;
-  lock : Mutex.t;
   pool : Pool.t option;  (** [Some] iff [domains > 1] *)
   domains : int;
   seed : int;
   trials : int;
-  prefer_cheap_links : bool;
 }
-
-(* A phase element's sub-synthesis, split into a start half (dispatch) and
-   a join half (collect) so a phase can start every distinct sub-synthesis
-   on the pool before collecting any. Starts are issued sequentially by
-   the coordinating domain, so which element owns a key (and which ones
-   dedup against it) is a function of element order alone — the `Hit/`Miss
-   attribution, and with it every phase_info row, is bit-identical to the
-   sequential path. *)
-type sub_handle =
-  | Ready of Synthesizer.result * [ `Hit | `Miss ]
-      (** served from cache, or computed inline (sequential path) *)
-  | Join of Synthesizer.result Pool.future
-      (** single-flight dedup against another element's in-flight synthesis *)
-  | Own of string * Synthesizer.result Pool.future
-      (** this element runs the synthesis; publish under the key on join *)
 
 let run_synth ctx (group : Group.t) spec =
   Obs.time t_phase_synth (fun () ->
       Synthesizer.synthesize ~seed:ctx.seed ~trials:ctx.trials
-        ~domains:ctx.domains ~prefer_cheap_links:ctx.prefer_cheap_links
-        group.Group.topo spec)
+        ~domains:ctx.domains group.Group.topo spec)
 
-let start_sub ctx (group : Group.t) spec =
-  let k = sub_key group spec in
-  match ctx.pool with
-  | None -> (
-    match Hashtbl.find_opt ctx.cache k with
-    | Some r -> Ready (r, `Hit)
-    | None ->
-      let r = run_synth ctx group spec in
-      Hashtbl.add ctx.cache k r;
-      Ready (r, `Miss))
-  | Some pool -> (
-    Mutex.lock ctx.lock;
-    match Hashtbl.find_opt ctx.cache k with
-    | Some r ->
-      Mutex.unlock ctx.lock;
-      Ready (r, `Hit)
-    | None -> (
-      match Hashtbl.find_opt ctx.inflight k with
-      | Some fut ->
-        Mutex.unlock ctx.lock;
-        Obs.incr c_inflight_joins;
-        Join fut
-      | None ->
-        let fut = Pool.submit pool (fun () -> run_synth ctx group spec) in
-        Hashtbl.add ctx.inflight k fut;
-        Mutex.unlock ctx.lock;
-        Own (k, fut)))
-
-let join_sub ctx handle =
-  match handle with
-  | Ready (r, `Hit) ->
-    Obs.incr c_dedup;
-    (r, `Hit)
-  | Ready (r, `Miss) ->
-    Obs.incr c_syntheses;
-    (r, `Miss)
-  | Join fut ->
-    let r = Pool.await (Option.get ctx.pool) fut in
-    Obs.incr c_dedup;
-    (r, `Hit)
-  | Own (k, fut) ->
-    let r = Pool.await (Option.get ctx.pool) fut in
-    Mutex.lock ctx.lock;
-    Hashtbl.replace ctx.cache k r;
-    Hashtbl.remove ctx.inflight k;
-    Mutex.unlock ctx.lock;
-    Obs.incr c_syntheses;
-    (r, `Miss)
-
-(* Start every element of a phase, then collect in element order. *)
+(* A phase's sub-syntheses, deduped in one pass over its elements: the
+   first element whose key is not cached owns that key's synthesis and
+   every later one is a dedup hit, so which element owns a key — and with
+   it every phase_info row — depends on element order alone. Without a
+   pool an owner synthesizes on the spot; with one, the owners fan out
+   through one [Pool.map] and are cached once it returns. *)
 let synth_parts ctx elements =
-  let handles =
-    List.map (fun (group, spec, _) -> start_sub ctx group spec) elements
+  let owned = Hashtbl.create 8 and owners = ref [] in
+  let keyed =
+    List.map
+      (fun (group, spec, chunk_map) ->
+        let k = sub_key group spec in
+        let owner = not (Hashtbl.mem ctx.cache k || Hashtbl.mem owned k) in
+        if owner then begin
+          match ctx.pool with
+          | None -> Hashtbl.add ctx.cache k (run_synth ctx group spec)
+          | Some _ ->
+            Hashtbl.add owned k ();
+            owners := (k, group, spec) :: !owners
+        end;
+        (group, chunk_map, k, if owner then `Miss else `Hit))
+      elements
   in
-  List.map2
-    (fun (group, _, chunk_map) handle ->
-      let r, outcome = join_sub ctx handle in
-      (group, chunk_map, r, outcome))
-    elements handles
+  Option.iter
+    (fun pool ->
+      let owners = Array.of_list (List.rev !owners) in
+      let results =
+        Pool.map pool
+          (fun i ->
+            let _, group, spec = owners.(i) in
+            run_synth ctx group spec)
+          (Array.length owners)
+      in
+      Array.iteri (fun i (k, _, _) -> Hashtbl.add ctx.cache k results.(i)) owners)
+    ctx.pool;
+  List.map
+    (fun (group, chunk_map, k, outcome) ->
+      Obs.incr (match outcome with `Miss -> c_syntheses | `Hit -> c_dedup);
+      (group, chunk_map, Hashtbl.find ctx.cache k, outcome))
+    keyed
+
+(* A phase's info row: its parts' synthesis outcomes and wall clock, and
+   its duration from [offset] to [finish]. *)
+let account ~phase ~offset ~finish parts =
+  let syntheses, dedup_hits, wall =
+    List.fold_left
+      (fun (s, d, w) (_, _, (r : Synthesizer.result), outcome) ->
+        match outcome with
+        | `Miss -> (s + 1, d, w +. r.stats.Synthesizer.wall_seconds)
+        | `Hit -> (s, d + 1, w))
+      (0, 0, 0.) parts
+  in
+  Obs.incr c_phases;
+  {
+    phase;
+    parts = List.length parts;
+    syntheses;
+    dedup_hits;
+    wall_seconds = wall;
+    makespan = finish -. offset;
+  }
 
 (* One phase: synthesize (deduped) each part, lift every part's schedule to
    start at [offset], and account. Returns the lifted runs, one per part,
@@ -183,31 +165,11 @@ let run_phase ctx ~phase ~offset elements =
             Compose.lift group ~chunk_map ~offset r.schedule)
           parts)
   in
-  let syntheses, dedup_hits, wall =
-    List.fold_left
-      (fun (s, d, w) (_, _, (r : Synthesizer.result), outcome) ->
-        match outcome with
-        | `Miss -> (s + 1, d, w +. r.stats.Synthesizer.wall_seconds)
-        | `Hit -> (s, d + 1, w))
-      (0, 0, 0.) parts
-  in
-  let info =
-    {
-      phase;
-      parts = List.length parts;
-      syntheses;
-      dedup_hits;
-      wall_seconds = wall;
-      makespan = finish -. offset;
-    }
-  in
-  Obs.incr c_phases;
-  (runs, finish, info)
+  (runs, finish, account ~phase ~offset ~finish parts)
 
 (* --- decomposition ----------------------------------------------------- *)
 
-let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
-    ?(prefer_cheap_links = true) topo (spec : Spec.t) ~groups =
+let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~groups =
   if domains <= 0 then invalid_arg "Plan.synthesize: domains must be positive";
   (match Obs.time t_validate (fun () -> Group.validate topo groups) with
   | Ok () -> ()
@@ -228,18 +190,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
      out — so cross-phase cache hits land exactly where the sequential path
      puts them. *)
   let pool = if domains = 1 then None else Some (Pool.global ~size:domains ()) in
-  let ctx =
-    {
-      cache = Hashtbl.create 16;
-      inflight = Hashtbl.create 8;
-      lock = Mutex.create ();
-      pool;
-      domains;
-      seed;
-      trials;
-      prefer_cheap_links;
-    }
-  in
+  let ctx = { cache = Hashtbl.create 16; pool; domains; seed; trials } in
 
   (* Chunk maps, local id → global id. Owner-based global chunk ids are
      [owner * k + slot]. A group's local rank [lo] holds — after the inter
@@ -319,39 +270,35 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
     }
   in
 
+  (* The four two-phase patterns: the second phase starts when the first
+     completes, and the composed schedule merges both phases' runs. *)
+  let two_phases (phase1, elements1) (phase2, elements2) =
+    let s1, t1, i1 = run_phase ctx ~phase:phase1 ~offset:0. elements1 in
+    let s2, _, i2 = run_phase ctx ~phase:phase2 ~offset:t1 elements2 in
+    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
+  in
+  let group_elems spec = List.map (fun gr -> (gr, spec, identity)) groups in
+  let slice_elems r0 spec = [ (List.nth slices r0, spec, identity) ] in
+
   match spec.Spec.pattern with
   | Pattern.All_gather ->
-    let s1, t1, i1 = run_phase ctx ~phase:"inter-all-gather" ~offset:0. (inter_elems Pattern.All_gather) in
-    let s2, _, i2 = run_phase ctx ~phase:"intra-all-gather" ~offset:t1 (intra_elems Pattern.All_gather) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
+    two_phases
+      ("inter-all-gather", inter_elems Pattern.All_gather)
+      ("intra-all-gather", intra_elems Pattern.All_gather)
   | Pattern.Reduce_scatter ->
-    let s1, t1, i1 = run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0. (intra_elems Pattern.Reduce_scatter) in
-    let s2, _, i2 = run_phase ctx ~phase:"inter-reduce-scatter" ~offset:t1 (inter_elems Pattern.Reduce_scatter) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
+    two_phases
+      ("intra-reduce-scatter", intra_elems Pattern.Reduce_scatter)
+      ("inter-reduce-scatter", inter_elems Pattern.Reduce_scatter)
   | Pattern.Broadcast root ->
     let g0, r0 = locate root in
-    let slice = List.nth slices r0 in
-    let s1, t1, i1 =
-      run_phase ctx ~phase:"inter-broadcast" ~offset:0.
-        [ (slice, rooted_spec (Pattern.Broadcast g0) g, identity) ]
-    in
-    let s2, _, i2 =
-      run_phase ctx ~phase:"intra-broadcast" ~offset:t1
-        (List.map (fun gr -> (gr, rooted_spec (Pattern.Broadcast r0) m, identity)) groups)
-    in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
+    two_phases
+      ("inter-broadcast", slice_elems r0 (rooted_spec (Pattern.Broadcast g0) g))
+      ("intra-broadcast", group_elems (rooted_spec (Pattern.Broadcast r0) m))
   | Pattern.Reduce root ->
     let g0, r0 = locate root in
-    let slice = List.nth slices r0 in
-    let s1, t1, i1 =
-      run_phase ctx ~phase:"intra-reduce" ~offset:0.
-        (List.map (fun gr -> (gr, rooted_spec (Pattern.Reduce r0) m, identity)) groups)
-    in
-    let s2, _, i2 =
-      run_phase ctx ~phase:"inter-reduce" ~offset:t1
-        [ (slice, rooted_spec (Pattern.Reduce g0) g, identity) ]
-    in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
+    two_phases
+      ("intra-reduce", group_elems (rooted_spec (Pattern.Reduce r0) m))
+      ("inter-reduce", slice_elems r0 (rooted_spec (Pattern.Reduce g0) g))
   | Pattern.All_reduce ->
     let s1, t1, i1 =
       run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0.
@@ -362,60 +309,35 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
        Reduce-Scatter so the composed schedule has one global RS|AG
        boundary for validate_all_reduce; delaying an AG phase is always
        causally safe. *)
-    let parts =
-      List.map
-        (fun (sl, _, r, outcome) ->
-          let rs, ag =
-            match (r : Synthesizer.result).Synthesizer.phases with
-            | Some (rs, ag) -> (rs, ag)
-            | None -> assert false (* the synthesizer always splits All-Reduce *)
-          in
-          (sl, r, rs, ag, outcome))
-        (synth_parts ctx
-           (List.map
-              (fun sl -> (sl, inter_spec Pattern.All_reduce, slice_map sl))
-              slices))
+    let parts = synth_parts ctx (inter_elems Pattern.All_reduce) in
+    let phases_of (_, _, (r : Synthesizer.result), _) =
+      (* the synthesizer always splits All-Reduce *)
+      Option.get r.Synthesizer.phases
     in
-    let max_rs =
-      List.fold_left
-        (fun acc (_, _, (rs : Schedule.t), _, _) -> Float.max acc rs.Schedule.makespan)
-        0. parts
+    let rs_end =
+      t1
+      +. List.fold_left
+           (fun acc p -> Float.max acc (fst (phases_of p)).Schedule.makespan)
+           0. parts
     in
     let rs_runs =
       Obs.time t_lift (fun () ->
           List.map
-            (fun (sl, _, rs, _, _) ->
-              Compose.lift sl ~chunk_map:(slice_map sl) ~offset:t1 rs)
+            (fun ((sl, chunk_map, _, _) as p) ->
+              Compose.lift sl ~chunk_map ~offset:t1 (fst (phases_of p)))
             parts)
     in
-    let t2 = ref (t1 +. max_rs) in
+    let t2 = ref rs_end in
     let ag_runs =
       List.map
-        (fun (sl, _, (rs : Schedule.t), (ag : Schedule.t), _) ->
-          let offset = t1 +. max_rs -. rs.Schedule.makespan in
+        (fun ((sl, chunk_map, _, _) as p) ->
+          let rs, ag = phases_of p in
+          let offset = rs_end -. rs.Schedule.makespan in
           t2 := Float.max !t2 (offset +. ag.Schedule.makespan);
-          Compose.lift sl ~chunk_map:(slice_map sl) ~offset ag)
+          Compose.lift sl ~chunk_map ~offset ag)
         parts
     in
-    let syntheses, dedup_hits, wall =
-      List.fold_left
-        (fun (s, d, w) (_, (r : Synthesizer.result), _, _, outcome) ->
-          match outcome with
-          | `Miss -> (s + 1, d, w +. r.stats.Synthesizer.wall_seconds)
-          | `Hit -> (s, d + 1, w))
-        (0, 0, 0.) parts
-    in
-    let i2 =
-      {
-        phase = "inter-all-reduce";
-        parts = List.length parts;
-        syntheses;
-        dedup_hits;
-        wall_seconds = wall;
-        makespan = !t2 -. t1;
-      }
-    in
-    Obs.incr c_phases;
+    let i2 = account ~phase:"inter-all-reduce" ~offset:t1 ~finish:!t2 parts in
     let s3, _, i3 =
       run_phase ctx ~phase:"intra-all-gather" ~offset:!t2 (intra_elems Pattern.All_gather)
     in

@@ -65,7 +65,6 @@ val synthesize :
   ?seed:int ->
   ?trials:int ->
   ?domains:int ->
-  ?prefer_cheap_links:bool ->
   Topology.t ->
   Spec.t ->
   groups:Group.t list ->
@@ -77,13 +76,13 @@ val synthesize :
     [Tacos.Synthesizer.Unsupported] for patterns without a group decomposition
     (All-to-All, Gather, Scatter), and propagates [Tacos.Synthesizer.Stuck].
 
-    [domains] (default 1) fans each phase's distinct sub-syntheses out on
-    the shared {!Tacos_util.Pool} (grown to at least [domains] workers) and
-    passes [domains] down to each flat synthesis, so group- and
-    trial-parallelism draw from one worker budget. Concurrent identical
-    sub-problems are single-flight: the first element to need a key runs
-    the synthesis, later elements join its in-flight future (counted under
-    the [groups.inflight_joins] obs counter and reported as dedup hits).
-    Sub-results are composed in element order and phases stay sequential,
+    A phase dedups its keys before it dispatches: in element order, the
+    first element whose key is not yet cached owns that synthesis and every
+    later element with the key is a dedup hit. With [domains] (default 1)
+    above 1, a phase's owners fan out through one {!Tacos_util.Pool.map} on
+    the shared pool (grown to at least [domains] workers), and [domains] is
+    passed down to each flat synthesis, so group- and trial-parallelism
+    draw from one worker budget. Ownership depends on element order alone,
+    sub-results are composed in element order and phases stay sequential,
     so the composed schedule, phase splits, and every phase_info row
     (wall-clock aside) are bit-identical to [~domains:1]. *)

@@ -221,9 +221,9 @@ let random_degradations rng ~factor topo k =
     (fun id -> Degrade_link { link = id; factor })
     (sample_distinct rng ~universe:(Topology.num_links topo) ~what:"link" k)
 
-let random_connected_link_kills ?(attempts = 64) rng topo k =
+let random_connected_link_kills rng topo k =
   let rec try_once i =
-    if i >= attempts then None
+    if i >= 64 then None
     else
       let faults = random_link_kills rng topo k in
       if Topology.is_strongly_connected (apply topo faults) then Some faults

@@ -100,8 +100,8 @@ val random_degradations :
     unless [factor] passes the check of {!validate}. *)
 
 val random_connected_link_kills :
-  ?attempts:int -> Tacos_util.Rng.t -> Topology.t -> int -> t list option
-(** Sample up to [attempts] (default 64) candidate [k]-link kill sets and
+  Tacos_util.Rng.t -> Topology.t -> int -> t list option
+(** Sample up to 64 candidate [k]-link kill sets and
     return the first that leaves the fabric strongly connected — the
     survivable-fault sweeps of the resilience experiment. [None] when every
     attempt disconnects (e.g. [k] at least the min degree on a sparse

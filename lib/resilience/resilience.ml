@@ -70,7 +70,7 @@ let failure_to_json f =
     | None -> [])
 
 let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
-    ?deadline ?(max_retries = 3) ?(baselines = Algo.all) ?(faults = []) topo spec =
+    ?deadline ?(faults = []) topo spec =
   if domains <= 0 then invalid_arg "Resilience.synthesize: domains must be positive";
   let t0 = Unix.gettimeofday () in
   (* The effective deadline layers the caller's absolute deadline over the
@@ -133,7 +133,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
     in
     let baseline_rung ~retries ~rungs reason =
       Obs.incr obs_baseline;
-      match Algo.best_feasible ~candidates:baselines degraded spec with
+      match Algo.best_feasible degraded spec with
       | Some (algo, report) ->
         finish ~retries
           ~rungs:(Printf.sprintf "baseline %s" (Algo.name algo) :: rungs)
@@ -182,7 +182,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
              futile, so go straight to the structured report. *)
           if connectivity <> Fault.Connected then
             fail "connectivity" msg ~connectivity ~disconnecting:(disconnecting ())
-          else if retries >= max_retries then
+          else if retries >= 3 then
             baseline_rung ~retries
               ~rungs:(Printf.sprintf "stuck after %d reseeds" retries :: rungs)
               (Printf.sprintf "synthesis stuck after %d reseeded retries: %s" retries
@@ -254,9 +254,7 @@ let analyze ?(seed = 42) ?(trials = 1) ?(domains = 1) ?budget_ms topo faults
      engine reroutes sends whose direct link died (store-and-forward), so
      this is the cost of *not* re-synthesizing. *)
   let replay_time =
-    let chunk_size = Spec.chunk_size result.Synth.spec in
-    let program = Program.of_schedule ~chunk_size result.Synth.schedule in
-    match Engine.run degraded program with
+    match Tacos.Tuner.replay degraded result with
     | report -> if report.Engine.stranded = [] then Some report.Engine.finish_time else None
     | exception Engine.Simulation_error _ -> None
     | exception Failure _ -> None
@@ -368,8 +366,9 @@ let make_ctx ?reuse topo spec =
 (* One reduction-aware repair epoch at time [at]:
 
    1. keep every send of the current composite that finished by [at];
-   2. replay the kept prefix through the reduction tracker to recover
-      positions (full copies) and in-flight partial sums;
+   2. replay the kept prefix ({!Schedule.Reduction}) to recover positions
+      (full copies) and in-flight partial sums; a prefix that is not a valid
+      reduction falls back to full re-synthesis, as a stuck patch does;
    3. re-synthesize only the unmet remainder as a positional goal with
       reduction state, over the healthy fabric's cached expansion with the
       accumulated dead/slowed links masked;
@@ -386,18 +385,14 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
   let kept_p = List.filter keep (Schedule.sends split.pull) in
   let kept_combining = Schedule.make kept_c in
   let kept_pull = Schedule.make kept_p in
-  let tracker =
-    Reduction.create
-      ~num_npus:(Topology.num_npus ctx.topo)
-      ~num_chunks:ctx.num_chunks ~contributors:ctx.contributors
-  in
-  Reduction.replay tracker ~combining:kept_combining ~pull:kept_pull ~at;
-  let unmet =
-    List.filter
-      (fun (d, c) -> not (Reduction.is_full tracker ~npu:d ~chunk:c))
-      ctx.postcondition
-  in
-  if unmet = [] then begin
+  let full state (d, c) = Schedule.Reduction.is_full state ~npu:d ~chunk:c in
+  match
+    Schedule.Reduction.replay ctx.topo ~contributions:ctx.contributors
+      ~num_chunks:ctx.num_chunks ~chunk_size:ctx.chunk_size ~combining:kept_combining
+      ~pull:kept_pull
+  with
+  | Error msg -> `Fall_back ("kept prefix is not a valid reduction: " ^ msg)
+  | Ok state when List.for_all (full state) ctx.postcondition ->
     Obs.incr obs_repair_complete;
     let done_at =
       List.fold_left
@@ -412,16 +407,15 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
           verified = Ok ();
         },
         { combining = kept_combining; pull = kept_pull } )
-  end
-  else begin
+  | Ok state ->
     let goal =
       {
         Synth.num_chunks = ctx.num_chunks;
         chunk_size = ctx.chunk_size;
-        precondition = Reduction.positions tracker;
+        precondition = Schedule.Reduction.positions state;
         postcondition = ctx.postcondition;
         contributors = ctx.contributors;
-        partials = Reduction.partials tracker;
+        partials = Schedule.Reduction.partials state;
       }
     in
     (* Repair optimizes the metric it reports: each trial's patch is scored
@@ -459,8 +453,9 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
     in
     match best with
     | None | Some (Error _) ->
-      `Stuck
-        (match best with Some (Error msg) -> msg | _ -> "no repair trial ran")
+      `Fall_back
+        ("suffix synthesis stuck: "
+        ^ match best with Some (Error msg) -> msg | _ -> "no repair trial ran")
     | Some (Ok (plan, stats, patch, completion)) ->
       Obs.incr obs_repair_suffix;
       let composite =
@@ -491,7 +486,6 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
             verified;
           },
           composite )
-  end
 
 (* Fall through to the full fallback ladder when suffix repair cannot apply
    (no phase split, pairwise semantics, or a stuck patch synthesis). *)
@@ -579,7 +573,7 @@ let repair ?(seed = 42) ?(trials = 1) ?(domains = 1) ?budget_ms ?reuse ~at topo
           ~degraded ctx split
       with
       | `Repaired (repaired, _) -> Ok repaired
-      | `Stuck msg -> full ("suffix synthesis stuck: " ^ msg)))
+      | `Fall_back reason -> full reason))
 
 (* --- multi-epoch repair --------------------------------------------------- *)
 
@@ -693,6 +687,6 @@ let repair_timeline ?(seed = 42) ?(trials = 1) ?(domains = 1) ?budget_ms ?reuse
             | Complete_already -> Obs.incr obs_epoch_complete
             | Full _ -> ());
             continue repaired split'
-          | `Stuck msg -> fall_back ("suffix synthesis stuck: " ^ msg))
+          | `Fall_back reason -> fall_back reason)
       in
       go 0 [] split [] [] 0. events)

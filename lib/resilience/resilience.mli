@@ -72,8 +72,6 @@ val synthesize :
   ?domains:int ->
   ?budget_ms:float ->
   ?deadline:Tacos_util.Deadline.t ->
-  ?max_retries:int ->
-  ?baselines:Algo.t list ->
   ?faults:Fault.t list ->
   Topology.t ->
   Spec.t ->
@@ -81,8 +79,8 @@ val synthesize :
 (** [synthesize topo spec] runs the fallback ladder above. [faults]
     (default none) are applied to [topo] first — pass the healthy topology
     and the fault set rather than pre-degrading, so failures can name the
-    disconnecting fault. [max_retries] defaults to 3; [baselines]
-    defaults to {!Tacos_baselines.Algo.all}. All-to-All specs dispatch to
+    disconnecting fault. The ladder reseeds at most 3 times, and its
+    baseline rung is {!Tacos_baselines.Algo.best_feasible}. All-to-All specs dispatch to
     {!Tacos.Router.synthesize}. [domains] (default 1) parallelizes each
     attempt's trials on the shared {!Tacos_util.Pool}; the ladder's outcome stays
     deterministic for a given [seed]. Never raises [Stuck]/[Unsupported].
@@ -145,8 +143,9 @@ val health_to_string : health -> string
     The timed counterpart of {!analyze}: the fault lands at [at] seconds into
     an executing healthy schedule. Instead of discarding the collective,
     {!repair} keeps every send that finished before the fault, replays the
-    kept prefix through the {!Reduction} tracker to recover both chunk
-    positions {e and} in-flight partial sums, and re-synthesizes only the
+    kept prefix with {!Tacos_collective.Schedule.Reduction}, the replay
+    {!Tacos_collective.Schedule.validate_reduction} runs, to recover both
+    chunk positions {e and} in-flight partial sums, and re-synthesizes only the
     still-unmet remainder as a reduction-aware positional goal
     ({!Tacos.Synthesizer.synthesize_goal_plan}) — over the healthy fabric's
     cached TEN expansion with the dead links masked, so repair stays in the
@@ -155,7 +154,11 @@ val health_to_string : health -> string
 
     {!repair_timeline} folds the same step over a multi-epoch fault
     timeline, re-repairing the previously repaired composite at each epoch
-    ([resilience.epoch.*] counters tally per-epoch strategies). *)
+    ([resilience.epoch.*] counters tally per-epoch strategies).
+
+    A kept prefix that fails the replay's checks is not a valid reduction;
+    repair does not build on it and runs the full fallback ladder instead,
+    as it does when the patch synthesis is stuck. *)
 
 type strategy =
   | Suffix of {
@@ -172,7 +175,8 @@ type strategy =
       (** every postcondition was met before the fault — nothing to do *)
   | Full of { reason : string; outcome : outcome }
       (** suffix repair does not apply (no phase split, pairwise semantics,
-          or a stuck patch synthesis); the full fallback ladder ran instead *)
+          a kept prefix that is not a valid reduction, or a stuck patch
+          synthesis); the full fallback ladder ran instead *)
 
 type repaired = {
   strategy : strategy;

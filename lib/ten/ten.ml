@@ -170,10 +170,10 @@ module Expansion = struct
       r
 end
 
-let render ?(max_links = 64) t =
+let render t =
   let buf = Buffer.create 1024 in
   let nlinks = Topology.num_links t.topo in
-  let shown = min nlinks max_links in
+  let shown = min nlinks 64 in
   let cell_width =
     (* wide enough for the largest chunk id seen *)
     let max_chunk =

@@ -46,10 +46,9 @@ val of_schedule : Topology.t -> span_cost:float -> Schedule.t -> t
 val to_schedule : t -> Schedule.t
 (** The inverse of [of_schedule]. *)
 
-val render : ?max_links:int -> t -> string
+val render : t -> string
 (** ASCII grid: one row per physical link, one column per time span, each
-    cell the matched chunk (or [.]). Rows beyond [max_links] (default 64)
-    are elided. *)
+    cell the matched chunk (or [.]). Rows beyond the first 64 are elided. *)
 
 (** Cached expansion state for repeated synthesis over one fabric.
 

@@ -38,13 +38,8 @@ let tacos_backend ?(seed = 42) ?(chunks_per_npu = 4) topo =
     collective =
       (fun pattern size ->
         let spec = spec_for ~chunks_per_npu topo pattern size in
-        let result = Tacos.Synthesizer.synthesize ~seed topo spec in
         (* Evaluated under the same simulator backend as the baselines. *)
-        let program =
-          Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
-            result.Tacos.Synthesizer.schedule
-        in
-        (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time);
+        Tacos.Tuner.simulated_time topo (Tacos.Synthesizer.synthesize ~seed topo spec));
   }
 
 let ideal_backend topo =

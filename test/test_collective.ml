@@ -524,6 +524,8 @@ let test_parse_topology_link_params () =
       (0.5e-6, 0., "link bandwidth must be positive, got 0 KB/s");
       (0.5e-6, -5e9, "link bandwidth must be positive, got -5 GB/s");
       (0.5e-6, Float.nan, "link bandwidth must be positive, got nan");
+      (* positive, but its β (1 / bandwidth) overflows *)
+      (0.5e-6, 1e-311, "link bandwidth 1e-314 KB/s is too small");
     ]
 
 let test_parse_time () =

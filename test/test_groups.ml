@@ -177,24 +177,24 @@ let test_parallel_plan_bit_identical () =
         [ 2; 4 ])
     [ Pattern.All_gather; Pattern.All_reduce ]
 
-(* The single-flight table is what keeps parallel dedup exact: concurrent
-   identical sub-syntheses join the owner's in-flight future instead of
-   re-running, surfaced by the groups.inflight_joins counter staying within
-   the sequential dedup accounting. *)
+(* A phase dedups its keys before it dispatches, so the parallel run
+   synthesizes each distinct sub-problem once and counts every other part
+   as a dedup hit, exactly as the sequential run does. *)
 let test_parallel_obs_metrics () =
   let topo = torus3d () in
   let groups = groups_exn topo (Plan.Dim 0) in
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect ~finally:Obs.disable (fun () ->
-      ignore
-        (Plan.synthesize ~domains:4 topo (spec Pattern.All_reduce topo) ~groups);
-      Alcotest.(check int) "groups.syntheses unchanged at d=4" 3
-        (Obs.value (Obs.counter "groups.syntheses"));
-      let joins = Obs.value (Obs.counter "groups.inflight_joins") in
-      let hits = Obs.value (Obs.counter "groups.dedup_hits") in
-      Alcotest.(check bool) "inflight joins are dedup hits" true
-        (joins >= 0 && joins <= hits))
+  let counters domains =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable (fun () ->
+        ignore (Plan.synthesize ~domains topo (spec Pattern.All_reduce topo) ~groups);
+        ( Obs.value (Obs.counter "groups.syntheses"),
+          Obs.value (Obs.counter "groups.dedup_hits") ))
+  in
+  let _, seq_hits = counters 1 in
+  let syntheses, hits = counters 4 in
+  Alcotest.(check int) "groups.syntheses unchanged at d=4" 3 syntheses;
+  Alcotest.(check int) "groups.dedup_hits as at d=1" seq_hits hits
 
 let test_auto_dim_prefers_bottleneck () =
   (* The 25 GB/s scale-out dimension of the 2D switch and the 50 GB/s

@@ -346,6 +346,44 @@ let test_repair_complete_when_fault_lands_late () =
     Alcotest.(check (float 1e-9)) "completed at the healthy makespan" makespan
       r.Resilience.completion_time
 
+let test_repair_rejects_invalid_prefix () =
+  (* A kept prefix that is not a valid reduction: ring:4 All-Gather plus one
+     send, on NPU 0's link to NPU 1 while that link is idle, of the chunk
+     NPU 0 receives last, before it has arrived. Repair must not build on
+     that prefix: it falls back to full re-synthesis and names the replay's
+     finding. *)
+  let topo = Builders.ring 4 in
+  let sp = spec ~buffer_size:4e6 Pattern.All_gather 4 in
+  let healthy = Synth.synthesize topo sp in
+  let sends = Schedule.sends healthy.Synth.schedule in
+  let last =
+    List.fold_left
+      (fun (acc : Schedule.send) (s : Schedule.send) ->
+        if s.Schedule.dst = 0 && s.Schedule.finish > acc.Schedule.finish then s else acc)
+      (List.find (fun (s : Schedule.send) -> s.Schedule.dst = 0) sends)
+      sends
+  in
+  let link =
+    (List.find (fun (e : Topology.edge) -> e.Topology.dst = 1) (Topology.out_edges topo 0))
+      .Topology.id
+  in
+  let bogus = { last with Schedule.src = 0; dst = 1; edge = link } in
+  let bad = { healthy with Synth.schedule = Schedule.make (sends @ [ bogus ]) } in
+  let at = bad.Synth.schedule.Schedule.makespan in
+  match Resilience.repair ~at topo [ Fault.Kill_link link ] bad with
+  | Error f -> Alcotest.failf "repair failed: %s" f.Resilience.message
+  | Ok r ->
+    (match r.Resilience.strategy with
+    | Resilience.Full { reason; _ } ->
+      Alcotest.(check string) "reason"
+        (Printf.sprintf
+           "kept prefix is not a valid reduction: NPU 0 forwards chunk %d at %g holding a \
+            partial copy (0 of 1 contributions)"
+           last.Schedule.chunk last.Schedule.start)
+        reason
+    | s -> Alcotest.failf "expected full re-synthesis, got %s" (Resilience.strategy_name s));
+    Alcotest.(check bool) "re-synthesis verified" true (r.Resilience.verified = Ok ())
+
 let test_repair_structured_failure_on_disconnection () =
   (* Killing an NPU mid-collective strands its unmet postconditions: suffix
      synthesis gets stuck, repair falls through to the full ladder, and the
@@ -625,6 +663,88 @@ let prop_multiepoch_repair_verifies =
               && tr.Resilience.verified = Ok ())
           [ Pattern.All_gather; Pattern.Reduce_scatter; Pattern.All_reduce ])
 
+(* --- property: the kept prefix's reduction state ------------------------- *)
+
+(* A random strongly connected fabric: a ring through a random permutation
+   of the NPUs plus random extra links, parallel ones included, with α and
+   β drawn from small sets so that some paths tie in cost and some differ. *)
+let random_fabric rng ~npus ~extra =
+  let topo = Topology.create npus in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let link () = Link.make ~alpha:(pick [| 0.5e-6; 1e-6 |]) ~beta:(pick [| 1e-11; 2e-11; 4e-11 |]) in
+  let perm = Array.init npus Fun.id in
+  Rng.shuffle_in_place rng perm;
+  Array.iteri
+    (fun i v -> ignore (Topology.add_link topo ~src:v ~dst:perm.((i + 1) mod npus) (link ())))
+    perm;
+  for _ = 1 to extra do
+    let s = Rng.int rng npus and d = Rng.int rng npus in
+    if s <> d then ignore (Topology.add_link topo ~src:s ~dst:d (link ()))
+  done;
+  topo
+
+let replay_gen =
+  QCheck.Gen.(
+    let* npus = int_range 2 8 in
+    let* extra = int_bound (2 * npus) in
+    let* pattern = int_bound 4 in
+    let* chunks_per_npu = int_range 1 2 in
+    let* seed = int_bound 10_000 in
+    let* cut = float_bound_inclusive 1. in
+    return (npus, extra, pattern, chunks_per_npu, seed, cut))
+
+let prop_kept_prefix_replay =
+  (* Replaying the sends a healthy schedule finished by a cut time, as
+     repair does, succeeds; per chunk the partial sums are pairwise disjoint,
+     and with no full copy left they cover the chunk's contributors. *)
+  QCheck.Test.make ~name:"kept-prefix replay partitions contributors" ~count:200
+    (QCheck.make
+       ~print:(fun (n, x, p, k, seed, cut) ->
+         Printf.sprintf "npus %d extra %d pattern %d k %d seed %d cut %g" n x p k seed cut)
+       replay_gen)
+    (fun (npus, extra, p, chunks_per_npu, seed, cut) ->
+      let topo = random_fabric (Rng.create seed) ~npus ~extra in
+      let pattern = List.nth (supported_patterns npus) p in
+      let sp = spec ~chunks_per_npu ~buffer_size:1e6 pattern npus in
+      let healthy = Synth.synthesize ~seed topo sp in
+      let combining, pull =
+        match (pattern, healthy.Synth.phases) with
+        | _, Some (rs, ag) -> (rs, ag)
+        | (Pattern.Reduce_scatter | Pattern.Reduce _), None ->
+          (healthy.Synth.schedule, Schedule.empty)
+        | _, None -> (Schedule.empty, healthy.Synth.schedule)
+      in
+      let at = cut *. healthy.Synth.schedule.Schedule.makespan in
+      let kept s =
+        Schedule.make
+          (List.filter
+             (fun (x : Schedule.send) -> x.Schedule.finish <= at +. Schedule.eps_for at)
+             (Schedule.sends s))
+      in
+      let contributions = Spec.precondition sp in
+      match
+        Schedule.Reduction.replay topo ~contributions ~num_chunks:(Spec.num_chunks sp)
+          ~chunk_size:(Spec.chunk_size sp) ~combining:(kept combining) ~pull:(kept pull)
+      with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok state ->
+        let partials = Schedule.Reduction.partials state in
+        let positions = Schedule.Reduction.positions state in
+        List.for_all
+          (fun c ->
+            let sets =
+              List.filter_map (fun (_, c', set) -> if c' = c then Some set else None) partials
+            in
+            let union = List.sort_uniq compare (List.concat sets) in
+            let disjoint = List.length union = List.length (List.concat sets) in
+            let contributors =
+              List.sort_uniq compare
+                (List.filter_map (fun (v, c') -> if c' = c then Some v else None) contributions)
+            in
+            disjoint
+            && (List.exists (fun (_, c') -> c' = c) positions || union = contributors))
+          (List.init (Spec.num_chunks sp) Fun.id))
+
 let prop_connected_kills_never_disconnect =
   QCheck.Test.make ~name:"random_connected_link_kills never disconnects" ~count:50
     (QCheck.make degradation_gen) (fun (topo_idx, k, seed) ->
@@ -744,6 +864,8 @@ let () =
             test_repair_suffix_on_mesh_allgather;
           Alcotest.test_case "late fault needs no repair" `Quick
             test_repair_complete_when_fault_lands_late;
+          Alcotest.test_case "invalid kept prefix re-synthesizes" `Quick
+            test_repair_rejects_invalid_prefix;
           Alcotest.test_case "structured failure on disconnection" `Quick
             test_repair_structured_failure_on_disconnection;
           Alcotest.test_case "all-reduce phase split" `Quick
@@ -767,5 +889,6 @@ let () =
             prop_degraded_synthesis_verifies;
             prop_connected_kills_never_disconnect;
             prop_multiepoch_repair_verifies;
+            prop_kept_prefix_replay;
           ] );
     ]
