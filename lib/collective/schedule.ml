@@ -582,37 +582,74 @@ let average_utilization topo t =
 
 let chunk_path t c = List.filter (fun s -> s.chunk = c) (sends t)
 
+module Json = Tacos_util.Json
+
+let of_json_value doc =
+  match Option.bind (Json.member "sends" doc) Json.to_list with
+  | None -> Error "Schedule.of_json: missing \"sends\" array"
+  | Some entries -> (
+    let n = List.length entries in
+    let chunk = Array.make n 0 and edge = Array.make n 0 in
+    let src = Array.make n 0 and dst = Array.make n 0 in
+    let start = Array.create_float n and finish = Array.create_float n in
+    let read i entry =
+      let int key = Option.bind (Json.member key entry) Json.to_int in
+      let num key = Option.bind (Json.member key entry) Json.to_float in
+      match (int "chunk", int "src", int "dst", int "link", num "start", num "finish") with
+      | Some c, Some s, Some d, Some e, Some st, Some fi ->
+        chunk.(i) <- c;
+        src.(i) <- s;
+        dst.(i) <- d;
+        edge.(i) <- e;
+        start.(i) <- st;
+        finish.(i) <- fi;
+        true
+      | _ -> false
+    in
+    let rec fill i = function [] -> true | e :: rest -> read i e && fill (i + 1) rest in
+    if not (fill 0 entries) then Error "Schedule.of_json: malformed send entry"
+    else
+      (* [of_arrays] keeps tied sends in the order given, and replay
+         depends on that order: hand them over in the document's order. *)
+      match of_arrays ~chunk ~edge ~src ~dst ~start ~finish with
+      | sched -> Ok sched
+      | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
+
 let of_json text =
-  let module Json = Tacos_util.Json in
   match Json.parse text with
   | Error e -> Error ("Schedule.of_json: " ^ e)
-  | Ok doc -> (
-    match Option.bind (Json.member "sends" doc) Json.to_list with
-    | None -> Error "Schedule.of_json: missing \"sends\" array"
-    | Some entries -> (
-      let parse_send entry =
-        let int key = Option.bind (Json.member key entry) Json.to_int in
-        let num key = Option.bind (Json.member key entry) Json.to_float in
-        match (int "chunk", int "src", int "dst", int "link", num "start", num "finish") with
-        | Some chunk, Some src, Some dst, Some edge, Some start, Some finish ->
-          Some { chunk; src; dst; edge; start; finish }
-        | _ -> None
-      in
-      match
-        List.fold_left
-          (fun acc entry ->
-            match (acc, parse_send entry) with
-            | Some sends, Some send -> Some (send :: sends)
-            | _ -> None)
-          (Some []) entries
-      with
-      | Some sends -> (
-        (* [make] keeps tied sends in the order given, and replay depends
-           on that order: hand them over in the file's order. *)
-        match make (List.rev sends) with
-        | sched -> Ok sched
-        | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
-      | None -> Error "Schedule.of_json: malformed send entry"))
+  | Ok doc -> of_json_value doc
+
+let to_json_value ?spec t =
+  let int x = Json.Number (float_of_int x) in
+  let send i =
+    Json.Object
+      [
+        ("chunk", int t.chunks.(i));
+        ("src", int t.srcs.(i));
+        ("dst", int t.dsts.(i));
+        ("link", int t.edges.(i));
+        ("start", Json.Number t.starts.(i));
+        ("finish", Json.Number t.finishes.(i));
+      ]
+  in
+  let collective =
+    match spec with
+    | Some s ->
+      [
+        ("collective", Json.String (Pattern.name s.Spec.pattern));
+        ("npus", int s.Spec.npus);
+        ("chunks", int (Spec.num_chunks s));
+        ("chunk_size_bytes", Json.Number (Spec.chunk_size s));
+      ]
+    | None -> []
+  in
+  Json.Object
+    (collective
+    @ [
+        ("makespan_seconds", Json.Number t.makespan);
+        ("sends", Json.Array (List.init (num_sends t) send));
+      ])
 
 (* Floats keyed by their bits, so 0. and -0. stay apart. *)
 module Ftbl = Hashtbl.Make (struct

@@ -22,6 +22,7 @@ type t = {
 let c_inflight_joins = Obs.counter "registry.inflight_joins"
 let c_quarantined = Obs.counter "registry.quarantined"
 let c_evicted = Obs.counter "registry.evicted"
+let c_write_errors = Obs.counter "registry.write_errors"
 
 (* mkdir -p. Tolerates concurrent creation: another process winning the
    race leaves the directory in place, which is all we need. *)
@@ -132,13 +133,23 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
   | Pattern.All_reduce -> (
     match Option.bind (Json.member "reduce_scatter_makespan" doc) Json.to_float with
     | Some rs_makespan ->
+      (* Sends are in start order, so the Reduce-Scatter sends (those that
+         start before [rs_makespan]) are a prefix: split after it. Each
+         slice is in order already, so [of_arrays] moves nothing. *)
       let eps = Schedule.eps_for rs_makespan in
-      let rs, ag =
-        List.partition
-          (fun (s : Schedule.send) -> s.start +. eps < rs_makespan)
-          (Schedule.sends schedule)
+      let starts = schedule.Schedule.starts in
+      let n = Array.length starts in
+      let cut = ref 0 in
+      while !cut < n && starts.(!cut) +. eps < rs_makespan do
+        incr cut
+      done;
+      let slice pos len =
+        let sub a = Array.sub a pos len in
+        Schedule.of_arrays ~chunk:(sub schedule.chunks) ~edge:(sub schedule.edges)
+          ~src:(sub schedule.srcs) ~dst:(sub schedule.dsts)
+          ~start:(sub schedule.starts) ~finish:(sub schedule.finishes)
       in
-      Some (Schedule.make rs, Schedule.make ag)
+      Some (slice 0 !cut, slice !cut (n - !cut))
     | None -> None)
   | _ -> None
 
@@ -186,9 +197,9 @@ let load_from_disk t topo spec k =
       | exception Sys_error _ -> None
       | text -> (
         match Json.parse text with
-        | Ok (Json.Object fields) when checksum_ok fields -> (
-          match Schedule.of_json text with
-          | Ok schedule -> Some (Json.Object fields, schedule)
+        | Ok (Json.Object fields as doc) when checksum_ok fields -> (
+          match Schedule.of_json_value doc with
+          | Ok schedule -> Some (doc, schedule)
           | Error _ | (exception _) -> None)
         | Ok _ | Error _ -> None)
     in
@@ -216,25 +227,39 @@ let load_from_disk t topo spec k =
         None))
   | _ -> None
 
-(* Crash-safe persistence: encode with the embedded checksum, write the
-   bytes to a same-directory temp file, then [Sys.rename] into place — on
+(* Crash-safe persistence: encode the entry once, sign those bytes, write
+   them to a same-directory temp file, then [Sys.rename] into place — on
    POSIX the rename is atomic, so a reader (or a crash) sees either the old
-   complete entry or the new complete entry, never a torn prefix. *)
+   complete entry or the new complete entry, never a torn prefix. The disk
+   is a cache: a failed write or rename removes its temp file, is counted
+   under [registry.write_errors], and leaves the result to be served from
+   memory. *)
 let save_to_disk t spec (result : Synthesizer.result) k =
   match disk_path t k with
-  | Some path ->
-    let text = Schedule.to_json ~spec result.Synthesizer.schedule in
-    let text =
-      match Json.parse text with
-      | Ok (Json.Object fields) ->
-        let fields = fields @ provenance_fields result in
-        let digest = Digest.to_hex (Digest.string (Json.encode (Json.Object fields))) in
-        Json.encode (Json.Object (fields @ [ ("checksum", Json.String digest) ]))
-      | _ -> text
+  | Some path -> (
+    let fields =
+      match Schedule.to_json_value ~spec result.Synthesizer.schedule with
+      | Json.Object fields -> fields @ provenance_fields result
+      | _ -> assert false (* a schedule document is an object *)
     in
+    let payload = Json.encode (Json.Object fields) in
+    let digest = Digest.to_hex (Digest.string payload) in
     let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    Out_channel.with_open_text tmp (fun oc -> output_string oc text);
-    Sys.rename tmp path
+    match
+      Out_channel.with_open_text tmp (fun oc ->
+          (* The payload with the checksum field in place of its closing
+             brace: the bytes [Json.encode] gives [fields] plus it. The
+             flush reports a failed write, which the channel's close would
+             swallow. *)
+          Out_channel.output_substring oc payload 0 (String.length payload - 1);
+          Printf.fprintf oc ", \"checksum\": \"%s\"}" digest;
+          Out_channel.flush oc);
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception Sys_error _ ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Obs.incr c_write_errors)
   | None -> ()
 
 (* Disk-cap enforcement, run after every write: while the store (live

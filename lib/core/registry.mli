@@ -70,9 +70,13 @@ val find_or_synthesize :
     file has no phase split to validate, so it is quarantined like any
     other entry that fails re-validation.
 
-    Persistence is crash-safe: entries are encoded with an embedded MD5
-    [checksum] field and written via a same-directory temp file +
-    [Sys.rename], so a reader never observes a torn write. On load, any
+    Persistence is crash-safe: an entry is encoded once, from
+    {!Tacos_collective.Schedule.to_json_value} plus the provenance, and
+    written with an MD5 [checksum] field over those bytes via a
+    same-directory temp file + [Sys.rename], so a reader never observes a
+    torn write. A write or rename that fails removes its temp file and is
+    counted under the [registry.write_errors] obs counter; the result is
+    published and returned all the same. On load, any
     broken file — unreadable, not JSON, checksum mismatch, malformed
     schedule, failed re-validation — is {e quarantined}: renamed to
     [<entry>.corrupt] (preserved for forensics), counted under

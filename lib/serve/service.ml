@@ -248,9 +248,7 @@ let schedule_fields t (req : Protocol.request) topo (result : Synth.result) =
     let fields =
       match req.Protocol.format with
       | `Json ->
-        let text = Schedule.to_json ~spec:result.Synth.spec result.Synth.schedule in
-        let doc = Result.value ~default:(Json.String text) (Json.parse text) in
-        [ ("schedule", doc) ]
+        [ ("schedule", Schedule.to_json_value ~spec:result.Synth.spec result.Synth.schedule) ]
       | `Csv -> [ ("csv", Json.String (csv_of_result topo result)) ]
     in
     record_ms t t.q_export (elapsed_ms s);

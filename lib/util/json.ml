@@ -173,9 +173,12 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* An integral number below 1e15 is an exact int, which [string_of_int]
+   spells as [%.0f] would, without [Printf]; only -0. needs its sign. *)
 let add_number buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    Buffer.add_string buf
+      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
   else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
 let rec add_value buf = function

@@ -16,8 +16,9 @@ val parse : string -> (t, string) result
     verbatim. *)
 
 val encode : t -> string
-(** Serialize compactly (single line). Integral numbers print without a
-    fractional part; everything else uses round-trippable [%.17g]. Strings
+(** Serialize compactly (single line). Integral numbers below 1e15 print
+    as [%.0f] spells them ([-0] keeps its sign); everything else uses
+    round-trippable [%.17g]. Strings
     are escaped, so [parse (encode v) = Ok v] for documents built from this
     type. *)
 

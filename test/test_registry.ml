@@ -3,14 +3,17 @@
    flavor of broken disk entry (truncated, empty, garbage, checksum
    mismatch, an All-Reduce file without its phase split) is quarantined
    to *.corrupt and re-synthesized instead of raising, foreign
-   checksum-less files still load, and a synthesis that raises releases
-   its single-flight key for a clean retry. *)
+   checksum-less files still load, a synthesis that raises releases its
+   single-flight key for a clean retry, and a failed disk write is counted
+   and served from memory. Golden digests and a differential against the
+   print-parse-encode formula pin the bytes of every entry. *)
 
 open Tacos_topology
 open Tacos_collective
 module Json = Tacos_util.Json
 module Synth = Tacos.Synthesizer
 module Registry = Tacos.Registry
+module Obs = Tacos_obs.Obs
 
 let spec ?(chunks_per_npu = 1) ?(buffer_size = 1e6) pattern npus =
   Spec.make ~chunks_per_npu ~buffer_size ~pattern ~npus ()
@@ -271,6 +274,64 @@ let test_failed_synthesis_releases_key () =
   Alcotest.(check bool) "then a hit" true (m3 = `Hit);
   Alcotest.(check int) "hit runs no synthesis" 2 !calls
 
+let write_errors () = Obs.value (Obs.counter "registry.write_errors")
+
+(* Run [f] with the Obs registry on and reset, so the write-error counter
+   reads this test's failures alone. *)
+let with_obs f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable f
+
+(* The disk is a cache: when an entry cannot be written, the synthesis is
+   still published and served, first as a miss and then from memory, and
+   the failure is counted. Here the directory is gone before the write. *)
+let test_failed_write_is_served () =
+  let dir = fresh_dir () in
+  let topo = ring 6 in
+  let s = spec Pattern.All_gather 6 in
+  let reg = Registry.create ~dir () in
+  rm_rf dir;
+  with_obs (fun () ->
+      let result, m = Registry.find_or_synthesize reg topo s in
+      Alcotest.(check bool) "served as a miss" true (m = `Miss);
+      (match Synth.verify topo result with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "served schedule invalid: %s" e);
+      Alcotest.(check int) "write error counted" 1 (write_errors ());
+      let again, m2 = Registry.find_or_synthesize reg topo s in
+      Alcotest.(check bool) "then a hit from memory" true (m2 = `Hit);
+      Alcotest.(check (float 0.)) "the same result" result.Synth.collective_time
+        again.Synth.collective_time;
+      Alcotest.(check int) "a hit writes nothing" 1 (write_errors ()));
+  Alcotest.(check bool) "nothing recreated the directory" false (Sys.file_exists dir)
+
+(* A rename that fails removes its temp file. The entry's name is taken by
+   a directory, and so is its quarantine name, so the stale "entry" can be
+   neither read nor set aside, and the rename onto it fails. *)
+let test_failed_rename_removes_temp () =
+  let dir = fresh_dir () in
+  let topo = ring 6 in
+  let s = spec Pattern.All_gather 6 in
+  let _, path = warm_entry dir topo s in
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  Sys.mkdir (path ^ ".corrupt") 0o755;
+  Sys.mkdir (Filename.concat (path ^ ".corrupt") "keep") 0o755;
+  with_obs (fun () ->
+      let reg = Registry.create ~dir () in
+      let _, m = Registry.find_or_synthesize reg topo s in
+      Alcotest.(check bool) "served as a miss" true (m = `Miss);
+      Alcotest.(check int) "write error counted" 1 (write_errors ());
+      Alcotest.(check bool) "no temp file left" true
+        (List.for_all (fun f -> not (has_substring ".tmp." f)) (files dir));
+      let _, m2 = Registry.find_or_synthesize reg topo s in
+      Alcotest.(check bool) "then a hit from memory" true (m2 = `Hit));
+  Sys.rmdir (Filename.concat (path ^ ".corrupt") "keep");
+  Sys.rmdir (path ^ ".corrupt");
+  Sys.rmdir path;
+  rm_rf dir
+
 let json_files dir =
   List.filter (fun f -> Filename.check_suffix f ".json") (files dir)
 
@@ -362,6 +423,238 @@ let test_variant_cache_lines () =
     (Registry.find_cached ~variant:"sketch-digest" reg2 topo s <> None);
   rm_rf dir
 
+(* --- entry bytes ------------------------------------------------------------ *)
+
+(* A miss backend that ignores its request and returns [result]: the entry
+   the registry writes then depends on the fixture alone, not on the
+   matcher. *)
+let fixed_backend result ~seed:_ ~domains:_ _topo _spec = result
+
+let fixed_stats = { Synth.wall_seconds = 0.125; rounds = 7; matches = 42; trials = 1 }
+
+let fixed_result ?phases spec schedule =
+  {
+    Synth.spec;
+    schedule;
+    collective_time = schedule.Schedule.makespan;
+    phases;
+    stats = fixed_stats;
+  }
+
+(* The bytes of the one entry a miss on [spec] writes for [result]. *)
+let written_entry topo spec result =
+  let dir = fresh_dir () in
+  let reg = Registry.create ~dir () in
+  let _, m = Registry.find_or_synthesize ~synthesize:(fixed_backend result) reg topo spec in
+  Alcotest.(check bool) "the fixture is a miss" true (m = `Miss);
+  let text = In_channel.with_open_bin (entry_file dir) In_channel.input_all in
+  rm_rf dir;
+  text
+
+let sends_of l =
+  Schedule.make
+    (List.map
+       (fun (chunk, src, dst, start, finish) ->
+         { Schedule.chunk; edge = src; src; dst; start; finish })
+       l)
+
+(* Entries for fixed schedules: an All-Reduce with its phase split, an
+   All-Gather, a rooted Broadcast, and times whose JSON spelling differs in
+   form (negative zero, integral below and above 1e15, fractional). The
+   digests were taken from entries written before a schedule's JSON was
+   built as a value, and must not move. *)
+let entry_cases () =
+  let rs =
+    sends_of [ (0, 0, 1, 0., 1.5e-6); (1, 1, 2, 0., 1.5e-6); (2, 2, 3, 1.5e-6, 3.1e-6) ]
+  in
+  let ag =
+    Schedule.shift
+      (sends_of [ (2, 3, 0, 0., 1. /. 3.); (3, 0, 1, 0., 2.5e-7); (0, 1, 2, 1. /. 3., 0.5) ])
+      rs.Schedule.makespan
+  in
+  let gather =
+    sends_of
+      [ (0, 0, 1, 0., 2e-6); (1, 1, 2, 0., 2e-6); (0, 1, 2, 2e-6, 4.000000000000001e-6) ]
+  in
+  let broadcast =
+    sends_of [ (0, 2, 3, 0., 0.1); (0, 3, 0, 0.1, 0.2); (0, 2, 1, 0.1, 0.30000000000000004) ]
+  in
+  let odd =
+    sends_of
+      [
+        (0, 0, 1, -0., -0.);
+        (1, 1, 2, -0., 5.);
+        (2, 2, 3, 999999999999999., 1e15);
+        (3, 3, 0, 1e15, 1e15 +. 0.5);
+        (0, 0, 1, 1e15 +. 0.5, 123456789012345678.);
+      ]
+  in
+  let case ?phases ?(buffer_size = 1e6) name pattern schedule digest =
+    let s = spec ~buffer_size pattern 4 in
+    (name, s, fixed_result ?phases s schedule, digest)
+  in
+  [
+    case "all-reduce with its split" ~phases:(rs, ag) Pattern.All_reduce
+      (Schedule.union rs ag) "2645f0476977a47b0352e6b82a6f2782";
+    case "all-gather" Pattern.All_gather gather "468986633b1b03c46f6c431d442db388";
+    case "rooted broadcast" ~buffer_size:3e6 (Pattern.Broadcast 2) broadcast
+      "c4ed5f7b95883a805e8ccf65da005f4a";
+    case "negative zero and integral times" ~buffer_size:7. Pattern.All_gather odd
+      "a5aef3e17f5fa0e421f6a4a7ba68ee87";
+  ]
+
+let test_entry_bytes_golden () =
+  let topo = ring 4 in
+  List.iter
+    (fun (name, spec, result, expected) ->
+      let text = written_entry topo spec result in
+      Alcotest.(check string) name expected (Digest.to_hex (Digest.string text)))
+    (entry_cases ())
+
+(* The entry bytes as they were computed before a schedule's JSON was built
+   as a value, kept as the oracle: print the schedule, parse it back,
+   append the provenance, encode and sign, then encode again with the
+   checksum appended. *)
+let oracle_entry spec (result : Synth.result) =
+  let stats = result.Synth.stats in
+  let provenance =
+    ( "synthesis_stats",
+      Json.Object
+        [
+          ("wall_seconds", Json.Number stats.Synth.wall_seconds);
+          ("rounds", Json.Number (float_of_int stats.Synth.rounds));
+          ("matches", Json.Number (float_of_int stats.Synth.matches));
+          ("trials", Json.Number (float_of_int stats.Synth.trials));
+        ] )
+    ::
+    (match result.Synth.phases with
+    | Some (rs, _) -> [ ("reduce_scatter_makespan", Json.Number rs.Schedule.makespan) ]
+    | None -> [])
+  in
+  match Json.parse (Schedule.to_json ~spec result.Synth.schedule) with
+  | Ok (Json.Object fields) ->
+    let fields = fields @ provenance in
+    let digest = Digest.to_hex (Digest.string (Json.encode (Json.Object fields))) in
+    Json.encode (Json.Object (fields @ [ ("checksum", Json.String digest) ]))
+  | _ -> Alcotest.fail "to_json does not parse to an object"
+
+(* Documents equal with every number compared bit for bit, so -0. and 0.
+   differ. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Array xs, Json.Array ys -> List.equal same_json xs ys
+  | Json.Object xs, Json.Object ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | _ -> a = b
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_arrays (a : Schedule.t) (b : Schedule.t) =
+  a.Schedule.chunks = b.Schedule.chunks
+  && a.Schedule.edges = b.Schedule.edges
+  && a.Schedule.srcs = b.Schedule.srcs
+  && a.Schedule.dsts = b.Schedule.dsts
+  && same_floats a.Schedule.starts b.Schedule.starts
+  && same_floats a.Schedule.finishes b.Schedule.finishes
+
+(* Numbers whose spelling differs in form: zero of both signs, integral
+   below and at or above 1e15, fractions that need all 17 digits,
+   subnormal, huge. *)
+let odd_floats =
+  [|
+    0.; -0.; 1.; 5.; 999999999999999.; 1e15; 1e15 +. 0.5; 123456789012345678.; 0.1;
+    1. /. 3.; 2.5e-7; 4.000000000000001e-6; 5e-324; 1e-300; 1e21; 1e300;
+  |]
+
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofa odd_floats;
+        float_bound_inclusive 1e-3;
+        map Float.of_int (int_range (-1_000_000) 1_000_000);
+        map (fun e -> Float.ldexp 1. e) (int_range (-1074) 1000);
+      ])
+
+(* Non-negative times, -0. included. *)
+let time_gen = QCheck.Gen.(map (fun x -> if Float.sign_bit x then -0. else x) float_gen)
+
+let pattern_gen npus =
+  QCheck.Gen.(
+    let* r = int_bound (npus - 1) in
+    oneofl
+      Pattern.
+        [
+          All_gather; Reduce_scatter; All_reduce; All_to_all; Broadcast r; Reduce r; Gather r;
+          Scatter r;
+        ])
+
+let entry_gen =
+  QCheck.Gen.(
+    let* npus = int_range 1 64 in
+    let* pattern = pattern_gen npus in
+    let* chunks_per_npu = int_range 1 4 in
+    let* buffer_size = map (fun x -> if x > 0. then x else 1.) time_gen in
+    let spec = Spec.make ~chunks_per_npu ~buffer_size ~pattern ~npus () in
+    let* sends =
+      list_size (int_bound 30)
+        (let* chunk = int_bound 200 in
+         let* edge = int_bound 200 in
+         let* src = int_bound 63 in
+         let* dst = int_bound 63 in
+         let* start = time_gen in
+         let* d = time_gen in
+         return { Schedule.chunk; edge; src; dst; start; finish = start +. d })
+    in
+    let schedule = Schedule.make sends in
+    let* cut = int_bound (List.length sends) in
+    let phases =
+      match pattern with
+      | Pattern.All_reduce ->
+        let rs = Schedule.make (List.filteri (fun i _ -> i < cut) sends) in
+        Some (rs, schedule)
+      | _ -> None
+    in
+    let* wall_seconds = time_gen in
+    let* rounds = int_bound 1_000_000 in
+    let* matches = int_bound 1_000_000 in
+    let* trials = int_range 1 8 in
+    let* with_spec = bool in
+    return
+      ( spec,
+        {
+          Synth.spec;
+          schedule;
+          collective_time = schedule.Schedule.makespan;
+          phases;
+          stats = { Synth.wall_seconds; rounds; matches; trials };
+        },
+        with_spec ))
+
+let print_entry (spec, (result : Synth.result), with_spec) =
+  Printf.sprintf "%s%s\n%s" (Registry.spec_key spec)
+    (if with_spec then "" else " (schedule without spec)")
+    (Schedule.to_json ~spec result.Synth.schedule)
+
+let prop_entry_bytes =
+  QCheck.Test.make ~name:"entry bytes match the parse formula" ~count:200
+    (QCheck.make ~print:print_entry entry_gen) (fun (spec, result, with_spec) ->
+      let schedule = result.Synth.schedule in
+      let written = written_entry (ring 4) spec result in
+      if not (String.equal written (oracle_entry spec result)) then
+        QCheck.Test.fail_reportf "entry bytes differ:\n%s\n%s" written (oracle_entry spec result);
+      let spec = if with_spec then Some spec else None in
+      (match Json.parse (Schedule.to_json ?spec schedule) with
+      | Ok doc when same_json doc (Schedule.to_json_value ?spec schedule) -> ()
+      | Ok _ -> QCheck.Test.fail_report "to_json_value differs from the parsed to_json"
+      | Error e -> QCheck.Test.fail_reportf "to_json does not parse: %s" e);
+      match Schedule.of_json_value (Schedule.to_json_value ?spec schedule) with
+      | Ok back -> same_arrays back schedule
+      | Error e -> QCheck.Test.fail_reportf "of_json_value: %s" e)
+
 let () =
   Alcotest.run "registry"
     [
@@ -390,6 +683,10 @@ let () =
             test_disk_usage_accounting;
           Alcotest.test_case "failed synthesis releases the key" `Quick
             test_failed_synthesis_releases_key;
+          Alcotest.test_case "failed write is served and counted" `Quick
+            test_failed_write_is_served;
+          Alcotest.test_case "failed rename removes its temp file" `Quick
+            test_failed_rename_removes_temp;
         ] );
       ( "disk-cap",
         [
@@ -399,5 +696,10 @@ let () =
             test_cap_never_evicts_just_written;
           Alcotest.test_case "variants get their own cache lines" `Quick
             test_variant_cache_lines;
+        ] );
+      ( "entry-bytes",
+        [
+          Alcotest.test_case "golden entry bytes" `Quick test_entry_bytes_golden;
+          QCheck_alcotest.to_alcotest prop_entry_bytes;
         ] );
     ]

@@ -170,6 +170,26 @@ let test_miss_then_cached () =
   Alcotest.(check int) "one miss" 1 s.Service.misses;
   Alcotest.(check int) "one hit" 1 s.Service.hits
 
+(* A registry directory that disappears under a running service does not
+   turn a finished synthesis into an error: the answer is served, first as
+   a miss and then from memory. *)
+let test_unwritable_registry_served () =
+  let dir = Filename.temp_file "tacos-serve-reg" "" in
+  Sys.remove dir;
+  let svc = service ~config:{ Service.default_config with registry_dir = Some dir } () in
+  Sys.rmdir dir;
+  let line = {|{"op":"synthesize","topology":"mesh:3x3","pattern":"all-gather"}|} in
+  let a = Service.handle_line svc line in
+  Alcotest.(check string) "first ok" "ok" (status a);
+  Alcotest.(check bool) "first is a miss" false (bool_field "cached" a);
+  let b = Service.handle_line svc line in
+  Alcotest.(check string) "second ok" "ok" (status b);
+  Alcotest.(check bool) "second is cached" true (bool_field "cached" b);
+  let s = Service.stats svc in
+  Alcotest.(check int) "no errors" 0 s.Service.errors;
+  Alcotest.(check int) "one miss" 1 s.Service.misses;
+  Alcotest.(check int) "one hit" 1 s.Service.hits
+
 let test_expired_deadline_degrades () =
   let svc = service () in
   let r = Service.handle_line svc (synth_req ~deadline_ms:0. "mesh:3x3") in
@@ -627,6 +647,8 @@ let () =
           Alcotest.test_case "non-finite size -> size error" `Quick
             test_non_finite_size_is_size_error;
           Alcotest.test_case "miss then cached" `Quick test_miss_then_cached;
+          Alcotest.test_case "unwritable registry still served" `Quick
+            test_unwritable_registry_served;
           Alcotest.test_case "expired deadline degrades" `Quick
             test_expired_deadline_degrades;
           Alcotest.test_case "backend deadline raise degrades" `Quick

@@ -368,6 +368,25 @@ let test_json_encode_integral () =
   Alcotest.(check string) "integral" "144" (Json.encode (Json.Number 144.));
   Alcotest.(check string) "zero" "0" (Json.encode (Json.Number 0.))
 
+(* An integral number below 1e15 prints as [%.0f] spells it, on the edge
+   cases and on random integral floats of every magnitude. *)
+let test_json_encode_integral_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (Printf.sprintf "%.0f" f)
+        (Json.encode (Json.Number f)))
+    [ -0.; 0x1p49; -0x1p49; 999999999999999.; -999999999999999.; 1.; -1. ]
+
+let prop_json_encode_integral =
+  QCheck.Test.make ~name:"encode integral like %.0f" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         let* digits = int_bound 15 in
+         let* u = float_range (-1.) 1. in
+         let f = Float.trunc (u *. (10. ** float_of_int digits)) in
+         return (if Float.abs f < 1e15 then f else 0.)))
+    (fun f -> String.equal (Json.encode (Json.Number f)) (Printf.sprintf "%.0f" f))
+
 (* --- Clock ---------------------------------------------------------------- *)
 
 module Clock = Tacos_util.Clock
@@ -474,6 +493,8 @@ let () =
           Alcotest.test_case "empty containers" `Quick test_json_empty_containers;
           Alcotest.test_case "encode round-trip" `Quick test_json_encode_roundtrip;
           Alcotest.test_case "encode integral" `Quick test_json_encode_integral;
+          Alcotest.test_case "encode integral edges" `Quick test_json_encode_integral_edges;
+          QCheck_alcotest.to_alcotest prop_json_encode_integral;
         ] );
       ( "clock",
         [
