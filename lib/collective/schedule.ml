@@ -620,7 +620,7 @@ let of_json text =
   | Error e -> Error ("Schedule.of_json: " ^ e)
   | Ok doc -> of_json_value doc
 
-let to_json_value ?spec t =
+let to_json_value ~spec t =
   let int x = Json.Number (float_of_int x) in
   let send i =
     Json.Object
@@ -633,23 +633,15 @@ let to_json_value ?spec t =
         ("finish", Json.Number t.finishes.(i));
       ]
   in
-  let collective =
-    match spec with
-    | Some s ->
-      [
-        ("collective", Json.String (Pattern.name s.Spec.pattern));
-        ("npus", int s.Spec.npus);
-        ("chunks", int (Spec.num_chunks s));
-        ("chunk_size_bytes", Json.Number (Spec.chunk_size s));
-      ]
-    | None -> []
-  in
   Json.Object
-    (collective
-    @ [
-        ("makespan_seconds", Json.Number t.makespan);
-        ("sends", Json.Array (List.init (num_sends t) send));
-      ])
+    [
+      ("collective", Json.String (Pattern.name spec.Spec.pattern));
+      ("npus", int spec.Spec.npus);
+      ("chunks", int (Spec.num_chunks spec));
+      ("chunk_size_bytes", Json.Number (Spec.chunk_size spec));
+      ("makespan_seconds", Json.Number t.makespan);
+      ("sends", Json.Array (List.init (num_sends t) send));
+    ]
 
 (* Floats keyed by their bits, so 0. and -0. stay apart. *)
 module Ftbl = Hashtbl.Make (struct

@@ -233,7 +233,7 @@ val of_json_value : Tacos_util.Json.t -> (t, string) result
 (** {!of_json} of a document already parsed: the sends of its ["sends"]
     array, in the document's order, through {!of_arrays}. Every error of
     {!of_json} but a parse error is returned the same. [of_json_value
-    (to_json_value ?spec t)] has [t]'s arrays. *)
+    (to_json_value ~spec t)] has [t]'s arrays. *)
 
 val to_json : ?spec:Spec.t -> t -> string
 (** Serialize the schedule for consumption by an external CCL runtime (in
@@ -241,10 +241,11 @@ val to_json : ?spec:Spec.t -> t -> string
     collective metadata (when [spec] is given) and the flat send list
     [{chunk, src, dst, link, start, finish}]. Times are seconds. *)
 
-val to_json_value : ?spec:Spec.t -> t -> Tacos_util.Json.t
-(** The document {!to_json} prints, as a value: [Json.parse (to_json ?spec
-    t) = Ok (to_json_value ?spec t)], with every number bit-identical, -0.
-    included (times print with [%.17g], which round-trips any finite
-    float). The registry and the [export] verb embed it without printing
-    and re-reading it. test_registry's "entry bytes match the parse
-    formula" pins the agreement on random schedules and specs. *)
+val to_json_value : spec:Spec.t -> t -> Tacos_util.Json.t
+(** The document {!to_json} prints with the collective metadata, as a
+    value: [Json.parse (to_json ~spec t) = Ok (to_json_value ~spec t)],
+    with every number bit-identical, -0. included (times print with
+    [%.17g], which round-trips any finite float). The registry and the
+    [export] verb embed it without printing and re-reading it.
+    test_registry's "entry bytes match the parse formula" pins the
+    agreement on random schedules and specs. *)

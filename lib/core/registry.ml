@@ -133,23 +133,13 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
   | Pattern.All_reduce -> (
     match Option.bind (Json.member "reduce_scatter_makespan" doc) Json.to_float with
     | Some rs_makespan ->
-      (* Sends are in start order, so the Reduce-Scatter sends (those that
-         start before [rs_makespan]) are a prefix: split after it. Each
-         slice is in order already, so [of_arrays] moves nothing. *)
       let eps = Schedule.eps_for rs_makespan in
-      let starts = schedule.Schedule.starts in
-      let n = Array.length starts in
-      let cut = ref 0 in
-      while !cut < n && starts.(!cut) +. eps < rs_makespan do
-        incr cut
-      done;
-      let slice pos len =
-        let sub a = Array.sub a pos len in
-        Schedule.of_arrays ~chunk:(sub schedule.chunks) ~edge:(sub schedule.edges)
-          ~src:(sub schedule.srcs) ~dst:(sub schedule.dsts)
-          ~start:(sub schedule.starts) ~finish:(sub schedule.finishes)
+      let rs, ag =
+        List.partition
+          (fun (s : Schedule.send) -> s.start +. eps < rs_makespan)
+          (Schedule.sends schedule)
       in
-      Some (slice 0 !cut, slice !cut (n - !cut))
+      Some (Schedule.make rs, Schedule.make ag)
     | None -> None)
   | _ -> None
 

@@ -622,7 +622,6 @@ let entry_gen =
     let* rounds = int_bound 1_000_000 in
     let* matches = int_bound 1_000_000 in
     let* trials = int_range 1 8 in
-    let* with_spec = bool in
     return
       ( spec,
         {
@@ -631,27 +630,23 @@ let entry_gen =
           collective_time = schedule.Schedule.makespan;
           phases;
           stats = { Synth.wall_seconds; rounds; matches; trials };
-        },
-        with_spec ))
+        } ))
 
-let print_entry (spec, (result : Synth.result), with_spec) =
-  Printf.sprintf "%s%s\n%s" (Registry.spec_key spec)
-    (if with_spec then "" else " (schedule without spec)")
-    (Schedule.to_json ~spec result.Synth.schedule)
+let print_entry (spec, (result : Synth.result)) =
+  Printf.sprintf "%s\n%s" (Registry.spec_key spec) (Schedule.to_json ~spec result.Synth.schedule)
 
 let prop_entry_bytes =
   QCheck.Test.make ~name:"entry bytes match the parse formula" ~count:200
-    (QCheck.make ~print:print_entry entry_gen) (fun (spec, result, with_spec) ->
+    (QCheck.make ~print:print_entry entry_gen) (fun (spec, result) ->
       let schedule = result.Synth.schedule in
       let written = written_entry (ring 4) spec result in
       if not (String.equal written (oracle_entry spec result)) then
         QCheck.Test.fail_reportf "entry bytes differ:\n%s\n%s" written (oracle_entry spec result);
-      let spec = if with_spec then Some spec else None in
-      (match Json.parse (Schedule.to_json ?spec schedule) with
-      | Ok doc when same_json doc (Schedule.to_json_value ?spec schedule) -> ()
+      (match Json.parse (Schedule.to_json ~spec schedule) with
+      | Ok doc when same_json doc (Schedule.to_json_value ~spec schedule) -> ()
       | Ok _ -> QCheck.Test.fail_report "to_json_value differs from the parsed to_json"
       | Error e -> QCheck.Test.fail_reportf "to_json does not parse: %s" e);
-      match Schedule.of_json_value (Schedule.to_json_value ?spec schedule) with
+      match Schedule.of_json_value (Schedule.to_json_value ~spec schedule) with
       | Ok back -> same_arrays back schedule
       | Error e -> QCheck.Test.fail_reportf "of_json_value: %s" e)
 
