@@ -643,14 +643,6 @@ let to_json_value ~spec t =
       ("sends", Json.Array (List.init (num_sends t) send));
     ]
 
-(* Floats keyed by their bits, so 0. and -0. stay apart. *)
-module Ftbl = Hashtbl.Make (struct
-  type t = float
-
-  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-  let hash = Hashtbl.hash
-end)
-
 let to_json ?spec t =
   let n = num_sends t in
   let buf = Buffer.create (256 + (96 * n)) in
@@ -663,20 +655,13 @@ let to_json ?spec t =
          (Pattern.name s.Spec.pattern) s.Spec.npus (Spec.num_chunks s)
          (Spec.chunk_size s))
   | None -> ());
-  Buffer.add_string buf (Printf.sprintf "  \"makespan_seconds\": %.17g,\n" t.makespan);
-  Buffer.add_string buf "  \"sends\": [\n";
-  (* Schedules reuse few distinct times: format each one once. *)
-  let formatted = Ftbl.create 64 in
-  let add_time x =
-    Buffer.add_string buf
-      (match Ftbl.find_opt formatted x with
-      | Some s -> s
-      | None ->
-        let s = Printf.sprintf "%.17g" x in
-        Ftbl.add formatted x s;
-        s)
-  in
-  let add_int x = Buffer.add_string buf (string_of_int x) in
+  (* Numbers are spelled as [Json.encode] spells them, each distinct time
+     formatted once. *)
+  let add_number = Json.number_writer buf in
+  let add_int x = add_number (float_of_int x) in
+  Buffer.add_string buf "  \"makespan_seconds\": ";
+  add_number t.makespan;
+  Buffer.add_string buf ",\n  \"sends\": [\n";
   for i = 0 to n - 1 do
     Buffer.add_string buf "    {\"chunk\": ";
     add_int t.chunks.(i);
@@ -687,9 +672,9 @@ let to_json ?spec t =
     Buffer.add_string buf ", \"link\": ";
     add_int t.edges.(i);
     Buffer.add_string buf ", \"start\": ";
-    add_time t.starts.(i);
+    add_number t.starts.(i);
     Buffer.add_string buf ", \"finish\": ";
-    add_time t.finishes.(i);
+    add_number t.finishes.(i);
     Buffer.add_string buf (if i = n - 1 then "}\n" else "},\n")
   done;
   Buffer.add_string buf "  ]\n}\n";

@@ -163,7 +163,8 @@ let quarantined t =
 
 (* Entries written by [save_to_disk] carry a "checksum" field: the MD5 of
    the entry encoded *without* it. [Json.parse] preserves field order and
-   [Json.encode] is deterministic ([%.17g] round-trips every float), so
+   gives back every string [Json.encode] escaped, and [Json.encode] spells
+   each number as [%.17g] does, which round-trips every float, so
    strip-reencode-digest reproduces the signed bytes exactly. Foreign
    algorithm files without a checksum are trusted as before. *)
 let checksum_ok fields =

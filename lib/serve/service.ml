@@ -609,7 +609,7 @@ let classify op response =
       | _ -> "ok")
     | Some _ | None -> "error")
 
-let access_log_line t ~t0 ~id ~verb ~deadline_ms ~outcome ~response =
+let access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response =
   match t.config.access_log with
   | None -> ()
   | Some sink ->
@@ -621,7 +621,7 @@ let access_log_line t ~t0 ~id ~verb ~deadline_ms ~outcome ~response =
         ("t", Printf.sprintf "%.6f" (uptime_seconds t));
         ("id", id_string id);
         ("verb", verb);
-        ("outcome", outcome);
+        ("outcome", classify op response);
         ("elapsed_ms", Printf.sprintf "%.3f" ms);
       ]
       @ (match deadline_ms with
@@ -718,6 +718,5 @@ let handle_line t line =
   (match List.assoc_opt verb t.lat_by_verb with
   | Some q -> record_ms t q (elapsed_ms t0)
   | None -> ());
-  access_log_line t ~t0 ~id ~verb ~deadline_ms ~outcome:(classify op response)
-    ~response;
+  access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response;
   response

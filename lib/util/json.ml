@@ -39,6 +39,41 @@ let literal c word value =
   end
   else fail c ("expected " ^ word)
 
+(* The four hex digits at the cursor, as an int. *)
+let hex4 c =
+  if c.pos + 4 > String.length c.input then fail c "truncated \\u escape";
+  let v = ref 0 in
+  for k = 0 to 3 do
+    let d =
+      match c.input.[c.pos + k] with
+      | '0' .. '9' as h -> Char.code h - Char.code '0'
+      | 'a' .. 'f' as h -> Char.code h - Char.code 'a' + 10
+      | 'A' .. 'F' as h -> Char.code h - Char.code 'A' + 10
+      | _ -> fail c "bad \\u escape"
+    in
+    v := (!v lsl 4) lor d
+  done;
+  c.pos <- c.pos + 4;
+  !v
+
+(* The code point of a \u escape whose "\u" the cursor has passed. A
+   surrogate pair is one code point; a lone surrogate is an error. *)
+let code_point c =
+  let u = hex4 c in
+  if u < 0xD800 || u > 0xDFFF then u
+  else if
+    u <= 0xDBFF
+    && c.pos + 2 <= String.length c.input
+    && c.input.[c.pos] = '\\'
+    && c.input.[c.pos + 1] = 'u'
+  then begin
+    c.pos <- c.pos + 2;
+    let lo = hex4 c in
+    if lo < 0xDC00 || lo > 0xDFFF then fail c "lone surrogate in \\u escape";
+    0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else fail c "lone surrogate in \\u escape"
+
 let parse_string_body c =
   let buf = Buffer.create 16 in
   let rec go () =
@@ -55,9 +90,8 @@ let parse_string_body c =
       | Some 'f' -> Buffer.add_char buf '\012'; advance c; go ()
       | Some ('"' | '\\' | '/' ) -> Buffer.add_char buf c.input.[c.pos]; advance c; go ()
       | Some 'u' ->
-        (* Preserved verbatim; sufficient for our own files. *)
-        Buffer.add_string buf "\\u";
         advance c;
+        Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point c));
         go ()
       | _ -> fail c "bad escape")
     | Some ch ->
@@ -155,59 +189,107 @@ let parse input =
 
 (* --- emission ----------------------------------------------------------- *)
 
+(* The first index at or after [i] of a byte that must be escaped, or the
+   length of [s]. *)
+let rec clean_until s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> clean_until s (i + 1)
+
+(* Copies each run of bytes that needs no escaping whole. *)
+let rec add_escaped_from buf s i =
+  let j = clean_until s i in
+  Buffer.add_substring buf s i (j - i);
+  if j < String.length s then begin
+    (match s.[j] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\b' -> Buffer.add_string buf "\\b"
+    | '\012' -> Buffer.add_string buf "\\f"
+    | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+    add_escaped_from buf s (j + 1)
+  end
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped_from buf s 0;
   Buffer.add_char buf '"'
 
-(* An integral number below 1e15 is an exact int, which [string_of_int]
-   spells as [%.0f] would, without [Printf]; only -0. needs its sign. *)
-let add_number buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf
-      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
-  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+(* Floats keyed by their bits, so 0. and -0. stay apart. *)
+module Ftbl = Hashtbl.Make (struct
+  type t = float
 
-let rec add_value buf = function
+  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  let hash = Hashtbl.hash
+end)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* Every number is spelled as [%.17g] spells it. A nonzero integral number
+   of magnitude below 1e15 is an exact int, written digit by digit; any
+   other number is formatted once per [memo], since a schedule repeats few
+   distinct times many times over. Zero takes the memo too: [int_of_float]
+   loses its sign, and [%.17g] writes [0] and [-0]. *)
+let add_number memo buf f =
+  if f <> 0. && Float.is_integer f && Float.abs f < 1e15 then begin
+    let i = int_of_float f in
+    if i < 0 then Buffer.add_char buf '-';
+    add_digits buf (abs i)
+  end
+  else
+    Buffer.add_string buf
+      (match Ftbl.find memo f with
+      | s -> s
+      | exception Not_found ->
+        let s = Printf.sprintf "%.17g" f in
+        Ftbl.add memo f s;
+        s)
+
+let number_writer buf =
+  let memo = Ftbl.create 16 in
+  fun f -> add_number memo buf f
+
+let rec add_value memo buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Number f -> add_number buf f
+  | Number f -> add_number memo buf f
   | String s -> add_escaped buf s
   | Array elems ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string buf ", ";
-        add_value buf v)
-      elems;
+    add_elements memo buf "" elems;
     Buffer.add_char buf ']'
   | Object fields ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        add_escaped buf k;
-        Buffer.add_string buf ": ";
-        add_value buf v)
-      fields;
+    add_fields memo buf "" fields;
     Buffer.add_char buf '}'
+
+(* [sep] goes before the head, ", " before every later element. *)
+and add_elements memo buf sep = function
+  | [] -> ()
+  | v :: rest ->
+    Buffer.add_string buf sep;
+    add_value memo buf v;
+    add_elements memo buf ", " rest
+
+and add_fields memo buf sep = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    Buffer.add_string buf sep;
+    add_escaped buf k;
+    Buffer.add_string buf ": ";
+    add_value memo buf v;
+    add_fields memo buf ", " rest
 
 let encode v =
   let buf = Buffer.create 256 in
-  add_value buf v;
+  add_value (Ftbl.create 16) buf v;
   Buffer.contents buf
 
 (* --- accessors ---------------------------------------------------------- *)

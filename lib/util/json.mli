@@ -1,6 +1,6 @@
 (** Minimal JSON reader — enough to round-trip the schedule files this
-    library writes (and any well-formed JSON without exotic escapes). No
-    external dependencies, by the sealed-container constraint. *)
+    library writes (and any well-formed JSON). No external dependencies,
+    by the sealed-container constraint. *)
 
 type t =
   | Null
@@ -12,15 +12,24 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; trailing garbage is an error. Supports
-    the standard single-character escapes; unicode escapes are preserved
-    verbatim. *)
+    the standard single-character escapes, and decodes a [\uXXXX] escape
+    to the UTF-8 bytes of its code point, a surrogate pair as one code
+    point. A bad hex digit or a lone surrogate is an [Error]. *)
 
 val encode : t -> string
-(** Serialize compactly (single line). Integral numbers below 1e15 print
-    as [%.0f] spells them ([-0] keeps its sign); everything else uses
-    round-trippable [%.17g]. Strings
+(** Serialize compactly (single line). Every number is spelled as
+    [Printf.sprintf "%.17g"] spells it, which round-trips any finite float:
+    integral numbers below 1e15 print in full, as [%.0f] would, and [-0]
+    keeps its sign. Each distinct non-integral number is formatted once per
+    call; the bytes are those of formatting each one every time. Strings
     are escaped, so [parse (encode v) = Ok v] for documents built from this
     type. *)
+
+val number_writer : Buffer.t -> float -> unit
+(** [number_writer buf] is a function that appends a number to [buf]
+    spelled as {!encode} spells it, formatting each distinct non-integral
+    number once over its lifetime. [Schedule.to_json] writes its numbers
+    with one. *)
 
 val member : string -> t -> t option
 (** Object field lookup. *)

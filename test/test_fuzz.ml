@@ -71,6 +71,7 @@ let json_seeds =
     {|[[], {"k": [{"x": -1.5E-7}]}, "tail"]|};
     {|"just a string"|};
     "12345";
+    {|{"id": "caf\u00e9", "pair": "\ud83d\ude00", "nul": "\u0000"}|};
   ]
 
 let request_seeds =

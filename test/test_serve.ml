@@ -320,6 +320,14 @@ let test_ping_and_stats () =
   | Some (Json.Number 1.) -> ()
   | _ -> Alcotest.failf "stats should report the miss: %s" s
 
+(* A \u escape in the id is decoded, so the client gets back the string it
+   sent, in UTF-8. *)
+let test_unicode_id_echoed () =
+  let svc = service () in
+  let p = Service.handle_line svc {|{"id":"caf\u00e9","op":"ping"}|} in
+  Alcotest.(check (option string)) "id" (Some "caf\xc3\xa9")
+    (Option.bind (Json.member "id" (parse_response p)) Json.to_string)
+
 (* --- telemetry ----------------------------------------------------------- *)
 
 module Expo = Tacos_obs.Expo
@@ -661,6 +669,7 @@ let () =
             test_disconnected_fault_is_structured_error;
           Alcotest.test_case "saturated queue sheds" `Quick test_overload_sheds;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
+          Alcotest.test_case "unicode id echoed" `Quick test_unicode_id_echoed;
         ] );
       ( "telemetry",
         [

@@ -329,9 +329,14 @@ let test_json_structures () =
     Alcotest.(check bool) "bool member" true (Json.member "c" doc = Some (Json.Bool false))
 
 let test_json_escapes () =
-  match Json.parse {|"line\nbreak\t\"q\""|} with
+  (match Json.parse {|"line\nbreak\t\"q\""|} with
   | Ok (Json.String s) -> Alcotest.(check string) "unescaped" "line\nbreak\t\"q\"" s
-  | _ -> Alcotest.fail "escape parse"
+  | _ -> Alcotest.fail "escape parse");
+  (* \u escapes decode to UTF-8; a surrogate pair is one code point. *)
+  match Json.parse {|"caf\u00E9 \ud83d\ude00 \u0001"|} with
+  | Ok (Json.String s) ->
+    Alcotest.(check string) "unicode" "caf\xc3\xa9 \xf0\x9f\x98\x80 \001" s
+  | _ -> Alcotest.fail "unicode escape parse"
 
 let test_json_rejects_garbage () =
   List.iter
@@ -339,7 +344,19 @@ let test_json_rejects_garbage () =
       match Json.parse bad with
       | Ok _ -> Alcotest.failf "%s should be rejected" bad
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "tru" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "1 2";
+      "tru";
+      {|"\u12G4"|};
+      {|"\u12"|};
+      {|"\ud800"|};
+      {|"\ud800\u0041"|};
+      {|"\udc00\ud800"|};
+    ]
 
 let test_json_empty_containers () =
   Alcotest.(check bool) "empty object" true (Json.parse "{}" = Ok (Json.Object []));
@@ -351,6 +368,8 @@ let test_json_encode_roundtrip () =
       [
         ("name", Json.String "mesh:3x3");
         ("escaped", Json.String "a\"b\\c\nd\te");
+        ("control", Json.String "\001");
+        ("unit separator", Json.String "a\031b");
         ("count", Json.Number 42.);
         ("ratio", Json.Number 0.125);
         ("neg", Json.Number (-3.));
@@ -391,6 +410,124 @@ let prop_json_encode_integral =
          let f = Float.trunc (u *. (10. ** float_of_int digits)) in
          return (if Float.abs f < 1e15 then f else 0.)))
     (fun f -> String.equal (Json.encode (Json.Number f)) (Printf.sprintf "%.0f" f))
+
+(* The encoder before numbers were memoized, kept as the oracle: every
+   string escaped byte by byte, every number formatted where it stands. *)
+module Oracle = struct
+  let add_escaped buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let add_number buf f =
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string buf
+        (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
+    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+
+  let rec add_value buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Number f -> add_number buf f
+    | Json.String s -> add_escaped buf s
+    | Json.Array elems ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_value buf v)
+        elems;
+      Buffer.add_char buf ']'
+    | Json.Object fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_escaped buf k;
+          Buffer.add_string buf ": ";
+          add_value buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+  let encode v =
+    let buf = Buffer.create 256 in
+    add_value buf v;
+    Buffer.contents buf
+end
+
+(* Numbers at the edges of each spelling: zero of both signs, the largest
+   integral numbers written digit by digit and the smallest past them,
+   2^53, subnormals. *)
+let edge_floats =
+  [|
+    0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 0x1p53; 5e-324; -5e-324;
+    0x0.fffffffffffffp-1022;
+  |]
+
+(* Bytes of every value, weighted toward the ones that must be escaped. *)
+let json_string_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, char_range '\000' '\031');
+             (2, oneofl [ '"'; '\\' ]);
+             (5, map Char.chr (int_bound 255));
+           ])
+      (int_bound 12))
+
+(* Trees up to depth 4 whose numbers come from a small pool, so that one
+   document repeats them, with 0. and -0. always in it. *)
+let json_tree_gen =
+  QCheck.Gen.(
+    let number = oneof [ map Int64.float_of_bits ui64; oneofa edge_floats ] in
+    let* pool = list_size (int_range 1 6) number in
+    let pool = Array.of_list (0. :: -0. :: pool) in
+    let leaf =
+      frequency
+        [
+          (1, return Json.Null);
+          (1, map (fun b -> Json.Bool b) bool);
+          (4, map (fun x -> Json.Number x) (oneofa pool));
+          (2, map (fun s -> Json.String s) json_string_gen);
+        ]
+    in
+    let rec tree depth =
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> Json.Array l) (list_size (int_bound 4) (tree (depth - 1))));
+            ( 1,
+              map
+                (fun l -> Json.Object l)
+                (list_size (int_bound 4) (pair json_string_gen (tree (depth - 1)))) );
+          ]
+    in
+    let* doc = tree 4 in
+    let* neg_first = bool in
+    let zeros = if neg_first then [ -0.; 0. ] else [ 0.; -0. ] in
+    return (Json.Array (doc :: List.map (fun z -> Json.Number z) zeros)))
+
+let prop_json_encode_matches_oracle =
+  QCheck.Test.make ~name:"encode matches the unmemoized encoder" ~count:1000
+    (QCheck.make ~print:(fun v -> Printf.sprintf "%S" (Oracle.encode v)) json_tree_gen)
+    (fun v -> String.equal (Json.encode v) (Oracle.encode v))
 
 (* --- Clock ---------------------------------------------------------------- *)
 
@@ -499,6 +636,7 @@ let () =
           Alcotest.test_case "encode round-trip" `Quick test_json_encode_roundtrip;
           Alcotest.test_case "encode integral" `Quick test_json_encode_integral;
           QCheck_alcotest.to_alcotest prop_json_encode_integral;
+          QCheck_alcotest.to_alcotest prop_json_encode_matches_oracle;
         ] );
       ( "clock",
         [
