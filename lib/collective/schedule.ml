@@ -165,16 +165,20 @@ let make sends =
 
 let empty = make []
 
+type relabel = { npu_of : int array; link_of : int array; chunk_of : int array }
+
 (* Stable k-way merge of sorted runs: equal (start, finish) pairs keep their
    run's order, and the earlier run goes first. That is the order a stable
-   sort of the runs' concatenation gives, at O(n log k). *)
+   sort of the runs' concatenation gives. A run with a relabelling is read
+   through its tables as its sends are written. *)
 let merge runs =
-  let makespan = List.fold_left (fun acc r -> Float.max acc r.makespan) 0. runs in
-  match List.filter (fun r -> num_sends r > 0) runs with
+  let makespan = List.fold_left (fun acc (r, _) -> Float.max acc r.makespan) 0. runs in
+  match List.filter (fun (r, _) -> num_sends r > 0) runs with
   | [] -> { empty with makespan }
-  | [ r ] -> { r with makespan }
+  | [ (r, None) ] -> { r with makespan }
   | runs ->
-    let runs = Array.of_list runs in
+    let relabels = Array.of_list (List.map snd runs) in
+    let runs = Array.of_list (List.map fst runs) in
     let k = Array.length runs in
     let total = Array.fold_left (fun acc r -> acc + num_sends r) 0 runs in
     let chunks = Array.make total 0 and edges = Array.make total 0 in
@@ -209,17 +213,40 @@ let merge runs =
     for i = (k / 2) - 1 downto 0 do
       sift_down i
     done;
-    for o = 0 to total - 1 do
+    let o = ref 0 in
+    while !o < total do
+      (* One heap step emits the root run's whole stretch of sends that
+         precede the runner-up's next send: the better child of the root. *)
       let r = heap.(0) in
       let run = runs.(r) and p = pos.(r) in
-      chunks.(o) <- run.chunks.(p);
-      edges.(o) <- run.edges.(p);
-      srcs.(o) <- run.srcs.(p);
-      dsts.(o) <- run.dsts.(p);
-      starts.(o) <- run.starts.(p);
-      finishes.(o) <- run.finishes.(p);
-      pos.(r) <- p + 1;
-      if p + 1 = num_sends run then begin
+      let n = num_sends run in
+      if !size = 1 then pos.(r) <- n
+      else begin
+        let c = if !size > 2 && before heap.(2) heap.(1) then heap.(2) else heap.(1) in
+        pos.(r) <- p + 1;
+        while pos.(r) < n && before r c do
+          pos.(r) <- pos.(r) + 1
+        done
+      end;
+      let q = pos.(r) in
+      let len = q - p in
+      (match relabels.(r) with
+      | None ->
+        Array.blit run.chunks p chunks !o len;
+        Array.blit run.edges p edges !o len;
+        Array.blit run.srcs p srcs !o len;
+        Array.blit run.dsts p dsts !o len
+      | Some { npu_of; link_of; chunk_of } ->
+        for i = 0 to len - 1 do
+          chunks.(!o + i) <- chunk_of.(run.chunks.(p + i));
+          edges.(!o + i) <- link_of.(run.edges.(p + i));
+          srcs.(!o + i) <- npu_of.(run.srcs.(p + i));
+          dsts.(!o + i) <- npu_of.(run.dsts.(p + i))
+        done);
+      Array.blit run.starts p starts !o len;
+      Array.blit run.finishes p finishes !o len;
+      o := !o + len;
+      if q = n then begin
         decr size;
         heap.(0) <- heap.(!size)
       end;
@@ -227,7 +254,7 @@ let merge runs =
     done;
     { chunks; edges; srcs; dsts; starts; finishes; makespan }
 
-let union a b = merge [ a; b ]
+let union a b = merge [ (a, None); (b, None) ]
 
 (* [t] on a clock [dt] later, before sorting: send [i] of the result is
    send [i] of [t]. *)

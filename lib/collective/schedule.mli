@@ -86,15 +86,27 @@ val concat : t -> t -> t
     reference. *)
 
 val union : t -> t -> t
-(** [union a b] overlays two schedules as-is (no shifting): [merge [a; b]].
-    The caller is responsible for the parts being disjoint in link occupancy
-    where they overlap in time. *)
+(** [union a b] overlays two schedules as-is (no shifting or relabelling):
+    [merge [(a, None); (b, None)]]. The caller is responsible for the parts
+    being disjoint in link occupancy where they overlap in time. *)
 
-val merge : t list -> t
-(** Stable k-way merge of schedules: the sends of all of them in (start,
-    finish) order, equal pairs in their schedule's order and the earlier
-    schedule first — the order {!make} gives their concatenated send lists,
-    at O(n log k). The makespan is the largest one. *)
+type relabel = { npu_of : int array; link_of : int array; chunk_of : int array }
+(** Id tables a merged run is read through: its send of chunk [c] over link
+    [e] from NPU [s] to NPU [d] is written as one of chunk [chunk_of.(c)]
+    over link [link_of.(e)] from [npu_of.(s)] to [npu_of.(d)], at the same
+    times. *)
+
+val merge : (t * relabel option) list -> t
+(** Stable k-way merge of schedules, each read through its relabelling when
+    it has one: the sends of all of them in (start, finish) order, equal
+    pairs in their schedule's order and the earlier schedule first — the
+    order {!make} gives their concatenated (relabelled) send lists. Every
+    send is written once, straight into the result's arrays. One heap step
+    emits the whole stretch of a schedule's sends that precede every other
+    schedule's next send, so the merge costs O(n + s log k) for [n] sends
+    of [k] schedules that interleave in [s] such stretches: identical
+    schedules cost one step per stretch of equal times, and two schedules
+    wholly ordered in time cost two. The makespan is the largest one. *)
 
 val phase_of_send : reduce_scatter:t -> send -> string
 (** Which phase of a {!concat}-assembled All-Reduce a send belongs to:

@@ -1,16 +1,33 @@
 (* Namespaces of the substrate libraries. *)
 open Tacos_collective
 
-let lift (group : Group.t) ~chunk_map ~offset (s : Schedule.t) =
-  let n = Schedule.num_sends s in
-  let node v = group.members.(v) in
-  let start = Array.create_float n and finish = Array.create_float n in
-  for i = 0 to n - 1 do
-    start.(i) <- s.starts.(i) +. offset;
-    finish.(i) <- s.finishes.(i) +. offset
-  done;
-  Schedule.of_arrays ~chunk:(Array.map chunk_map s.chunks)
-    ~edge:(Array.map (fun e -> group.link_map.(e)) s.edges)
-    ~src:(Array.map node s.srcs) ~dst:(Array.map node s.dsts) ~start ~finish
+type part = { group : Group.t; chunks : int array; schedule : Schedule.t; offset : float }
 
-let assemble runs = Schedule.merge runs
+let assemble parts =
+  (* Each distinct (sub-schedule, offset) is shifted once, and every part
+     that deduped to that sub-schedule reads the shifted copy. *)
+  let shifted = ref [] in
+  let run p =
+    let bits = Int64.bits_of_float p.offset in
+    match
+      List.find_opt
+        (fun (s, o, _) -> s == p.schedule && Int64.equal o bits)
+        !shifted
+    with
+    | Some (_, _, r) -> r
+    | None ->
+      let r = Schedule.shift p.schedule p.offset in
+      shifted := (p.schedule, bits, r) :: !shifted;
+      r
+  in
+  Schedule.merge
+    (List.map
+       (fun p ->
+         ( run p,
+           Some
+             {
+               Schedule.npu_of = p.group.Group.members;
+               link_of = p.group.Group.link_map;
+               chunk_of = p.chunks;
+             } ))
+       parts)

@@ -24,18 +24,24 @@ let extract ?name topo ~gid members =
         invalid_arg (Printf.sprintf "Group.extract: duplicate member %d" v);
       Hashtbl.add local v i)
     members;
-  (* Canonical induced-link order: (src, dst, α, β, global id). Fingerprints
-     ignore link ids, so isomorphic groups must also *number* their links
-     identically for one group's schedule to lift into another. *)
+  (* The induced links, read from the members' out-links, in canonical
+     order: (src, dst, α, β, global id). The order is total, so it does not
+     depend on the order links are read in. Fingerprints ignore link ids,
+     so isomorphic groups must also *number* their links identically for
+     one group's schedule to be composed into another. *)
   let induced =
-    Topology.edges topo
-    |> List.filter_map (fun (e : Topology.edge) ->
-           match (Hashtbl.find_opt local e.src, Hashtbl.find_opt local e.dst) with
-           | Some s, Some d ->
-             let alpha = Link.cost e.link 0. in
-             let beta = Link.cost e.link 1. -. alpha in
-             Some (s, d, alpha, beta, e)
-           | _ -> None)
+    Array.to_list members
+    |> List.concat_map (fun v ->
+           let s = Hashtbl.find local v in
+           List.filter_map
+             (fun (e : Topology.edge) ->
+               match Hashtbl.find_opt local e.dst with
+               | Some d ->
+                 let alpha = Link.cost e.link 0. in
+                 let beta = Link.cost e.link 1. -. alpha in
+                 Some (s, d, alpha, beta, e)
+               | None -> None)
+             (Topology.out_edges topo v))
     |> List.sort (fun (s1, d1, a1, b1, (e1 : Topology.edge)) (s2, d2, a2, b2, e2) ->
            compare (s1, d1, a1, b1, e1.id) (s2, d2, a2, b2, e2.id))
   in

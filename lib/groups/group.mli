@@ -3,7 +3,7 @@ open Tacos_topology
 
 (** Process groups over a fabric: a partition of the NPUs into equal-sized
     sets, each carrying the induced sub-topology, ready for per-group
-    synthesis and lifting back to global ids.
+    synthesis and composition back onto global ids.
 
     A group's [members] array is its local-rank order: local rank [i] is
     global NPU [members.(i)]. Hierarchical decomposition pairs the groups
@@ -12,11 +12,13 @@ open Tacos_topology
     groups and inter-group phases on the slices (the BlueConnect/PCCL
     decomposition).
 
-    Sub-topologies are extracted with their induced links sorted into a
-    canonical order (endpoints, then α-β cost, then global id), so two
-    groups with isomorphic induced fabrics *under their rank order* get
-    byte-identical {!Tacos.Registry.fingerprint}s and link numbering —
-    that is what lets one synthesis be lifted into every isomorphic group. *)
+    Sub-topologies are extracted from their members' out-links, with the
+    induced links sorted into a canonical order (endpoints, then α-β cost,
+    then global id), so two groups with isomorphic induced fabrics *under
+    their rank order* get byte-identical {!Tacos.Registry.fingerprint}s and
+    link numbering — that is what lets one synthesis be composed into every
+    isomorphic group. Extracting a group costs the out-degree of its
+    members, not the size of the fabric. *)
 
 type t = {
   gid : int;  (** index of this group within its partition *)

@@ -61,7 +61,6 @@ let c_syntheses = Obs.counter "groups.syntheses"
 let c_dedup = Obs.counter "groups.dedup_hits"
 let t_phase_synth = Obs.timer "groups.phase_synth_seconds"
 let t_validate = Obs.timer "groups.validate_seconds"
-let t_lift = Obs.timer "groups.lift_seconds"
 let t_assemble = Obs.timer "groups.assemble_seconds"
 
 (* --- deduped sub-synthesis --------------------------------------------- *)
@@ -95,7 +94,7 @@ let synth_parts ctx elements =
   let owned = Hashtbl.create 8 and owners = ref [] in
   let keyed =
     List.map
-      (fun (group, spec, chunk_map) ->
+      (fun (group, spec, chunks) ->
         let k = sub_key group spec in
         let owner = not (Hashtbl.mem ctx.cache k || Hashtbl.mem owned k) in
         if owner then begin
@@ -105,7 +104,7 @@ let synth_parts ctx elements =
             Hashtbl.add owned k ();
             owners := (k, group, spec) :: !owners
         end;
-        (group, chunk_map, k, if owner then `Miss else `Hit))
+        (group, chunks, k, if owner then `Miss else `Hit))
       elements
   in
   Option.iter
@@ -121,9 +120,9 @@ let synth_parts ctx elements =
       Array.iteri (fun i (k, _, _) -> Hashtbl.add ctx.cache k results.(i)) owners)
     ctx.pool;
   List.map
-    (fun (group, chunk_map, k, outcome) ->
+    (fun (group, chunks, k, outcome) ->
       Obs.incr (match outcome with `Miss -> c_syntheses | `Hit -> c_dedup);
-      (group, chunk_map, Hashtbl.find ctx.cache k, outcome))
+      (group, chunks, Hashtbl.find ctx.cache k, outcome))
     keyed
 
 (* A phase's info row: its parts' synthesis outcomes and wall clock, and
@@ -147,9 +146,9 @@ let account ~phase ~offset ~finish parts =
     makespan = finish -. offset;
   }
 
-(* One phase: synthesize (deduped) each part, lift every part's schedule to
-   start at [offset], and account. Returns the lifted runs, one per part,
-   the phase's completion time, and its info row. *)
+(* One phase: synthesize (deduped) each part and account. Returns the
+   parts for [Compose.assemble], each at [offset], the phase's completion
+   time, and its info row. *)
 let run_phase ctx ~phase ~offset elements =
   let parts = synth_parts ctx elements in
   let finish =
@@ -158,14 +157,13 @@ let run_phase ctx ~phase ~offset elements =
         Float.max acc (offset +. r.schedule.Schedule.makespan))
       offset parts
   in
-  let runs =
-    Obs.time t_lift (fun () ->
-        List.map
-          (fun (group, chunk_map, (r : Synthesizer.result), _) ->
-            Compose.lift group ~chunk_map ~offset r.schedule)
-          parts)
+  let composed =
+    List.map
+      (fun (group, chunks, (r : Synthesizer.result), _) ->
+        { Compose.group; chunks; schedule = r.schedule; offset })
+      parts
   in
-  (runs, finish, account ~phase ~offset ~finish parts)
+  (composed, finish, account ~phase ~offset ~finish parts)
 
 (* --- decomposition ----------------------------------------------------- *)
 
@@ -197,7 +195,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~g
      phase, equivalently holds initially mapped through its slice — the
      chunks owned by the rank-[lo] member of every group, which is what the
      intra map enumerates; note it depends only on the rank, not on which
-     group is being lifted, so one closure (and one synthesis) serves all
+     group is being composed, so one table (and one synthesis) serves all
      isomorphic groups. *)
   let intra_map lc =
     let lo = lc / (g * k) and j = lc mod (g * k) in
@@ -208,7 +206,6 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~g
     let lo = lc / k and s = lc mod k in
     (slice.Group.members.(lo) * k) + s
   in
-  let identity c = c in
 
   (* Sub-specs. Intra phases see every group's share of the vector (buffer
      [b], [g * k] chunks per rank); inter phases see one group's share
@@ -225,11 +222,17 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~g
   let rooted_spec pattern npus =
     Spec.make ~chunks_per_npu:k ~buffer_size:b ~pattern ~npus ()
   in
+  (* A phase's elements are (group, sub-spec, chunk table), each table
+     built once per phase from its map. *)
+  let table spec map = Array.init (Spec.num_chunks spec) map in
   let intra_elems pattern =
-    List.map (fun gr -> (gr, intra_spec pattern, intra_map)) groups
+    let spec = intra_spec pattern in
+    let chunks = table spec intra_map in
+    List.map (fun gr -> (gr, spec, chunks)) groups
   in
   let inter_elems pattern =
-    List.map (fun sl -> (sl, inter_spec pattern, slice_map sl)) slices
+    let spec = inter_spec pattern in
+    List.map (fun sl -> (sl, spec, table spec (slice_map sl))) slices
   in
   (* Local coordinates of a root NPU: its group index and local rank. *)
   let locate root =
@@ -271,14 +274,17 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~g
   in
 
   (* The four two-phase patterns: the second phase starts when the first
-     completes, and the composed schedule merges both phases' runs. *)
+     completes, and the composed schedule merges both phases' parts. *)
   let two_phases (phase1, elements1) (phase2, elements2) =
     let s1, t1, i1 = run_phase ctx ~phase:phase1 ~offset:0. elements1 in
     let s2, _, i2 = run_phase ctx ~phase:phase2 ~offset:t1 elements2 in
     finish (Obs.time t_assemble (fun () -> Compose.assemble (s1 @ s2))) None [ i1; i2 ]
   in
-  let group_elems spec = List.map (fun gr -> (gr, spec, identity)) groups in
-  let slice_elems r0 spec = [ (List.nth slices r0, spec, identity) ] in
+  let group_elems spec =
+    let chunks = table spec Fun.id in
+    List.map (fun gr -> (gr, spec, chunks)) groups
+  in
+  let slice_elems r0 spec = [ (List.nth slices r0, spec, table spec Fun.id) ] in
 
   match spec.Spec.pattern with
   | Pattern.All_gather ->
@@ -320,36 +326,35 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) topo (spec : Spec.t) ~g
            (fun acc p -> Float.max acc (fst (phases_of p)).Schedule.makespan)
            0. parts
     in
-    let rs_runs =
-      Obs.time t_lift (fun () ->
-          List.map
-            (fun ((sl, chunk_map, _, _) as p) ->
-              Compose.lift sl ~chunk_map ~offset:t1 (fst (phases_of p)))
-            parts)
+    let rs_parts =
+      List.map
+        (fun ((group, chunks, _, _) as p) ->
+          { Compose.group; chunks; schedule = fst (phases_of p); offset = t1 })
+        parts
     in
     let t2 = ref rs_end in
-    let ag_runs =
+    let ag_parts =
       List.map
-        (fun ((sl, chunk_map, _, _) as p) ->
+        (fun ((group, chunks, _, _) as p) ->
           let rs, ag = phases_of p in
           let offset = rs_end -. rs.Schedule.makespan in
           t2 := Float.max !t2 (offset +. ag.Schedule.makespan);
-          Compose.lift sl ~chunk_map ~offset ag)
+          { Compose.group; chunks; schedule = ag; offset })
         parts
     in
     let i2 = account ~phase:"inter-all-reduce" ~offset:t1 ~finish:!t2 parts in
     let s3, _, i3 =
       run_phase ctx ~phase:"intra-all-gather" ~offset:!t2 (intra_elems Pattern.All_gather)
     in
-    (* Each half is a merge of its runs, and the composed schedule the
-       merge of the two halves. *)
-    let rs_part, ag_part, composed =
+    (* Each half is a merge of its parts, and the composed schedule the
+       union of the two halves. *)
+    let rs_half, ag_half, composed =
       Obs.time t_assemble (fun () ->
-          let rs_part = Compose.assemble (s1 @ rs_runs) in
-          let ag_part = Compose.assemble (ag_runs @ s3) in
-          (rs_part, ag_part, Schedule.union rs_part ag_part))
+          let rs_half = Compose.assemble (s1 @ rs_parts) in
+          let ag_half = Compose.assemble (ag_parts @ s3) in
+          (rs_half, ag_half, Schedule.union rs_half ag_half))
     in
-    finish composed (Some (rs_part, ag_part)) [ i1; i2; i3 ]
+    finish composed (Some (rs_half, ag_half)) [ i1; i2; i3 ]
   | (Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _) as p ->
     raise
       (Synthesizer.Unsupported

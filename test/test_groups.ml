@@ -294,9 +294,91 @@ let prop_random_partitions =
       check_replays topo plan;
       true)
 
+(* The induced sub-topology as [Group.extract] built it by scanning every
+   link of the fabric: each link with both endpoints in [members], as
+   (local src, local dst, global id), in canonical (src, dst, α, β, global
+   id) order. The reference for extraction from the members' out-links. *)
+let full_scan_links topo members =
+  let local = Hashtbl.create 16 in
+  Array.iteri (fun i v -> Hashtbl.add local v i) members;
+  Topology.edges topo
+  |> List.filter_map (fun (e : Topology.edge) ->
+         match (Hashtbl.find_opt local e.src, Hashtbl.find_opt local e.dst) with
+         | Some s, Some d ->
+           let alpha = Link.cost e.link 0. in
+           let beta = Link.cost e.link 1. -. alpha in
+           Some (s, d, alpha, beta, e)
+         | _ -> None)
+  |> List.sort (fun (s1, d1, a1, b1, (e1 : Topology.edge)) (s2, d2, a2, b2, e2) ->
+         compare (s1, d1, a1, b1, e1.id) (s2, d2, a2, b2, e2.id))
+  |> List.map (fun (s, d, _, _, (e : Topology.edge)) -> (s, d, e.id))
+
+let group_links (g : Group.t) =
+  List.init (Topology.num_links g.Group.topo) (fun id ->
+      let e = Topology.edge g.Group.topo id in
+      (e.Topology.src, e.Topology.dst, g.Group.link_map.(id)))
+
+(* Fabrics with parallel links (dgx1's doubled NVLinks) and with one-way
+   links (a unidirectional ring, an unwound switch, 3D-RFS). *)
+let extract_fabrics = [| "dgx1"; "uniring:8"; "switch:16"; "rfs:2x4x8" |]
+
+let prop_extract_matches_full_scan =
+  let gen =
+    QCheck.Gen.(
+      let* fabric = int_bound (Array.length extract_fabrics - 1) in
+      let* perm_seed = int in
+      let* size_draw = int in
+      return (fabric, perm_seed, size_draw))
+  in
+  QCheck.Test.make ~count:200 ~name:"extraction matches the full link scan"
+    (QCheck.make gen) (fun (fabric, perm_seed, size_draw) ->
+      let topo = Result.get_ok (Parse.parse_topology extract_fabrics.(fabric)) in
+      let n = Topology.num_npus topo in
+      (* A random subset of the NPUs, in random order. *)
+      let rng = Random.State.make [| perm_seed |] in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      let members = Array.sub order 0 (1 + (abs size_draw mod n)) in
+      match Group.of_partition topo [ members ] with
+      | [ g ] -> group_links g = full_scan_links topo members
+      | _ -> false)
+
+(* Composing writes each send once, into the composed schedule's six
+   arrays; the rest is the sub-syntheses, the shifted copy of each distinct
+   sub-schedule and the partition checks. The composed arrays go straight
+   to the major heap, which [Gc.minor_words] misses, so the count is
+   [Gc.allocated_bytes]. The budget is the measured 12.75 words, rounded
+   up; the lift-then-merge composition it replaced allocated 19.79. *)
+let test_compose_allocation_budget () =
+  let topo = Result.get_ok (Parse.parse_topology "mesh:16x16") in
+  let groups = groups_exn topo Plan.Auto in
+  let spec = spec Pattern.All_gather topo in
+  let run () = Plan.synthesize ~seed:1 topo spec ~groups in
+  ignore (run ());
+  let before = Gc.allocated_bytes () in
+  let plan = run () in
+  let bytes = Gc.allocated_bytes () -. before in
+  let sends = Schedule.num_sends plan.Plan.result.Tacos.Synthesizer.schedule in
+  let words = bytes /. float_of_int (Sys.word_size / 8) /. float_of_int sends in
+  Alcotest.(check int) "sends" (256 * 255) sends;
+  if words > 13. then Alcotest.failf "Plan.synthesize allocates %.2f words per send" words
+
 let () =
   Alcotest.run "groups"
     [
+      (* First: once other domains have run in the process, the runtime's
+         allocation counters read differently for the same call (14.39
+         words per send after the parallel tests below). *)
+      ( "allocation",
+        [
+          Alcotest.test_case "compose words per send" `Quick
+            test_compose_allocation_budget;
+        ] );
       ( "compose",
         List.map
           (fun fabric ->
@@ -325,5 +407,6 @@ let () =
           Alcotest.test_case "spec mismatch rejected" `Quick test_flat_spec_mismatch_rejected;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_partitions ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_partitions; prop_extract_matches_full_scan ] );
     ]

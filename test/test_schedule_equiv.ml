@@ -398,27 +398,79 @@ let prop_union =
         (fun () -> Oracle.union (Oracle.make a) (Oracle.make b)))
 
 (* A run for composition: a local schedule, a group that maps its 6 local
-   ranks and 8 local links injectively onto a 12-NPU, 20-link fabric, and
-   the phase offset it is lifted to. *)
+   ranks and 8 local links injectively onto a 12-NPU, 20-link fabric, the
+   phase offset it is composed at, and the stride of its chunk table. *)
 let dummy_topo = Builders.ring 2
+
+let group_gen =
+  QCheck.Gen.(
+    let* members = map Array.of_list (shuffle_l (List.init 12 Fun.id)) in
+    let* links = map Array.of_list (shuffle_l (List.init 20 Fun.id)) in
+    return
+      { Group.gid = 0; members = Array.sub members 0 6; topo = dummy_topo;
+        link_map = Array.sub links 0 8 })
 
 let run_gen =
   QCheck.Gen.(
     let* l = sends_gen in
-    let* members = map Array.of_list (shuffle_l (List.init 12 Fun.id)) in
-    let* links = map Array.of_list (shuffle_l (List.init 20 Fun.id)) in
+    let* group = group_gen in
     let* offset = oneofa offsets in
     let* stride = int_range 1 3 in
-    let group =
-      { Group.gid = 0; members = Array.sub members 0 6; topo = dummy_topo;
-        link_map = Array.sub links 0 8 }
-    in
     return (l, group, offset, stride))
 
-let lift_lib runs =
+(* The dedup shape: several groups that share one local schedule (one
+   physical list, so one [Schedule.t] on the library side) at one offset. *)
+let dedup_gen =
+  QCheck.Gen.(
+    let* l = sends_gen in
+    let* offset = oneofa offsets in
+    let* stride = int_range 1 3 in
+    let* groups = list_size (int_range 2 5) group_gen in
+    return (List.map (fun g -> (l, g, offset, stride)) groups))
+
+let phase_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        list_size (int_range 1 6) run_gen;
+        dedup_gen;
+        map2 ( @ ) dedup_gen (list_size (int_range 1 3) run_gen);
+      ])
+
+(* When the runs of [phase] have all finished on the composed clock. *)
+let phase_finish phase =
+  List.fold_left
+    (fun acc (l, _, offset, _) ->
+      List.fold_left (fun acc (s : Schedule.send) -> Float.max acc (offset +. s.finish)) acc l)
+    0. phase
+
+(* [later] moved to start when [phase] finishes: phases wholly ordered in
+   time, as a two-phase plan and an All-Reduce's RS|AG union compose them. *)
+let after phase later =
+  let t = phase_finish phase in
+  List.map (fun (l, g, _, stride) -> (l, g, t, stride)) later
+
+let runs_gen =
+  QCheck.Gen.(
+    let* first = phase_gen in
+    let* second = phase_gen in
+    let* ordered = bool in
+    if ordered then return (first @ after first second) else return first)
+
+let parts_lib runs =
+  let made = ref [] in
+  let schedule l =
+    match List.assq_opt l !made with
+    | Some s -> s
+    | None ->
+      let s = Schedule.make l in
+      made := (l, s) :: !made;
+      s
+  in
   List.map
-    (fun (l, g, offset, stride) ->
-      Compose.lift g ~chunk_map:(fun c -> c * stride) ~offset (Schedule.make l))
+    (fun (l, group, offset, stride) ->
+      { Compose.group; chunks = Array.init 5 (fun c -> c * stride); schedule = schedule l;
+        offset })
     runs
 
 let lift_oracle runs =
@@ -432,20 +484,25 @@ let arb_runs =
     ~print:(fun (a, b) ->
       let one = List.map (fun (l, _, o, _) -> Printf.sprintf "run @%h: %s" o (print_sends l)) in
       String.concat "\n" (one a @ ("--" :: one b)))
-    QCheck.Gen.(pair (list_size (int_range 1 6) run_gen) (list_size (int_range 1 4) run_gen))
+    QCheck.Gen.(
+      let* a = runs_gen in
+      let* b = runs_gen in
+      let* ordered = bool in
+      return (a, if ordered then after a b else b))
 
 let prop_compose =
   QCheck.Test.make ~name:"lift and assemble merge like the sort" ~count:300 arb_runs
     (fun (a, _) ->
       same
-        (fun () -> Compose.assemble (lift_lib a))
+        (fun () -> Compose.assemble (parts_lib a))
         (fun () -> Oracle.assemble (lift_oracle a)))
 
 let prop_compose_union =
   QCheck.Test.make ~name:"union of assembled phases matches" ~count:300 arb_runs
     (fun (a, b) ->
       same
-        (fun () -> Schedule.union (Compose.assemble (lift_lib a)) (Compose.assemble (lift_lib b)))
+        (fun () ->
+          Schedule.union (Compose.assemble (parts_lib a)) (Compose.assemble (parts_lib b)))
         (fun () ->
           Oracle.union (Oracle.assemble (lift_oracle a)) (Oracle.assemble (lift_oracle b))))
 
