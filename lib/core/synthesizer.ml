@@ -327,10 +327,8 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
       a
     end
   in
-  let pin_ok e c =
-    (not has_pins)
-    || match pins.(c) with None -> true | Some route -> Iset.mem e route
-  in
+  (* Whether pinned chunk [c] may cross link [e]; read only when [has_pins]. *)
+  let pin_ok e c = match pins.(c) with None -> true | Some route -> Iset.mem e route in
   check_feasible exp ~dead goal;
   (* Chunk placement state. *)
   let arrival = Array.make_matrix n num_chunks infinity in
@@ -384,58 +382,63 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
   let scanned_has = Array.make m (-1) in
   let scanned_wants = Array.make m (-1) in
   (* Pick a chunk that [s] holds (arrived by [now]) and [d] still wants, by
-     scanning the smaller of the two sets from a random offset. [saw_pending]
-     is set when a candidate was rejected only because it is still in flight
-     towards [s] — such a failure must not be memoized, since it resolves
-     without any version bump. The probes read the scan's link, source and
-     destination from [scan_e], [scan_s] and [scan_d], so they are built
-     once per trial, not once per scan. *)
+     scanning the smaller of the two sets circularly from a random index.
+     [saw_pending] is set when a candidate was rejected only because it is
+     still in flight towards [s] — such a failure must not be memoized,
+     since it resolves without any version bump. Pin filtering precedes the
+     arrival check: a pinned-away chunk is a *static* rejection, so it must
+     not set [saw_pending] (which would defeat the failed-scan memoization
+     below). *)
   let saw_pending = ref false in
   let obs_on = Obs.enabled () in
   let probes = ref 0 in
-  let scan_e = ref 0 and scan_s = ref 0 and scan_d = ref 0 in
-  (* Pin filtering precedes the arrival check: a pinned-away chunk is a
-     *static* rejection, so it must not set [saw_pending] (which would
-     defeat the failed-scan memoization below). *)
-  let held_and_wanted c =
-    if obs_on then incr probes;
-    wants_pos.(!scan_d).(c) >= 0
-    && pin_ok !scan_e c
-    &&
-    if arrival.(!scan_s).(c) <= !now then true
-    else begin
-      saw_pending := true;
-      false
-    end
-  in
-  let wanted_and_held c =
-    if obs_on then incr probes;
-    pin_ok !scan_e c
-    &&
-    let a = arrival.(!scan_s).(c) in
-    if a <= !now then true
-    else begin
-      if a < infinity then saw_pending := true;
-      false
-    end
-  in
-  let from set probe =
+  let scan_holds e s d =
+    let set = holds.(s) in
     let len = Ivec.length set in
     if len = 0 then -1
     else begin
-      let i = Ivec.exists_from set ~start:(Rng.int rng len) probe in
-      if i < 0 then -1 else Ivec.get set i
+      let data = Ivec.data set and wanted = wants_pos.(d) and arrived = arrival.(s) in
+      let t = !now in
+      let i = ref (Rng.int rng len) and left = ref len and found = ref (-1) in
+      while !found < 0 && !left > 0 do
+        let c = data.(!i) in
+        if obs_on then incr probes;
+        if wanted.(c) >= 0 && ((not has_pins) || pin_ok e c) then begin
+          if arrived.(c) <= t then found := c else saw_pending := true
+        end;
+        i := if !i + 1 = len then 0 else !i + 1;
+        decr left
+      done;
+      !found
+    end
+  in
+  let scan_wants e s d =
+    let set = wants.(d) in
+    let len = Ivec.length set in
+    if len = 0 then -1
+    else begin
+      let data = Ivec.data set and arrived = arrival.(s) in
+      let t = !now in
+      let i = ref (Rng.int rng len) and left = ref len and found = ref (-1) in
+      while !found < 0 && !left > 0 do
+        let c = data.(!i) in
+        if obs_on then incr probes;
+        if (not has_pins) || pin_ok e c then begin
+          let a = arrived.(c) in
+          if a <= t then found := c else if a < infinity then saw_pending := true
+        end;
+        i := if !i + 1 = len then 0 else !i + 1;
+        decr left
+      done;
+      !found
     end
   in
   let pick_chunk e s d =
     saw_pending := false;
     probes := 0;
-    scan_e := e;
-    scan_s := s;
-    scan_d := d;
     let found =
-      if Ivec.length holds.(s) <= Ivec.length wants.(d) then from holds.(s) held_and_wanted
-      else from wants.(d) wanted_and_held
+      if Ivec.length holds.(s) <= Ivec.length wants.(d) then scan_holds e s d
+      else scan_wants e s d
     in
     if obs_on then begin
       Obs.incr obs_pick_scans;

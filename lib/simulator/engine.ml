@@ -88,6 +88,9 @@ let validate_faults topo faults =
       match f with
       | Link_degrades { factor; _ } when not (factor >= 1.) ->
         invalid_arg "Engine.run: degradation factor < 1"
+      | Link_degrades { factor; _ } when not (Float.is_finite factor) ->
+        (* α = 0 or β = 0 times an infinite factor is NaN. *)
+        invalid_arg "Engine.run: degradation factor is not finite"
       | _ -> ())
     faults
 
@@ -117,7 +120,13 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
   validate_faults topo faults;
   let routing_size =
     match routing_size with
-    | Some s -> s
+    | Some s ->
+      (* A negative size gives links negative costs, on which Dijkstra never
+         settles; a NaN or infinite one, costs that no route compares
+         below. *)
+      if not (s >= 0. && s < infinity) then
+        invalid_arg "Engine.run: routing size must be finite and non-negative";
+      s
     | None ->
       if nt = 0 then 1.
       else Float.max 1. (Program.total_bytes program /. float_of_int nt)

@@ -113,7 +113,8 @@ val run :
     up front), the healthy topology cannot route a required pair, or
     unfinished transfers cannot be explained by strandings;
     [Invalid_argument] on a malformed fault (unknown link id, negative time,
-    degradation factor < 1). *)
+    degradation factor < 1 or infinite) and on a [routing_size] that is
+    negative, infinite or NaN. *)
 
 val utilization_timeline : Topology.t -> report -> bins:int -> (float * float) list
 (** Fraction of links busy per time bin, as in {!Tacos_collective.Schedule}. *)

@@ -15,8 +15,13 @@ type builder = { mutable rev : transfer list; mutable count : int }
 
 let builder () = { rev = []; count = 0 }
 
+(* A NaN size, or an infinite one on a link with β = 0, makes the replay's
+   holds and event times NaN, which no event order can sort. *)
+let[@inline] valid_size (size : float) = size >= 0. && size < infinity
+
 let add b ?(tag = "") ?(deps = []) ~src ~dst ~size () =
-  if size < 0. then invalid_arg "Program.add: negative size";
+  if not (valid_size size) then
+    invalid_arg "Program.add: size must be finite and non-negative";
   List.iter
     (fun d ->
       if d < 0 || d >= b.count then invalid_arg "Program.add: dangling dependency")
@@ -37,7 +42,8 @@ let import rows =
     transfers =
       Array.mapi
         (fun id (tag, src, dst, size, deps) ->
-          if size < 0. then invalid_arg "Program.import: negative size";
+          if not (valid_size size) then
+            invalid_arg "Program.import: size must be finite and non-negative";
           List.iter
             (fun d ->
               if d < 0 || d >= n then
@@ -81,7 +87,8 @@ let validate_acyclic t =
 let of_schedule ?tag_of ~chunk_size (sched : Schedule.t) =
   let n = Schedule.num_sends sched in
   let src = sched.srcs and dst = sched.dsts and chunk = sched.chunks in
-  if chunk_size < 0. && n > 0 then invalid_arg "Program.add: negative size";
+  if n > 0 && not (valid_size chunk_size) then
+    invalid_arg "Program.of_schedule: chunk size must be finite and non-negative";
   let nodes = ref 0 and chunks = ref 0 in
   for i = 0 to n - 1 do
     if src.(i) < 0 || dst.(i) < 0 || chunk.(i) < 0 then

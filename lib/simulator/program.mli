@@ -34,7 +34,8 @@ val add :
 (** Append a transfer; returns its id (ids are dense, starting at 0). [deps]
     must reference already-added transfers. [src = dst] is allowed and
     completes instantly once its deps do (a local reduction step). Raises
-    [Invalid_argument] on negative size or dangling deps. *)
+    [Invalid_argument] on a size that is negative, infinite or NaN, or on
+    dangling deps. *)
 
 val barrier : builder -> int list -> int -> int list
 (** [barrier b deps npu] is a convenience no-op transfer on [npu] depending
@@ -50,8 +51,9 @@ val import : (string * int * int * float * int list) array -> t
     dependencies; pair with {!validate_acyclic}, and note
     {!Tacos_sim.Engine.run} rejects a cyclic import with a typed
     [Simulation_error] instead of executing it. Raises [Invalid_argument]
-    on a negative size or a dep naming no transfer at all. Only tests call it:
-    test_simulator's "cyclic import is a typed error" and test_replay's random
+    on a size that is negative, infinite or NaN, or a dep naming no transfer
+    at all. Only tests call it: test_simulator's "cyclic import is a typed
+    error" and "non-finite sizes rejected", and test_replay's random
     programs. *)
 
 (** {1 Inspection} *)
@@ -84,4 +86,5 @@ val of_schedule : ?tag_of:(Schedule.send -> string) -> chunk_size:float -> Sched
     transfer (default ["chunk%d"]); `tacos trace` uses it to carry the
     collective phase so the critical-path analyzer can attribute the
     makespan per phase. Raises [Invalid_argument] on a negative NPU or
-    chunk id. *)
+    chunk id, and on a [chunk_size] that is negative, infinite or NaN when
+    there are sends. *)

@@ -2,6 +2,7 @@ type t = { mutable data : int array; mutable len : int }
 
 let create ?(capacity = 8) () = { data = Array.make (max 1 capacity) 0; len = 0 }
 let length t = t.len
+let data t = t.data
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ivec.get: index out of range";
@@ -23,15 +24,4 @@ let swap_remove t i =
   else begin
     t.data.(i) <- t.data.(t.len);
     t.data.(i)
-  end
-
-let exists_from t ~start p =
-  if t.len = 0 then -1
-  else begin
-    let i = ref (((start mod t.len) + t.len) mod t.len) and remaining = ref t.len in
-    while !remaining > 0 && not (p t.data.(!i)) do
-      i := if !i + 1 = t.len then 0 else !i + 1;
-      decr remaining
-    done;
-    if !remaining = 0 then -1 else !i
   end

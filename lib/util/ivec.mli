@@ -5,14 +5,20 @@ type t
 
 val create : ?capacity:int -> unit -> t
 val length : t -> int
+
+val data : t -> int array
+(** The backing array, for loops that read it without a call per element:
+    indices below [length t] hold the elements in order, the rest is
+    spare. Read it only, and only until the next [push], which may
+    replace it. *)
+
 val get : t -> int -> int
+(** [get t i] is the element at index [i]; raises [Invalid_argument] out
+    of range. Only tests call it: test_util's "push/get". *)
+
 val push : t -> int -> unit
 
 val swap_remove : t -> int -> int
 (** [swap_remove t i] removes index [i] by swapping the last element into it;
     returns the element that now lives at [i] (or [-1] if [i] became the
     end). O(1). *)
-
-val exists_from : t -> start:int -> (int -> bool) -> int
-(** [exists_from t ~start p] scans circularly from index [start], returning
-    the first index whose element satisfies [p], or [-1]. *)

@@ -2,9 +2,9 @@
    entry carrying an int, kept as parallel arrays so that the float keys
    stay unboxed and a sift moves no pointers (and so pays no write
    barrier). Every (key, tie) pair in a heap is distinct — the event
-   queue's ties are insertion numbers, and Dijkstra pushes a node only at a
-   strictly smaller distance — so any correct heap pops the same
-   sequence. *)
+   queue's ties are the insertion numbers of its runs' first entries, and
+   Dijkstra pushes a node only at a strictly smaller distance — so any
+   correct heap pops the same sequence. *)
 type heap = {
   mutable keys : float array;
   mutable ties : int array;
@@ -13,7 +13,9 @@ type heap = {
 }
 
 let heap () = { keys = [||]; ties = [||]; ids = [||]; size = 0 }
-let[@inline] before (k : float) (s : int) k' s' = k < k' || (k = k' && s < s')
+
+let[@inline] before (k : float) (s : int) (k' : float) (s' : int) =
+  k < k' || (k = k' && s < s')
 
 (* Room for one more entry at index [h.size]. *)
 let reserve h =
@@ -76,67 +78,155 @@ let heap_drop_min h =
     place h !i k s id
   end
 
-(* The event queue. Pushes at the key last popped — the events a handler
-   schedules for "now" — skip the heap: they go to [fifo], the entries
-   [fifo_head, fifo.size) of a heap record used as a queue. Its keys are
-   all equal and its insertion numbers increase, so it is itself sorted by
-   (key, insertion), and [pop] takes the lesser of its head and the heap's
-   root. *)
+(* The event queue: a heap of runs. A run is a FIFO of entries whose keys
+   are equal under [=]; each entry keeps its own key, so a pop writes back
+   the popped entry's own sign of zero. [runs] holds one entry per pending
+   run: its key, the insertion number of its first entry, and its oldest
+   entry.
+
+   A push joins a run only while the run is open. The open runs are the
+   last [open_slots] opened, most recent first: opening one more closes
+   the oldest, and a run that drains closes too. A closed run never takes
+   another entry, so the runs of one key hold disjoint, ascending ranges of
+   insertion numbers. The least run's oldest entry is then the least
+   (key, insertion) entry, and a pop touches the heap only when it drains
+   a run. Keys are grouped by [=], not by bits: after 0. opens run A and
+   -0. opens run B, a later 0. grouped by bits would join A and pop ahead
+   of the -0. pushed before it.
+
+   Entries live in parallel arrays of slots; [entry_next] links each run from
+   oldest to newest, and the free slots into a list. *)
+let open_slots = 4
+
 type t = {
-  heap : heap;
-  fifo : heap;
-  mutable fifo_head : int;
-  last : float array;  (** one cell, unboxed: the key of the last pop, nan before the first *)
+  runs : heap;
+  mutable count : int;
   mutable next_seq : int;
+  mutable entry_keys : float array;
+  mutable entry_vals : int array;
+  mutable entry_next : int array;
+      (** a live slot's successor in its run (-1 after the newest); a free
+          slot's successor on the free list *)
+  mutable free : int;  (** the first free slot, -1 when none *)
+  mutable used : int;  (** no slot at or past [used] was ever handed out *)
+  open_keys : float array;  (** the open runs' keys, most recently opened first *)
+  open_tails : int array;  (** and their newest entries *)
+  mutable num_open : int;
 }
 
 let create () =
-  { heap = heap (); fifo = heap (); fifo_head = 0; last = [| Float.nan |]; next_seq = 0 }
+  {
+    runs = heap ();
+    count = 0;
+    next_seq = 0;
+    entry_keys = [||];
+    entry_vals = [||];
+    entry_next = [||];
+    free = -1;
+    used = 0;
+    open_keys = Array.make open_slots 0.;
+    open_tails = Array.make open_slots 0;
+    num_open = 0;
+  }
 
-let fifo_len t = t.fifo.size - t.fifo_head
-let size t = t.heap.size + fifo_len t
-let is_empty t = size t = 0
+let size t = t.count
+let is_empty t = t.count = 0
+
+(* A slot holding [key] and [v], the newest of no run yet. *)
+let new_entry t (key : float) v =
+  let e =
+    if t.free >= 0 then begin
+      let e = t.free in
+      t.free <- t.entry_next.(e);
+      e
+    end
+    else begin
+      let e = t.used in
+      if e = Array.length t.entry_keys then begin
+        let cap = max 16 (2 * e) in
+        let keys = Array.make cap 0. and vals = Array.make cap 0 and next = Array.make cap 0 in
+        Array.blit t.entry_keys 0 keys 0 e;
+        Array.blit t.entry_vals 0 vals 0 e;
+        Array.blit t.entry_next 0 next 0 e;
+        t.entry_keys <- keys;
+        t.entry_vals <- vals;
+        t.entry_next <- next
+      end;
+      t.used <- e + 1;
+      e
+    end
+  in
+  t.entry_keys.(e) <- key;
+  t.entry_vals.(e) <- v;
+  t.entry_next.(e) <- -1;
+  e
+
+(* The open slot whose run has key [key], or -1. *)
+let find_open t (key : float) =
+  let i = ref 0 in
+  while !i < t.num_open && not (t.open_keys.(!i) = key) do
+    incr i
+  done;
+  if !i < t.num_open then !i else -1
+
+(* Open a run of [key] whose newest entry is [e]; when every slot is
+   taken, the oldest run closes. *)
+let open_run t (key : float) e =
+  let n = min t.num_open (open_slots - 1) in
+  for i = n downto 1 do
+    t.open_keys.(i) <- t.open_keys.(i - 1);
+    t.open_tails.(i) <- t.open_tails.(i - 1)
+  done;
+  t.open_keys.(0) <- key;
+  t.open_tails.(0) <- e;
+  t.num_open <- n + 1
+
+(* Close the open run whose newest entry is [e], if there is one. *)
+let close_run t e =
+  let n = t.num_open in
+  let i = ref 0 in
+  while !i < n && t.open_tails.(!i) <> e do
+    incr i
+  done;
+  if !i < n then begin
+    for j = !i to n - 2 do
+      t.open_keys.(j) <- t.open_keys.(j + 1);
+      t.open_tails.(j) <- t.open_tails.(j + 1)
+    done;
+    t.num_open <- n - 1
+  end
 
 let push t key v =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let f = t.fifo in
-  if key = t.last.(0) && (fifo_len t = 0 || key = f.keys.(t.fifo_head)) then begin
-    if fifo_len t = 0 then begin
-      f.size <- 0;
-      t.fifo_head <- 0
-    end
-    else if f.size = Array.length f.keys && t.fifo_head > 0 then begin
-      (* Full at the back with room at the front: slide down. *)
-      let n = fifo_len t in
-      Array.blit f.keys t.fifo_head f.keys 0 n;
-      Array.blit f.ties t.fifo_head f.ties 0 n;
-      Array.blit f.ids t.fifo_head f.ids 0 n;
-      f.size <- n;
-      t.fifo_head <- 0
-    end;
-    reserve f;
-    place f f.size key seq v;
-    f.size <- f.size + 1
+  let e = new_entry t key v in
+  let i = find_open t key in
+  if i >= 0 then begin
+    t.entry_next.(t.open_tails.(i)) <- e;
+    t.open_tails.(i) <- e
   end
-  else heap_push t.heap key seq v
-
-(* Whether the next pop comes from the FIFO. *)
-let fifo_first t =
-  let f = t.fifo and h = t.heap and i = t.fifo_head in
-  fifo_len t > 0 && (h.size = 0 || before f.keys.(i) f.ties.(i) h.keys.(0) h.ties.(0))
+  else begin
+    heap_push t.runs key t.next_seq e;
+    open_run t key e
+  end;
+  t.next_seq <- t.next_seq + 1;
+  t.count <- t.count + 1
 
 (* The key leaves through [key.(0)]: a float array cell is written
    unboxed, where a returned float would be boxed at the call. *)
 let pop t key =
-  if is_empty t then invalid_arg "Pq.pop: empty";
-  let from_fifo = fifo_first t in
-  let src = if from_fifo then t.fifo else t.heap in
-  let i = if from_fifo then t.fifo_head else 0 in
-  let k = src.keys.(i) and v = src.ids.(i) in
-  if from_fifo then t.fifo_head <- i + 1 else heap_drop_min t.heap;
-  t.last.(0) <- k;
-  key.(0) <- k;
+  if t.count = 0 then invalid_arg "Pq.pop: empty";
+  let h = t.runs in
+  let e = h.ids.(0) in
+  let after = t.entry_next.(e) in
+  if after < 0 then begin
+    heap_drop_min h;
+    close_run t e
+  end
+  else h.ids.(0) <- after;
+  key.(0) <- t.entry_keys.(e);
+  let v = t.entry_vals.(e) in
+  t.entry_next.(e) <- t.free;
+  t.free <- e;
+  t.count <- t.count - 1;
   v
 
 module Pairs = struct

@@ -1,9 +1,31 @@
-(** Binary min-heap keyed by float with an int payload — the event queue
-    of the discrete-event network simulator, and the synthesizer's queue of
-    send finish times. Ties are popped in insertion
-    order, which gives the simulator deterministic FCFS behavior: pops
-    follow (key, insertion number) in lexicographic order. Keys must not be
-    NaN. *)
+(** Min-priority queue keyed by float with an int payload — the event
+    queue of the discrete-event network simulator, and the synthesizer's
+    queue of send finish times. Pops follow (key, insertion number) in
+    lexicographic order, keys compared with [<] and [=]: ties pop in
+    insertion order, which gives the simulator deterministic FCFS behavior.
+    Keys are never NaN, which this order could not place: every caller
+    checks its inputs. [Link.make] takes only finite costs, [Spec.make]
+    only a finite buffer, and the simulator rejects a transfer or routing
+    size that is NaN or infinite and an infinite degradation factor.
+
+    The queue is a binary heap of {e runs}. A run is a FIFO of entries
+    whose keys are equal under [=]; each entry keeps its own key, so [pop]
+    returns [-0.] for an entry pushed as [-0.] even in a run of [0.]. The
+    heap orders runs by (key, insertion number of the run's first entry).
+    A push joins a run only while that run is open: the last four runs
+    opened are open, so opening a fifth closes the oldest, and a run closes
+    when it drains. A closed run never takes another entry, which keeps
+    the runs of one key in insertion order.
+
+    Cost. A push that joins an open run is O(1): a scan of the four open
+    keys and an append. A push that opens a run is one heap insertion,
+    O(log r) in the [r] pending runs. A pop is O(1) unless it drains its
+    run, which costs one heap deletion, O(log r). The event loops push
+    many events at each time, and few times are pending at once, so most
+    operations skip the heap. In the worst case every key is distinct:
+    one run per entry, a binary heap plus a scan of the open keys per
+    push. Entry storage grows by doubling and reuses the slots that pops
+    free; [create] allocates none of it. *)
 
 type t
 

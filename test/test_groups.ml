@@ -348,37 +348,9 @@ let prop_extract_matches_full_scan =
       | [ g ] -> group_links g = full_scan_links topo members
       | _ -> false)
 
-(* Composing writes each send once, into the composed schedule's six
-   arrays; the rest is the sub-syntheses, the shifted copy of each distinct
-   sub-schedule and the partition checks. The composed arrays go straight
-   to the major heap, which [Gc.minor_words] misses, so the count is
-   [Gc.allocated_bytes]. The budget is the measured 12.75 words, rounded
-   up; the lift-then-merge composition it replaced allocated 19.79. *)
-let test_compose_allocation_budget () =
-  let topo = Result.get_ok (Parse.parse_topology "mesh:16x16") in
-  let groups = groups_exn topo Plan.Auto in
-  let spec = spec Pattern.All_gather topo in
-  let run () = Plan.synthesize ~seed:1 topo spec ~groups in
-  ignore (run ());
-  let before = Gc.allocated_bytes () in
-  let plan = run () in
-  let bytes = Gc.allocated_bytes () -. before in
-  let sends = Schedule.num_sends plan.Plan.result.Tacos.Synthesizer.schedule in
-  let words = bytes /. float_of_int (Sys.word_size / 8) /. float_of_int sends in
-  Alcotest.(check int) "sends" (256 * 255) sends;
-  if words > 13. then Alcotest.failf "Plan.synthesize allocates %.2f words per send" words
-
 let () =
   Alcotest.run "groups"
     [
-      (* First: once other domains have run in the process, the runtime's
-         allocation counters read differently for the same call (14.39
-         words per send after the parallel tests below). *)
-      ( "allocation",
-        [
-          Alcotest.test_case "compose words per send" `Quick
-            test_compose_allocation_budget;
-        ] );
       ( "compose",
         List.map
           (fun fabric ->

@@ -23,7 +23,12 @@ let bits = Int64.bits_of_float
 
 (* Keys are offsets from the last popped key, in halves, so pushes land at,
    above and below it and many keys tie; [Push_neg_zero] ties -0. with 0.
-   and checks that a popped key keeps its sign bit. *)
+   and checks that a popped key keeps its sign bit. Half the lists are
+   longer, up to 2,000 ops, with offsets up to ±16: more distinct keys are
+   then pending than the queue keeps runs open, so a key's run closes
+   while it still holds entries and a later push at that key opens another
+   run behind it. A push at offset 0 lands on the key just popped, whose
+   run may have drained. *)
 type pq_op = Pop | Push of int | Push_neg_zero
 
 let pq_op_to_string = function
@@ -33,14 +38,17 @@ let pq_op_to_string = function
 
 let gen_pq_ops =
   QCheck.Gen.(
-    list_size (int_range 0 400)
-      (frequency
-         [
-           (4, return Pop);
-           (3, return (Push 0));
-           (4, map (fun d -> Push d) (int_range (-4) 4));
-           (1, return Push_neg_zero);
-         ]))
+    let op spread =
+      frequency
+        [
+          (4, return Pop);
+          (3, return (Push 0));
+          (4, map (fun d -> Push d) (int_range (-spread) spread));
+          (1, return Push_neg_zero);
+        ]
+    in
+    oneof
+      [ list_size (int_range 0 400) (op 4); list_size (int_range 0 2000) (op 16) ])
 
 (* The model: pending entries in insertion order; the next pop is the
    first entry of the list stably sorted by key, i.e. the least key with
@@ -767,18 +775,6 @@ let test_routed_golden () =
   Alcotest.(check string) "direct on torus:4x4" "8a2471cabd7ab0ec950eba345674c76a"
     (digest program (Engine.run topo program))
 
-(* Replay allocates per transfer only what its inputs and report hold: the
-   boxed key of each event push and the report's service intervals. The
-   budget is the measured 18.3 words, rounded up. *)
-let test_run_allocation_budget () =
-  let topo, _, program = synthesized "mesh:8x8" "all-gather" ~chunks:4 ~size:64e6 in
-  ignore (Engine.run topo program);
-  let before = Gc.minor_words () in
-  let report = Engine.run topo program in
-  let words = (Gc.minor_words () -. before) /. float_of_int (Program.num_transfers program) in
-  Alcotest.(check bool) "replayed" true (report.Engine.finish_time > 0.);
-  if words > 19. then Alcotest.failf "Engine.run allocates %.2f words per transfer" words
-
 let () =
   Alcotest.run "replay"
     [
@@ -802,6 +798,4 @@ let () =
           Alcotest.test_case "faulted report" `Quick test_faulted_golden;
           Alcotest.test_case "routed report" `Quick test_routed_golden;
         ] );
-      ( "allocation",
-        [ Alcotest.test_case "Engine.run words per transfer" `Quick test_run_allocation_budget ] );
     ]

@@ -143,6 +143,35 @@ let test_cyclic_import_is_typed_error () =
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "cyclic program must not run"
 
+(* A NaN size would make every hold and event time of the replay NaN,
+   which no event order can sort; an infinite one makes them NaN wherever
+   it meets a zero-cost link. Every way into a program refuses both, and
+   negative sizes. So does the routing size, whose negative values gave
+   Dijkstra negative link costs: on a ring it never returned. *)
+let test_non_finite_sizes_rejected () =
+  let spec = Spec.make ~pattern:Pattern.All_gather ~npus:2 () in
+  let schedule = (Tacos.Synthesizer.synthesize (Builders.ring 2) spec).schedule in
+  let ring = Builders.ring 4 in
+  let b = Program.builder () in
+  ignore (add b ~src:0 ~dst:2 ~size:1e6 ());
+  let program = Program.build b in
+  List.iter
+    (fun size ->
+      let what = Printf.sprintf "size %g" size in
+      Alcotest.check_raises ("add, " ^ what)
+        (Invalid_argument "Program.add: size must be finite and non-negative") (fun () ->
+          ignore (add (Program.builder ()) ~src:0 ~dst:1 ~size ()));
+      Alcotest.check_raises ("import, " ^ what)
+        (Invalid_argument "Program.import: size must be finite and non-negative")
+        (fun () -> ignore (Program.import [| ("a", 0, 1, size, []) |]));
+      Alcotest.check_raises ("of_schedule, " ^ what)
+        (Invalid_argument "Program.of_schedule: chunk size must be finite and non-negative")
+        (fun () -> ignore (Program.of_schedule ~chunk_size:size schedule));
+      Alcotest.check_raises ("routing, " ^ what)
+        (Invalid_argument "Engine.run: routing size must be finite and non-negative")
+        (fun () -> ignore (Engine.run ~routing_size:size ring program)))
+    [ nan; infinity; neg_infinity; -1. ]
+
 let test_simulates_synthesized_schedule () =
   (* Program.of_schedule: the simulator replays a TACOS schedule in (at
      most) its synthesized makespan — the schedule is congestion-free, and
@@ -315,6 +344,20 @@ let test_fault_degrade_applies_to_later_services () =
   Alcotest.check feq "committed service unchanged, next one at 2x beta" 30.
     r.Engine.finish_time
 
+(* Link.make allows α = 0, and 0 × ∞ is NaN: an infinite factor would give
+   the degraded link a NaN latency. Fault.check_factor refuses it too. *)
+let test_fault_infinite_degradation_rejected () =
+  let topo = two_npu_line 0. 1. in
+  let victim = link_id topo ~src:0 ~dst:1 in
+  let b = Program.builder () in
+  ignore (add b ~src:0 ~dst:1 ~size:10. ());
+  Alcotest.check_raises "infinite factor"
+    (Invalid_argument "Engine.run: degradation factor is not finite") (fun () ->
+      ignore
+        (Engine.run
+           ~faults:[ Engine.Link_degrades { link = victim; factor = infinity; at = 5. } ]
+           topo (Program.build b)))
+
 let test_fault_recovery_restores_link () =
   (* Two parallel 0->1 links. Kill one mid-service (its message drains onto
      the survivor), then recover it; a transfer launched after the recovery
@@ -421,6 +464,8 @@ let () =
           Alcotest.test_case "dangling dep rejected" `Quick test_cyclic_program_rejected;
           Alcotest.test_case "cyclic import is a typed error" `Quick
             test_cyclic_import_is_typed_error;
+          Alcotest.test_case "non-finite sizes rejected" `Quick
+            test_non_finite_sizes_rejected;
           Alcotest.test_case "replays TACOS schedules" `Quick
             test_simulates_synthesized_schedule;
           Alcotest.test_case "routing size matters" `Quick test_routing_size_override;
@@ -439,6 +484,8 @@ let () =
             test_fault_strands_when_disconnected;
           Alcotest.test_case "degrade hits later services" `Quick
             test_fault_degrade_applies_to_later_services;
+          Alcotest.test_case "infinite degradation rejected" `Quick
+            test_fault_infinite_degradation_rejected;
           Alcotest.test_case "recovery restores the link" `Quick
             test_fault_recovery_restores_link;
           Alcotest.test_case "dead link ineligible at enqueue" `Quick

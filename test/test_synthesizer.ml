@@ -781,31 +781,9 @@ let test_stuck_golden () =
          Synth.synthesize ~sketch:{ Synth.no_constraints with forbid } topo
            (spec Pattern.All_gather 9)))
 
-(* The matcher allocates per send only the goal's postcondition pair, the
-   boxed finish time it pushes on its event heap, and its share of the
-   per-trial arrays. The budget is the measured 20.4 words, rounded up. *)
-let test_synthesize_allocation_budget () =
-  let topo = Result.get_ok (Parse.parse_topology "mesh:8x8") in
-  let spec =
-    Spec.make ~chunks_per_npu:4 ~buffer_size:64e6 ~pattern:Pattern.All_gather ~npus:64 ()
-  in
-  let run () = Synth.synthesize ~seed:1 ~trials:1 ~domains:1 topo spec in
-  ignore (run ());
-  let before = Gc.minor_words () in
-  let result = run () in
-  let sends = Schedule.num_sends result.Synth.schedule in
-  let words = (Gc.minor_words () -. before) /. float_of_int sends in
-  Alcotest.(check int) "sends" (63 * 256) sends;
-  if words > 21. then Alcotest.failf "synthesize allocates %.2f words per send" words
-
 let () =
   Alcotest.run "synthesizer"
     [
-      ( "allocation",
-        [
-          Alcotest.test_case "synthesize words per send" `Quick
-            test_synthesize_allocation_budget;
-        ] );
       ( "golden",
         [
           Alcotest.test_case "multi-trial synthesize" `Quick test_trials_golden;

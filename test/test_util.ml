@@ -228,12 +228,6 @@ let test_ivec_swap_remove () =
   let moved = Ivec.swap_remove v 2 in
   Alcotest.(check int) "removing the tail moves nothing" (-1) moved
 
-let test_ivec_exists_from () =
-  let v = Ivec.create () in
-  List.iter (Ivec.push v) [ 5; 6; 7; 8 ];
-  Alcotest.(check int) "wraps around" 0 (Ivec.exists_from v ~start:2 (fun x -> x = 5));
-  Alcotest.(check int) "no match" (-1) (Ivec.exists_from v ~start:0 (fun x -> x > 100))
-
 (* --- Stats -------------------------------------------------------------- *)
 
 let test_stats_basics () =
@@ -616,7 +610,6 @@ let () =
         [
           Alcotest.test_case "push/get" `Quick test_ivec_push_get;
           Alcotest.test_case "swap_remove" `Quick test_ivec_swap_remove;
-          Alcotest.test_case "exists_from" `Quick test_ivec_exists_from;
         ] );
       ( "stats",
         [
