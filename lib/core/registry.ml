@@ -20,8 +20,6 @@ type t = {
 }
 
 let c_inflight_joins = Obs.counter "registry.inflight_joins"
-let c_quarantined = Obs.counter "registry.quarantined"
-let c_evicted = Obs.counter "registry.evicted"
 let c_write_errors = Obs.counter "registry.write_errors"
 
 (* mkdir -p. Tolerates concurrent creation: another process winning the
@@ -150,7 +148,6 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
    the entry in place. *)
 let quarantine t path =
   (try Sys.rename path (path ^ ".corrupt") with Sys_error _ -> ());
-  Obs.incr c_quarantined;
   Mutex.lock t.lock;
   t.quarantined <- t.quarantined + 1;
   Mutex.unlock t.lock
@@ -253,27 +250,35 @@ let save_to_disk t spec (result : Synthesizer.result) k =
       Obs.incr c_write_errors)
   | None -> ()
 
-(* Disk-cap enforcement, run after every write: while the store (live
-   entries plus quarantined files, the same accounting as [disk_usage])
-   exceeds [max_disk_bytes], delete the oldest-mtime file — except the entry
-   just written, so a cap smaller than one schedule degrades to "keep only
-   the latest" instead of thrashing the write we are completing. Failures
-   are swallowed: another instance may have evicted the same file first, and
+(* The store's files — live [*.json] entries and quarantined [*.corrupt]
+   ones — as [(path, bytes, mtime)], scanned fresh on every call: the store
+   is shared (other server instances, rsync), so cached totals would go
+   stale. A missing or unreadable directory reads as empty, and a file that
+   disappears between [readdir] and [stat] as absent: size accounting must
+   never take the serving path down. *)
+let scan dir =
+  Array.fold_left
+    (fun acc f ->
+      if not (Filename.check_suffix f ".json" || Filename.check_suffix f ".corrupt")
+      then acc
+      else
+        let path = Filename.concat dir f in
+        match Unix.stat path with
+        | { Unix.st_size; st_mtime; _ } -> (path, st_size, st_mtime) :: acc
+        | exception (Unix.Unix_error _ | Sys_error _) -> acc)
+    []
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* Disk-cap enforcement, run after every write: while the store exceeds
+   [max_disk_bytes], delete the oldest-mtime file — except the entry just
+   written, so a cap smaller than one schedule degrades to "keep only the
+   latest" instead of thrashing the write we are completing. Failures are
+   swallowed: another instance may have evicted the same file first, and
    eviction must never take the serving path down. *)
 let enforce_disk_cap t ~keep =
   match (t.dir, t.max_disk_bytes) with
   | Some dir, Some cap ->
-    let files = try Sys.readdir dir with Sys_error _ -> [||] in
-    let entries =
-      Array.to_list files
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".json" || Filename.check_suffix f ".corrupt")
-      |> List.filter_map (fun f ->
-             let path = Filename.concat dir f in
-             match Unix.stat path with
-             | { Unix.st_size; st_mtime; _ } -> Some (path, st_size, st_mtime)
-             | exception (Unix.Unix_error _ | Sys_error _) -> None)
-    in
+    let entries = scan dir in
     let total = List.fold_left (fun acc (_, size, _) -> acc + size) 0 entries in
     if total > cap then begin
       (* Oldest first; mtime ties break on the filename for determinism. *)
@@ -289,7 +294,6 @@ let enforce_disk_cap t ~keep =
              else begin
                match Sys.remove path with
                | () ->
-                 Obs.incr c_evicted;
                  Mutex.lock t.lock;
                  t.evicted <- t.evicted + 1;
                  Mutex.unlock t.lock;
@@ -313,8 +317,11 @@ let evicted t =
    syntheses take seconds; lookups must not serialize behind them — then
    publishes under the lock and broadcasts. N concurrent identical
    requests therefore run exactly one synthesis; the N-1 joiners are
-   counted under [registry.inflight_joins] and report [`Hit]. Servers
-   inject their own (deadline-carrying) miss backend via [?synthesize]. *)
+   counted under [registry.inflight_joins] and report [`Hit], and a disk
+   entry wanted by several requests at once is loaded once, by the owner.
+   Only the owner of a key that is neither cached nor on disk calls the
+   miss backend, which servers inject (carrying their deadline) via
+   [?synthesize]. *)
 let find_or_synthesize ?(seed = 42) ?(domains = 1)
     ?(synthesize = fun ~seed ~domains topo spec -> Router.synthesize_any ~seed ~domains topo spec)
     ?variant t topo (spec : Spec.t) =
@@ -378,27 +385,6 @@ let find_or_synthesize ?(seed = 42) ?(domains = 1)
       publish (Error e);
       raise e)
 
-(* Non-blocking peek: the in-memory table, then disk. Unlike
-   [find_or_synthesize] this never joins an in-flight synthesis — a server
-   answering cache probes must not block behind a miss in progress. A disk
-   hit is published to the table (losing a publish race is benign: both
-   sides hold validated results for the same key). *)
-let find_cached ?variant t topo (spec : Spec.t) =
-  let k = key ?variant topo spec in
-  Mutex.lock t.lock;
-  let hit = Hashtbl.find_opt t.table k in
-  Mutex.unlock t.lock;
-  match hit with
-  | Some _ -> hit
-  | None -> (
-    match load_from_disk t topo spec k with
-    | Some result ->
-      Mutex.lock t.lock;
-      if not (Hashtbl.mem t.table k) then Hashtbl.replace t.table k result;
-      Mutex.unlock t.lock;
-      Some result
-    | None -> None)
-
 let entries t =
   Mutex.lock t.lock;
   let n = Hashtbl.length t.table in
@@ -407,30 +393,17 @@ let entries t =
 
 type disk_usage = { disk_entries : int; disk_corrupt : int; disk_bytes : int }
 
-(* Scan the backing directory fresh on every call: the store is shared
-   (other server instances, rsync) so cached totals would go stale. A
-   missing or unreadable directory reads as empty — size accounting must
-   never take the serving path down. *)
 let disk_usage t =
+  let empty = { disk_entries = 0; disk_corrupt = 0; disk_bytes = 0 } in
   match t.dir with
-  | None -> { disk_entries = 0; disk_corrupt = 0; disk_bytes = 0 }
+  | None -> empty
   | Some dir ->
-    let files = try Sys.readdir dir with Sys_error _ -> [||] in
-    Array.fold_left
-      (fun acc f ->
-        let entry = Filename.check_suffix f ".json" in
-        let corrupt = Filename.check_suffix f ".corrupt" in
-        if not (entry || corrupt) then acc
-        else begin
-          let bytes =
-            try (Unix.stat (Filename.concat dir f)).Unix.st_size with
-            | Unix.Unix_error _ | Sys_error _ -> 0
-          in
-          {
-            disk_entries = (acc.disk_entries + if entry then 1 else 0);
-            disk_corrupt = (acc.disk_corrupt + if corrupt then 1 else 0);
-            disk_bytes = acc.disk_bytes + bytes;
-          }
-        end)
-      { disk_entries = 0; disk_corrupt = 0; disk_bytes = 0 }
-      files
+    List.fold_left
+      (fun acc (path, bytes, _) ->
+        let corrupt = Filename.check_suffix path ".corrupt" in
+        {
+          disk_entries = (acc.disk_entries + if corrupt then 0 else 1);
+          disk_corrupt = (acc.disk_corrupt + if corrupt then 1 else 0);
+          disk_bytes = acc.disk_bytes + bytes;
+        })
+      empty (scan dir)

@@ -29,8 +29,8 @@ val create : ?dir:string -> ?max_disk_bytes:int -> unit -> t
     files, the same accounting as {!disk_usage}): after every write, the
     oldest-mtime files are deleted — mtime ties break on the filename —
     until the total fits, never evicting the entry just written. Evictions
-    are counted under {!evicted} and the [registry.evicted] obs counter.
-    The cap needs [dir] to mean anything and must be positive
+    are counted under {!evicted}. The cap reads the same scan of the store
+    as {!disk_usage}. It needs [dir] to mean anything and must be positive
     ([Invalid_argument] otherwise). *)
 
 val fingerprint : Topology.t -> string
@@ -80,8 +80,8 @@ val find_or_synthesize :
     broken file — unreadable, not JSON, checksum mismatch, malformed
     schedule, failed re-validation — is {e quarantined}: renamed to
     [<entry>.corrupt] (preserved for forensics), counted under
-    {!quarantined} and the [registry.quarantined] obs counter, and treated
-    as a miss. A lookup never raises because of disk state.
+    {!quarantined}, and treated as a miss. A lookup never raises because
+    of disk state.
 
     [variant] (default empty) is appended to the cache key: requests
     synthesized under extra constraints — e.g. a communication sketch,
@@ -91,17 +91,13 @@ val find_or_synthesize :
     pre-existing key and filename.
 
     Safe to call concurrently from many domains; identical concurrent
-    requests trigger exactly one synthesis (single-flight). If the
-    synthesis (injected or default) raises, every joined waiter re-raises
-    the same exception and the key is released for retry. *)
-
-val find_cached :
-  ?variant:string -> t -> Topology.t -> Spec.t -> Synthesizer.result option
-(** Non-blocking cache peek: the in-memory table, then the disk store
-    (publishing a disk hit to the table, quarantining broken files as
-    above). Never synthesizes and never joins an in-flight synthesis —
-    the probe a server can afford on every request, even one whose
-    deadline already passed. *)
+    requests trigger exactly one synthesis (single-flight), and a disk
+    entry several of them want is loaded once. A [`Hit] — from memory,
+    from a joined in-flight synthesis, or from disk — never calls
+    [synthesize], so a server can answer hits whatever deadline its
+    backend carries. If the synthesis (injected or default) raises, every
+    joined waiter re-raises the same exception and the key is released
+    for retry. *)
 
 val entries : t -> int
 (** Number of in-memory entries. *)
@@ -117,8 +113,10 @@ val evicted : t -> int
 type disk_usage = { disk_entries : int; disk_corrupt : int; disk_bytes : int }
 
 val disk_usage : t -> disk_usage
-(** Size accounting for the disk store, scanned fresh on every call:
-    live [*.json] entries, quarantined [*.corrupt] files, and their
-    combined size in bytes (quarantined included — forensic files occupy
-    real disk until an operator clears them). All zero for a registry
-    without a backing directory; never raises on unreadable disk state. *)
+(** Size accounting for the disk store, scanned fresh on every call (the
+    same scan the [max_disk_bytes] cap reads): live [*.json] entries,
+    quarantined [*.corrupt] files, and their combined size in bytes
+    (quarantined included — forensic files occupy real disk until an
+    operator clears them). A file deleted between the directory read and
+    its [stat] is not counted. All zero for a registry without a backing
+    directory; never raises on unreadable disk state. *)

@@ -116,54 +116,71 @@ let dead_mask m dead =
     dead;
   mask
 
-(* Fail fast on broken fabrics: a postcondition (d, c) is satisfiable iff
-   some initial holder of c reaches d over the expansion's links outside
-   [dead]. Reachability runs over the adjacency arrays, so a renumbered
-   degraded topology copy never needs to exist. With no dead link, strong
-   connectivity implies every postcondition is reachable, so the
-   O(n·(n+m)) walk only runs after that cheap test fails — the
-   healthy-fabric path pays one DFS pair per trial. *)
-let check_feasible exp ~dead goal =
-  if dead <> [] || not (Topology.is_strongly_connected (Ten.Expansion.topology exp))
-  then begin
-    let dead_mask = dead_mask (Ten.Expansion.num_links exp) dead in
-    let n = Ten.Expansion.num_npus exp in
-    let out_links = Ten.Expansion.out_links exp in
-    let dst = Ten.Expansion.dst exp in
-    let reach_cache = Hashtbl.create 8 in
-    let reachable_from s =
-      match Hashtbl.find_opt reach_cache s with
+(* A postcondition (d, c) is satisfiable iff some initial holder of c
+   reaches d over the links outside [dead] (and, for a chunk with a pin,
+   inside its route). One walk per distinct (route, holder), cached. *)
+let unreachable topo ~dead ~pin goal =
+  let n = Topology.num_npus topo in
+  let dead = dead_mask (Topology.num_links topo) dead in
+  let routes = Hashtbl.create 8 in
+  List.iter
+    (fun (c, route) ->
+      let set = Iset.of_list route in
+      Hashtbl.replace routes c
+        (match Hashtbl.find_opt routes c with
+        | None -> set
+        | Some prev -> Iset.inter prev set))
+    pin;
+  let reach_cache = Hashtbl.create 8 in
+  let reaches c h d =
+    let route = Hashtbl.find_opt routes c in
+    let key = ((if route = None then -1 else c), h) in
+    let seen =
+      match Hashtbl.find_opt reach_cache key with
       | Some seen -> seen
       | None ->
         let seen = Array.make n false in
+        let allowed e =
+          (not dead.(e)) && match route with None -> true | Some r -> Iset.mem e r
+        in
         let rec visit v =
           if not seen.(v) then begin
             seen.(v) <- true;
-            Array.iter
-              (fun e -> if not dead_mask.(e) then visit dst.(e))
-              out_links.(v)
+            List.iter
+              (fun (e : Topology.edge) -> if allowed e.id then visit e.dst)
+              (Topology.out_edges topo v)
           end
         in
-        visit s;
-        Hashtbl.add reach_cache s seen;
+        visit h;
+        Hashtbl.add reach_cache key seen;
         seen
     in
-    let holders = Hashtbl.create 16 in
-    List.iter
-      (fun (v, c) ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
-        Hashtbl.replace holders c (v :: prev))
-      goal.precondition;
-    let unreachable =
-      List.filter
-        (fun (d, c) ->
-          match Hashtbl.find_opt holders c with
-          | None -> true
-          | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
-        goal.postcondition
-    in
+    seen.(d)
+  in
+  let holders = Hashtbl.create 16 in
+  List.iter
+    (fun (v, c) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
+      Hashtbl.replace holders c (v :: prev))
+    goal.precondition;
+  List.filter
+    (fun (d, c) ->
+      match Hashtbl.find_opt holders c with
+      | None -> true
+      | Some hs -> not (List.exists (fun h -> reaches c h d) hs))
+    goal.postcondition
+
+(* Fail fast on broken fabrics. With no dead link, strong connectivity
+   implies every postcondition is reachable, so the O(n·(n+m)) walk only
+   runs after that cheap test fails — the healthy-fabric path pays one DFS
+   pair per trial. *)
+let check_feasible exp ~dead goal =
+  let topo = Ten.Expansion.topology exp in
+  if dead <> [] || not (Topology.is_strongly_connected topo) then
     (* Empty e.g. for a Broadcast whose root reaches everyone. *)
-    if unreachable <> [] then begin
+    match unreachable topo ~dead ~pin:[] goal with
+    | [] -> ()
+    | unreachable ->
       let total = List.length unreachable in
       let shown = List.filteri (fun i _ -> i < 6) unreachable in
       let pairs =
@@ -179,8 +196,6 @@ let check_feasible exp ~dead goal =
               total
               (if total = 1 then "" else "s")
               pairs suffix))
-    end
-  end
 
 (* Each link's rank among the distinct values of [cost] in [compare] order,
    and the number of distinct values. A stable counting sort by rank orders

@@ -168,8 +168,20 @@ val goal_of_spec : Spec.t -> goal
     {!Spec.postcondition} verbatim, with no reduction state. For [All_reduce]
     this is the Reduce-Scatter precondition against the All-Gather
     postcondition — not directly synthesizable as one pull goal; split into
-    phases instead. Outside this module only tests call it: test_synthesizer's
-    "parallel goal trials bit-identical". *)
+    phases instead. [Tacos_sketch.Sketch.compile] lowers each phase with it
+    for {!unreachable}. *)
+
+val unreachable :
+  Topology.t -> dead:int list -> pin:(int * int list) list -> goal -> (int * int) list
+(** The feasibility walk: the postconditions [(npu, chunk)] of [goal], in
+    postcondition order, that no precondition holder of the chunk reaches
+    over [topo]'s links outside [dead]. A [pin] [(chunk, route)] further
+    limits that chunk to the route's link ids; pinning a chunk twice
+    intersects the routes, as in {!constraints}. Synthesis raises {!Stuck}
+    naming these pairs, and [Tacos_sketch.Sketch.compile] reports the first
+    as its [Disconnected] offender, walking a reduction phase on
+    [Topology.reverse topo] (which keeps link ids). Raises
+    [Invalid_argument] on a dead link id out of range. *)
 
 type plan = { combining : Schedule.t; pull : Schedule.t }
 (** A reduction-aware repair plan on one clock: [combining] sends move

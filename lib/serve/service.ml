@@ -71,6 +71,20 @@ let verb_name = function
   | Protocol.Stats -> "stats"
   | Protocol.Metrics -> "metrics"
 
+(* How a request was answered. Every handler returns one with its
+   response; [handle_line] alone counts it and logs it, so the counters and
+   the access log cannot disagree. [`Hit] and [`Miss] are the registry's
+   own verdicts. *)
+type outcome = [ `Hit | `Miss | `Degraded | `Error | `Shed | `Ok ]
+
+let outcome_name : outcome -> string = function
+  | `Hit -> "hit"
+  | `Miss -> "miss"
+  | `Degraded -> "degraded"
+  | `Error -> "error"
+  | `Shed -> "shed"
+  | `Ok -> "ok"
+
 type t = {
   config : config;
   registry : Registry.t;
@@ -177,6 +191,16 @@ let bump t set =
   set t;
   Mutex.unlock t.lock
 
+let count t (outcome : outcome) =
+  bump t (fun t ->
+      match outcome with
+      | `Hit -> t.hits <- t.hits + 1
+      | `Miss -> t.misses <- t.misses + 1
+      | `Degraded -> t.degraded <- t.degraded + 1
+      | `Error -> t.errors <- t.errors + 1
+      | `Shed -> t.shed <- t.shed + 1
+      | `Ok -> ())
+
 let elapsed_ms t0 = Clock.elapsed t0 *. 1e3
 
 let record_ms t q ms =
@@ -186,12 +210,12 @@ let record_ms t q ms =
 
 let respond = Protocol.response
 
-let error_response t ~id ?failure msg =
-  bump t (fun t -> t.errors <- t.errors + 1);
-  respond ~id ~status:"error"
-    (("message", Json.String msg)
-    ::
-    (match failure with Some f -> [ ("failure", f) ] | None -> []))
+let error_response ~id ?failure msg =
+  ( `Error,
+    respond ~id ~status:"error"
+      (("message", Json.String msg)
+      ::
+      (match failure with Some f -> [ ("failure", f) ] | None -> [])) )
 
 (* --- export flavors ------------------------------------------------------ *)
 
@@ -283,69 +307,64 @@ let degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec ~deadline_missed =
       ?deadline ~faults healthy spec
   with
   | Ok { Resilience.plan = Resilience.Baseline { algo; report }; _ } ->
-    bump t (fun t -> t.degraded <- t.degraded + 1);
     let slack =
       match deadline with
       | Some d -> [ ("deadline_slack_ms", Json.Number (Deadline.slack_ms d)) ]
       | None -> []
     in
-    respond ~id ~status:"ok"
-      (ok_fields ~t0 ~cached:false ~degraded:true ~algorithm:(Algo.name algo)
-         ~collective_time:report.Engine.finish_time ~sends:0 slack)
+    ( `Degraded,
+      respond ~id ~status:"ok"
+        (ok_fields ~t0 ~cached:false ~degraded:true ~algorithm:(Algo.name algo)
+           ~collective_time:report.Engine.finish_time ~sends:0 slack) )
   | Ok { Resilience.plan = Resilience.Synthesized result; _ } ->
-    (* The ladder got a schedule out after all (e.g. a reseed landed). *)
-    respond ~id ~status:"ok"
-      (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
-         ~collective_time:result.Synth.collective_time
-         ~sends:(Schedule.num_sends result.Synth.schedule)
-         [])
+    (* The ladder got a schedule out after all (e.g. a reseed landed): a
+       synthesis answered, so it is a miss. *)
+    ( `Miss,
+      respond ~id ~status:"ok"
+        (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
+           ~collective_time:result.Synth.collective_time
+           ~sends:(Schedule.num_sends result.Synth.schedule)
+           []) )
   | Error failure ->
-    error_response t ~id
+    error_response ~id
       ~failure:(Resilience.failure_to_json failure)
       (Format.asprintf "%a" Resilience.pp_failure failure)
 
 let handle_synthesize t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
     ~deadline ~seed ~spec ~sketch =
   let id = req.Protocol.id in
-  let answer ~cached (result : Synth.result) =
-    if cached then bump t (fun t -> t.hits <- t.hits + 1)
-    else bump t (fun t -> t.misses <- t.misses + 1);
-    respond ~id ~status:"ok"
-      (ok_fields ~t0 ~cached ~degraded:false ~algorithm:"tacos"
-         ~collective_time:result.Synth.collective_time
-         ~sends:(Schedule.num_sends result.Synth.schedule)
-         (schedule_fields t req work_topo result))
-  in
   (* Sketched requests get their own cache line: the sketch digest becomes
      the registry key variant, so constrained and unconstrained schedules
      for the same (topology, spec) never alias. *)
   let variant = Option.map (fun (sk, _) -> Sketch.digest sk) sketch in
   let constraints = Option.map snd sketch in
-  (* Cache peek first: hits are served even past the deadline — answering
-     from memory is cheaper than degrading. *)
-  match Registry.find_cached ?variant t.registry work_topo spec with
-  | Some result -> answer ~cached:true result
-  | None -> (
-    let synthesize ~seed ~domains topo spec =
-      let s = Clock.start () in
-      Fun.protect
-        ~finally:(fun () -> record_ms t t.q_synthesis (elapsed_ms s))
-        (fun () -> t.backend ~deadline ~sketch:constraints ~seed ~domains topo spec)
-    in
-    match
-      Registry.find_or_synthesize ~seed ~domains:t.config.domains ~synthesize
-        ?variant t.registry work_topo spec
-    with
-    | result, `Hit -> answer ~cached:true result
-    | result, `Miss -> answer ~cached:false result
-    | exception Synth.Deadline_exceeded ->
-      degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-        ~deadline_missed:true
-    | exception (Synth.Stuck _ | Synth.Unsupported _) ->
-      (* The single-flight key was released on the raise, so a retry on a
-         healthier fabric is clean; meanwhile fall back structurally. *)
-      degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-        ~deadline_missed:false)
+  let synthesize ~seed ~domains topo spec =
+    let s = Clock.start () in
+    Fun.protect
+      ~finally:(fun () -> record_ms t t.q_synthesis (elapsed_ms s))
+      (fun () -> t.backend ~deadline ~sketch:constraints ~seed ~domains topo spec)
+  in
+  (* A hit never reaches the backend, so hits are served even past the
+     deadline: answering from the cache is cheaper than degrading. *)
+  match
+    Registry.find_or_synthesize ~seed ~domains:t.config.domains ~synthesize
+      ?variant t.registry work_topo spec
+  with
+  | result, verdict ->
+    ( (verdict :> outcome),
+      respond ~id ~status:"ok"
+        (ok_fields ~t0 ~cached:(verdict = `Hit) ~degraded:false ~algorithm:"tacos"
+           ~collective_time:result.Synth.collective_time
+           ~sends:(Schedule.num_sends result.Synth.schedule)
+           (schedule_fields t req work_topo result)) )
+  | exception Synth.Deadline_exceeded ->
+    degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
+      ~deadline_missed:true
+  | exception (Synth.Stuck _ | Synth.Unsupported _) ->
+    (* The single-flight key was released on the raise, so a retry on a
+       healthier fabric is clean; meanwhile fall back structurally. *)
+    degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
+      ~deadline_missed:false
 
 let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
     ~deadline ~seed ~spec ~pattern =
@@ -367,15 +386,15 @@ let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
       ~pattern ~size:req.Protocol.size
   with
   | choice ->
-    bump t (fun t -> t.misses <- t.misses + 1);
-    respond ~id ~status:"ok"
-      (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
-         ~collective_time:choice.Tuner.simulated_time
-         ~sends:(Schedule.num_sends choice.Tuner.result.Synth.schedule)
-         [
-           ( "chunks_per_npu",
-             Json.Number (float_of_int choice.Tuner.chunks_per_npu) );
-         ])
+    ( `Miss,
+      respond ~id ~status:"ok"
+        (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
+           ~collective_time:choice.Tuner.simulated_time
+           ~sends:(Schedule.num_sends choice.Tuner.result.Synth.schedule)
+           [
+             ( "chunks_per_npu",
+               Json.Number (float_of_int choice.Tuner.chunks_per_npu) );
+           ]) )
   | exception Synth.Deadline_exceeded ->
     degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
       ~deadline_missed:true
@@ -383,32 +402,32 @@ let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
     degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
       ~deadline_missed:false
   | exception Sketch.Infeasible off ->
-    error_response t ~id ("sketch: " ^ Sketch.offender_to_string off)
-  | exception Invalid_argument msg -> error_response t ~id ("tune: " ^ msg)
+    error_response ~id ("sketch: " ^ Sketch.offender_to_string off)
+  | exception Invalid_argument msg -> error_response ~id ("tune: " ^ msg)
 
-let handle_collective t (req : Protocol.request) ~t0 =
+let handle_collective t (req : Protocol.request) ~t0 ~deadline_ms =
   let id = req.Protocol.id in
   match req.Protocol.topology with
-  | None -> error_response t ~id "missing topology"
+  | None -> error_response ~id "missing topology"
   | Some desc -> (
     match Parse.parse_topology desc with
-    | Error e -> error_response t ~id ("topology: " ^ e)
+    | Error e -> error_response ~id ("topology: " ^ e)
     | Ok healthy -> (
       let npus = Topology.num_npus healthy in
       match Parse.parse_pattern req.Protocol.pattern npus with
-      | Error e -> error_response t ~id ("pattern: " ^ e)
+      | Error e -> error_response ~id ("pattern: " ^ e)
       | Ok pattern -> (
         match
           Spec.make ~chunks_per_npu:req.Protocol.chunks
             ~buffer_size:req.Protocol.size ~pattern ~npus ()
         with
-        | exception Invalid_argument msg -> error_response t ~id msg
+        | exception Invalid_argument msg -> error_response ~id msg
         | spec -> (
           let faults =
             List.map (fun l -> Fault.Kill_link l) req.Protocol.fail_links
           in
           match Fault.validate healthy faults with
-          | Error e -> error_response t ~id ("fail_links: " ^ e)
+          | Error e -> error_response ~id ("fail_links: " ^ e)
           | Ok () -> (
             (* The registry keys on the fabric actually served — the
                degraded copy when links were killed — while the Resilience
@@ -416,11 +435,6 @@ let handle_collective t (req : Protocol.request) ~t0 =
                can name the disconnecting fault. *)
             let work_topo =
               if faults = [] then healthy else Fault.apply healthy faults
-            in
-            let deadline_ms =
-              match req.Protocol.deadline_ms with
-              | Some _ as d -> d
-              | None -> t.config.default_deadline_ms
             in
             let deadline = Option.map Deadline.after_ms deadline_ms in
             let seed = Option.value ~default:t.config.seed req.Protocol.seed in
@@ -442,7 +456,7 @@ let handle_collective t (req : Protocol.request) ~t0 =
               in
               match sketched with
               | Error off ->
-                error_response t ~id
+                error_response ~id
                   ("sketch: " ^ Sketch.offender_to_string off)
               | Ok sketch ->
                 handle_synthesize t req ~t0 ~healthy ~work_topo ~faults
@@ -591,25 +605,7 @@ let id_string = function
   | Json.String s -> s
   | j -> Json.encode j
 
-(* The outcome an operator greps for, recovered from the response itself so
-   the log can never disagree with what the client saw. *)
-let classify op response =
-  match Json.parse response with
-  | Error _ -> "error"
-  | Ok doc -> (
-    let flag k = match Json.member k doc with Some (Json.Bool b) -> b | _ -> false in
-    match Option.bind (Json.member "status" doc) Json.to_string with
-    | Some "overloaded" -> "shed"
-    | Some "ok" -> (
-      match op with
-      | Some (Protocol.Synthesize | Protocol.Tune | Protocol.Export) ->
-        if flag "degraded" then "degraded"
-        else if flag "cached" then "hit"
-        else "miss"
-      | _ -> "ok")
-    | Some _ | None -> "error")
-
-let access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response =
+let access_log_line t ~t0 ~id ~verb ~outcome ~deadline_ms ~response =
   match t.config.access_log with
   | None -> ()
   | Some sink ->
@@ -621,7 +617,7 @@ let access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response =
         ("t", Printf.sprintf "%.6f" (uptime_seconds t));
         ("id", id_string id);
         ("verb", verb);
-        ("outcome", classify op response);
+        ("outcome", outcome_name outcome);
         ("elapsed_ms", Printf.sprintf "%.3f" ms);
       ]
       @ (match deadline_ms with
@@ -639,14 +635,13 @@ let access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response =
 
 (* --- request lifecycle --------------------------------------------------- *)
 
-let handle_request t (req : Protocol.request) ~t0 =
+let handle_request t (req : Protocol.request) ~t0 ~deadline_ms =
+  let ok fields = (`Ok, respond ~id:req.Protocol.id ~status:"ok" fields) in
   match req.Protocol.op with
-  | Protocol.Ping ->
-    respond ~id:req.Protocol.id ~status:"ok" [ ("pong", Json.Bool true) ]
-  | Protocol.Stats ->
-    respond ~id:req.Protocol.id ~status:"ok" (stats_fields t (stats t))
+  | Protocol.Ping -> ok [ ("pong", Json.Bool true) ]
+  | Protocol.Stats -> ok (stats_fields t (stats t))
   | Protocol.Metrics ->
-    respond ~id:req.Protocol.id ~status:"ok"
+    ok
       [
         ("uptime_seconds", Json.Number (uptime_seconds t));
         ("metrics", Json.String (metrics ?prefix:req.Protocol.prefix t));
@@ -658,7 +653,6 @@ let handle_request t (req : Protocol.request) ~t0 =
       let admitted =
         Mutex.lock t.lock;
         if t.inflight >= t.config.queue_limit then begin
-          t.shed <- t.shed + 1;
           let hint = Float.max 1. t.ema_ms in
           Mutex.unlock t.lock;
           Error hint
@@ -673,8 +667,9 @@ let handle_request t (req : Protocol.request) ~t0 =
       record_ms t t.q_queue_wait (elapsed_ms t0);
       match admitted with
       | Error retry_after_ms ->
-        respond ~id:req.Protocol.id ~status:"overloaded"
-          [ ("retry_after_ms", Json.Number retry_after_ms) ]
+        ( `Shed,
+          respond ~id:req.Protocol.id ~status:"overloaded"
+            [ ("retry_after_ms", Json.Number retry_after_ms) ] )
       | Ok () ->
         Fun.protect
           ~finally:(fun () ->
@@ -688,23 +683,19 @@ let handle_request t (req : Protocol.request) ~t0 =
             (* The last line of defense: a request must never take the
                server down. Anything unexpected maps to a structured
                error response. *)
-            try handle_collective t req ~t0 with
+            try handle_collective t req ~t0 ~deadline_ms with
             | e ->
-              error_response t ~id:req.Protocol.id
+              error_response ~id:req.Protocol.id
                 ("internal error: " ^ Printexc.to_string e)))
 
 let handle_line t line =
   let t0 = Clock.start () in
-  let parsed = Protocol.parse_request line in
-  let response =
-    match parsed with
-    | Error (id, msg) -> error_response t ~id msg
-    | Ok req -> handle_request t req ~t0
-  in
-  let verb, id, op, deadline_ms =
-    match parsed with
-    | Error (id, _) -> ("invalid", id, None, None)
+  let verb, id, deadline_ms, (outcome, response) =
+    match Protocol.parse_request line with
+    | Error (id, msg) -> ("invalid", id, None, error_response ~id msg)
     | Ok req ->
+      (* The deadline that applies: the request's own, else the configured
+         default; control verbs run under none. *)
       let deadline_ms =
         match req.Protocol.op with
         | Protocol.Synthesize | Protocol.Tune | Protocol.Export -> (
@@ -713,10 +704,12 @@ let handle_line t line =
           | None -> t.config.default_deadline_ms)
         | _ -> None
       in
-      (verb_name req.Protocol.op, req.Protocol.id, Some req.Protocol.op, deadline_ms)
+      let answer = handle_request t req ~t0 ~deadline_ms in
+      (verb_name req.Protocol.op, req.Protocol.id, deadline_ms, answer)
   in
+  count t outcome;
   (match List.assoc_opt verb t.lat_by_verb with
   | Some q -> record_ms t q (elapsed_ms t0)
   | None -> ());
-  access_log_line t ~t0 ~id ~verb ~op ~deadline_ms ~response;
+  access_log_line t ~t0 ~id ~verb ~outcome ~deadline_ms ~response;
   response

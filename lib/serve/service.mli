@@ -16,9 +16,10 @@ module Registry := Tacos.Registry
       that, requests are shed immediately with a structured
       [overloaded] response carrying a retry-after hint (an EMA of recent
       request latencies), never queued unboundedly.
-    - {e coalescing}: identical concurrent misses collapse into one
-      synthesis through the registry's single-flight path; a synthesis
-      that raises releases the key, so a later retry is clean.
+    - {e coalescing}: each request makes one registry lookup, and
+      identical concurrent misses collapse into one synthesis (and one disk
+      load) through its single-flight path; a synthesis that raises
+      releases the key, so a later retry is clean.
     - {e deadlines}: each request's [deadline_ms] (or the configured
       default) is propagated as a cooperative check into the synthesizer's
       round loop. When it expires mid-synthesis the service {e degrades
@@ -31,7 +32,12 @@ module Registry := Tacos.Registry
       [*.corrupt] and re-synthesized, never fatal.
 
     Every lifecycle event is counted once, in always-on plain counters
-    read by {!stats}, the [stats] op and {!metrics}.
+    read by {!stats}, the [stats] op and {!metrics}: admission
+    ([accepted]), an expired deadline ([deadline_missed]), and the one
+    outcome each response ends in — [hit], [miss], [degraded], [error],
+    [shed], or [ok] for the control verbs, which has no counter. The
+    access log names that same outcome, so its tallies match the
+    counters.
 
     On top of the counters sits the telemetry layer: every request's
     end-to-end latency lands in a per-verb {!Tacos_obs.Quantile} sketch
@@ -93,7 +99,9 @@ type stats = {
   accepted : int;  (** requests admitted past the queue gate *)
   shed : int;  (** requests refused with [overloaded] *)
   hits : int;  (** answered from the cache (memory, disk, or coalesced) *)
-  misses : int;  (** answered by running a synthesis *)
+  misses : int;
+      (** answered by running a synthesis: the miss backend, a tune, or
+          the resilience ladder after the backend failed *)
   degraded : int;  (** answered [degraded:true] via a baseline fallback *)
   deadline_missed : int;  (** requests whose deadline expired before an answer *)
   errors : int;  (** error responses (malformed, infeasible, internal) *)

@@ -109,7 +109,7 @@ let grow a len fill =
   Array.blit a 0 b 0 len;
   b
 
-let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
+let run ?(model = Pipelined_alpha) ?(faults = []) topo program =
   let transfers = Program.transfers program in
   let nt = Array.length transfers in
   (match Program.first_forward_dep program with
@@ -118,18 +118,9 @@ let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
     raise
       (Simulation_error { tid; tag = transfers.(tid).Program.tag; kind = Cyclic_program { dep } }));
   validate_faults topo faults;
+  (* Routes are costed at the mean transfer size. *)
   let routing_size =
-    match routing_size with
-    | Some s ->
-      (* A negative size gives links negative costs, on which Dijkstra never
-         settles; a NaN or infinite one, costs that no route compares
-         below. *)
-      if not (s >= 0. && s < infinity) then
-        invalid_arg "Engine.run: routing size must be finite and non-negative";
-      s
-    | None ->
-      if nt = 0 then 1.
-      else Float.max 1. (Program.total_bytes program /. float_of_int nt)
+    if nt = 0 then 1. else Float.max 1. (Program.total_bytes program /. float_of_int nt)
   in
   let m = Topology.num_links topo in
   (* The link model follows the paper's analytical backend: a message holds

@@ -99,22 +99,20 @@ type link_model =
 
 val run :
   ?model:link_model ->
-  ?routing_size:float ->
   ?faults:fault_event list ->
   Topology.t ->
   Program.t ->
   report
-(** Execute a program to completion. [routing_size] is the message size used
-    to cost routes (default: the program's mean transfer size), capturing
-    that latency- vs bandwidth-bound traffic may prefer different paths.
+(** Execute a program to completion. Routes are costed at the program's
+    mean transfer size (at least one byte), so latency- and bandwidth-bound
+    programs may take different paths.
     [faults] is the timed fault timeline (default none); at equal timestamps
     a fault applies before same-time transfer events. Raises
     {!Simulation_error} if the program is cyclic ({!Cyclic_program}, checked
     up front), the healthy topology cannot route a required pair, or
     unfinished transfers cannot be explained by strandings;
     [Invalid_argument] on a malformed fault (unknown link id, negative time,
-    degradation factor < 1 or infinite) and on a [routing_size] that is
-    negative, infinite or NaN. *)
+    degradation factor < 1 or infinite). *)
 
 val utilization_timeline : Topology.t -> report -> bins:int -> (float * float) list
 (** Fraction of links busy per time bin, as in {!Tacos_collective.Schedule}. *)

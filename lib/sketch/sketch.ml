@@ -196,79 +196,6 @@ let phases (spec : Spec.t) =
   | (Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _) as p ->
     raise (Infeasible (Unsupported_pattern (Pattern.name p)))
 
-(* First postcondition [(chunk, npu)] no holder of the chunk can reach
-   under the masked per-chunk link sets, or [None] if all are satisfiable.
-   [rev] flips traversal (reduction phases route on the reversed fabric). *)
-let reachability_failure topo ~forbid ~pins ~rev pspec =
-  let n = Topology.num_npus topo in
-  let adj_for allowed =
-    let adj = Array.make n [] in
-    List.iter
-      (fun (e : Topology.edge) ->
-        if allowed e.id then
-          if rev then adj.(e.dst) <- e.src :: adj.(e.dst)
-          else adj.(e.src) <- e.dst :: adj.(e.src))
-      (Topology.edges topo);
-    adj
-  in
-  let reach adj s =
-    let seen = Array.make n false in
-    let rec visit v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        List.iter visit adj.(v)
-      end
-    in
-    visit s;
-    seen
-  in
-  let base_adj = lazy (adj_for (fun id -> not (Iset.mem id forbid))) in
-  let base_cache = Hashtbl.create 8 in
-  let pinned_cache = Hashtbl.create 8 in
-  let holders = Hashtbl.create 16 in
-  List.iter
-    (fun (v, c) ->
-      Hashtbl.replace holders c
-        (v :: Option.value ~default:[] (Hashtbl.find_opt holders c)))
-    (Spec.precondition pspec);
-  let reaches c h d =
-    match Imap.find_opt c pins with
-    | None ->
-      let seen =
-        match Hashtbl.find_opt base_cache h with
-        | Some s -> s
-        | None ->
-          let s = reach (Lazy.force base_adj) h in
-          Hashtbl.add base_cache h s;
-          s
-      in
-      seen.(d)
-    | Some route ->
-      let seen =
-        match Hashtbl.find_opt pinned_cache (c, h) with
-        | Some s -> s
-        | None ->
-          let s =
-            reach
-              (adj_for (fun id ->
-                   Iset.mem id route && not (Iset.mem id forbid)))
-              h
-          in
-          Hashtbl.add pinned_cache (c, h) s;
-          s
-      in
-      seen.(d)
-  in
-  List.find_map
-    (fun (d, c) ->
-      let ok =
-        match Hashtbl.find_opt holders c with
-        | None -> false
-        | Some hs -> List.exists (fun h -> reaches c h d) hs
-      in
-      if ok then None else Some (c, d))
-    (Spec.postcondition pspec)
-
 let compile topo (spec : Spec.t) t =
   let num_links = Topology.num_links topo in
   let num_chunks = Spec.num_chunks spec in
@@ -335,20 +262,27 @@ let compile topo (spec : Spec.t) t =
       | Some link -> raise (Infeasible (Forbid_pin_conflict { chunk; link }))
       | None -> ())
     !pins;
+  let c =
+    {
+      Tacos.Synthesizer.forbid = Iset.elements !forbid;
+      prefer = Imap.bindings !prefer;
+      pin = Imap.bindings (Imap.map Iset.elements !pins);
+    }
+  in
   (* Satisfiability: every phase's postconditions must stay reachable from
      some holder under the per-chunk allowed-link sets. *)
+  let reversed = lazy (Topology.reverse topo) in
   List.iter
     (fun (dir, pspec) ->
-      let rev = dir = `Rev in
-      match reachability_failure topo ~forbid:!forbid ~pins:!pins ~rev pspec with
-      | Some (chunk, npu) -> raise (Infeasible (Disconnected { chunk; npu }))
-      | None -> ())
+      let fabric = match dir with `Fwd -> topo | `Rev -> Lazy.force reversed in
+      match
+        Tacos.Synthesizer.unreachable fabric ~dead:c.forbid ~pin:c.pin
+          (Tacos.Synthesizer.goal_of_spec pspec)
+      with
+      | (npu, chunk) :: _ -> raise (Infeasible (Disconnected { chunk; npu }))
+      | [] -> ())
     phases;
-  {
-    Tacos.Synthesizer.forbid = Iset.elements !forbid;
-    prefer = Imap.bindings !prefer;
-    pin = Imap.bindings (Imap.map Iset.elements !pins);
-  }
+  c
 
 let check topo spec t =
   match compile topo spec t with

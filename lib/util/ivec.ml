@@ -1,6 +1,6 @@
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 8) () = { data = Array.make (max 1 capacity) 0; len = 0 }
+let create () = { data = Array.make 8 0; len = 0 }
 let length t = t.len
 let data t = t.data
 

@@ -3,7 +3,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
+(** An empty vector with room for 8 elements. *)
+
 val length : t -> int
 
 val data : t -> int array

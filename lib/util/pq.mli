@@ -5,8 +5,8 @@
     insertion order, which gives the simulator deterministic FCFS behavior.
     Keys are never NaN, which this order could not place: every caller
     checks its inputs. [Link.make] takes only finite costs, [Spec.make]
-    only a finite buffer, and the simulator rejects a transfer or routing
-    size that is NaN or infinite and an infinite degradation factor.
+    only a finite buffer, and the simulator rejects a transfer size that
+    is NaN or infinite and an infinite degradation factor.
 
     The queue is a binary heap of {e runs}. A run is a FIFO of entries
     whose keys are equal under [=]; each entry keeps its own key, so [pop]

@@ -73,6 +73,8 @@ let prop_engine_conserves_bytes =
       let rng = Rng.create (n + (31 * transfers)) in
       let b = Program.builder () in
       let expected = ref 0. in
+      (* Every link is the same, so hop counts do not depend on the size
+         the engine costs routes at. *)
       let routing = Routing.build_partial topo ~size:10. in
       for _ = 1 to transfers do
         let src = Rng.int rng n in
@@ -82,7 +84,7 @@ let prop_engine_conserves_bytes =
         let hops = List.length (Option.get (Routing.path_opt routing ~src ~dst)) - 1 in
         expected := !expected +. (size *. float_of_int hops)
       done;
-      let r = Engine.run ~routing_size:10. topo (Program.build b) in
+      let r = Engine.run topo (Program.build b) in
       close (Array.fold_left ( +. ) 0. r.Engine.link_bytes) !expected)
 
 let prop_blocking_alpha_never_faster =

@@ -164,14 +164,27 @@ let test_foreign_entry_without_checksum_loads () =
   Alcotest.(check int) "nothing quarantined" 0 (Registry.quarantined reg);
   rm_rf dir
 
-let test_find_cached_peek () =
+(* A lookup that never synthesizes: [find_or_synthesize] with a miss
+   backend that raises, so only a hit (memory or disk) returns. *)
+exception Not_cached
+
+let peek ?variant reg topo s =
+  match
+    Registry.find_or_synthesize ?variant
+      ~synthesize:(fun ~seed:_ ~domains:_ _ _ -> raise Not_cached)
+      reg topo s
+  with
+  | result, _ -> Some result
+  | exception Not_cached -> None
+
+let test_peek () =
   let dir = fresh_dir () in
   let topo = ring 6 in
   let s = spec Pattern.All_gather 6 in
   let reg = Registry.create ~dir () in
-  Alcotest.(check bool) "cold peek is None" true (Registry.find_cached reg topo s = None);
+  Alcotest.(check bool) "cold peek is None" true (peek reg topo s = None);
   let result, _ = Registry.find_or_synthesize reg topo s in
-  (match Registry.find_cached reg topo s with
+  (match peek reg topo s with
   | Some peeked ->
     Alcotest.(check (float 1e-9)) "peek returns the cached schedule"
       result.Synth.collective_time peeked.Synth.collective_time
@@ -179,7 +192,7 @@ let test_find_cached_peek () =
   (* A fresh registry peeks the disk store too. *)
   let reg2 = Registry.create ~dir () in
   Alcotest.(check bool) "peek loads from disk" true
-    (Registry.find_cached reg2 topo s <> None);
+    (peek reg2 topo s <> None);
   rm_rf dir
 
 (* A disk hit is the schedule that was saved, for every pattern: the same
@@ -194,7 +207,7 @@ let test_disk_hit_is_the_saved_schedule () =
       let dir = fresh_dir () in
       let s = spec ~buffer_size:64e6 pattern 9 in
       let saved, _ = warm_entry dir topo s in
-      (match Registry.find_cached (Registry.create ~dir ()) topo s with
+      (match peek (Registry.create ~dir ()) topo s with
       | None -> Alcotest.failf "%s: warm disk peek missed" name
       | Some loaded ->
         Alcotest.(check string) (name ^ ": same sends") (bytes saved.Synth.schedule)
@@ -372,11 +385,11 @@ let test_disk_cap_evicts_oldest () =
      the oldest is gone, the two younger ones still load. *)
   let reg2 = Registry.create ~dir () in
   Alcotest.(check bool) "oldest entry evicted" true
-    (Registry.find_cached reg2 topo (s 1e6) = None);
+    (peek reg2 topo (s 1e6) = None);
   Alcotest.(check bool) "middle entry kept" true
-    (Registry.find_cached reg2 topo (s 2e6) <> None);
+    (peek reg2 topo (s 2e6) <> None);
   Alcotest.(check bool) "newest entry kept" true
-    (Registry.find_cached reg2 topo (s 3e6) <> None);
+    (peek reg2 topo (s 3e6) <> None);
   rm_rf dir
 
 let test_cap_never_evicts_just_written () =
@@ -406,7 +419,7 @@ let test_variant_cache_lines () =
   let _, m1 = Registry.find_or_synthesize reg topo s in
   Alcotest.(check bool) "plain miss" true (m1 = `Miss);
   Alcotest.(check bool) "variant peek misses despite the plain entry" true
-    (Registry.find_cached ~variant:"sketch-digest" reg topo s = None);
+    (peek ~variant:"sketch-digest" reg topo s = None);
   let _, m2 = Registry.find_or_synthesize ~variant:"sketch-digest" reg topo s in
   Alcotest.(check bool) "variant synthesizes its own entry" true (m2 = `Miss);
   let _, m3 = Registry.find_or_synthesize ~variant:"sketch-digest" reg topo s in
@@ -418,9 +431,9 @@ let test_variant_cache_lines () =
   (* Both lines survive a restart. *)
   let reg2 = Registry.create ~dir () in
   Alcotest.(check bool) "plain line reloads" true
-    (Registry.find_cached reg2 topo s <> None);
+    (peek reg2 topo s <> None);
   Alcotest.(check bool) "variant line reloads" true
-    (Registry.find_cached ~variant:"sketch-digest" reg2 topo s <> None);
+    (peek ~variant:"sketch-digest" reg2 topo s <> None);
   rm_rf dir
 
 (* --- entry bytes ------------------------------------------------------------ *)
@@ -671,7 +684,7 @@ let () =
       ( "serving-paths",
         [
           Alcotest.test_case "find_cached peeks memory and disk" `Quick
-            test_find_cached_peek;
+            test_peek;
           Alcotest.test_case "disk hit is the saved schedule" `Quick
             test_disk_hit_is_the_saved_schedule;
           Alcotest.test_case "disk usage accounting" `Quick

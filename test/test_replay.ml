@@ -50,16 +50,16 @@ let gen_pq_ops =
     oneof
       [ list_size (int_range 0 400) (op 4); list_size (int_range 0 2000) (op 16) ])
 
-(* The model: pending entries in insertion order; the next pop is the
-   first entry of the list stably sorted by key, i.e. the least key with
-   ties in insertion order. Keys compare with [<], as the heap does, so
-   -0. and 0. tie. *)
-let model_pop pending =
-  let cmp (a, _) (b, _) = if a < b then -1 else if b < a then 1 else 0 in
-  match List.stable_sort cmp pending with
-  | [] -> None
-  | ((_, v) as least) :: _ ->
-    Some (least, List.filter (fun (_, v') -> v' <> v) pending)
+(* The model: pending entries in a map ordered by (key, insertion
+   number), so the next pop is its least binding: the least key, ties in
+   insertion order. Keys compare with [<], as the heap does, so -0. and 0.
+   tie; each binding keeps the key as pushed. *)
+module Pending = Map.Make (struct
+  type t = float * int
+
+  let compare (k, i) (k', i') =
+    if k < k' then -1 else if k' < k then 1 else compare (i : int) i'
+end)
 
 let prop_pq_matches_stable_sort =
   QCheck.Test.make ~name:"pops in (key, insertion) order" ~count:300
@@ -69,21 +69,24 @@ let prop_pq_matches_stable_sort =
         gen_pq_ops)
     (fun ops ->
       let q = Pq.create () in
-      let pending = ref [] and last = ref 0. and next = ref 0 in
+      let pending = ref Pending.empty and size = ref 0 in
+      let last = ref 0. and next = ref 0 in
       let key = [| nan |] in
       let pop () =
-        match model_pop !pending with
+        match Pending.min_binding_opt !pending with
         | None ->
           if not (Pq.is_empty q) then QCheck.Test.fail_report "pop mismatch: not empty"
-        | Some ((k, v), rest) ->
-          pending := rest;
+        | Some (((k, v) as least), ()) ->
+          pending := Pending.remove least !pending;
+          decr size;
           let v' = Pq.pop q key in
           if not (bits k = bits key.(0) && v = v') then QCheck.Test.fail_report "pop mismatch";
           last := key.(0)
       in
       let push key =
         Pq.push q key !next;
-        pending := !pending @ [ (key, !next) ];
+        pending := Pending.add (key, !next) () !pending;
+        incr size;
         incr next
       in
       List.iter
@@ -92,14 +95,13 @@ let prop_pq_matches_stable_sort =
           | Pop -> pop ()
           | Push d -> push (!last +. (0.5 *. float_of_int d))
           | Push_neg_zero -> push (-0.));
-          let size = List.length !pending in
-          if Pq.size q <> size || Pq.is_empty q <> (size = 0) then
+          if Pq.size q <> !size || Pq.is_empty q <> (!size = 0) then
             QCheck.Test.fail_report "size mismatch")
         ops;
       while not (Pq.is_empty q) do
         pop ()
       done;
-      !pending = [])
+      Pending.is_empty !pending)
 
 (* --- Dijkstra against a Set-ordered oracle --------------------------------- *)
 
@@ -290,7 +292,8 @@ let digest program (r : Engine.report) =
 (* The event loop [Engine.run] had before it was int-coded: one variant per
    event kind, a record per message in flight, a [Queue] per link and a
    (time, insertion)-ordered [Set] as the event queue. Kept verbatim except
-   for the [Obs] metrics, which no report depends on. *)
+   for the [Obs] metrics, which no report depends on, and the routing-size
+   option, which [Engine.run] no longer takes. *)
 module Variant_engine = struct
   open Engine
 
@@ -315,7 +318,7 @@ module Variant_engine = struct
       if k < k' then -1 else if k' < k then 1 else compare (s : int) s'
   end)
 
-  let run ?(model = Pipelined_alpha) ?routing_size ?(faults = []) topo program =
+  let run ?(model = Pipelined_alpha) ?(faults = []) topo program =
     let transfers = Program.transfers program in
     let nt = Array.length transfers in
     (match Program.first_forward_dep program with
@@ -325,10 +328,7 @@ module Variant_engine = struct
         (Simulation_error
            { tid; tag = transfers.(tid).Program.tag; kind = Cyclic_program { dep } }));
     let routing_size =
-      match routing_size with
-      | Some s -> s
-      | None ->
-        if nt = 0 then 1. else Float.max 1. (Program.total_bytes program /. float_of_int nt)
+      if nt = 0 then 1. else Float.max 1. (Program.total_bytes program /. float_of_int nt)
     in
     let m = Topology.num_links topo in
     let base_serialize = Array.make m 0. and base_latency = Array.make m 0. in
@@ -688,9 +688,8 @@ let prop_engine_matches_variant_loop =
       let program = random_program rng n in
       let faults = random_faults rng (Topology.num_links topo) in
       let model = if Rng.int rng 2 = 0 then Engine.Pipelined_alpha else Engine.Blocking_alpha in
-      let routing_size = if Rng.int rng 3 = 0 then Some 4. else None in
       let traced = Rng.int rng 4 = 0 in
-      let run f () = f ?model:(Some model) ?routing_size ?faults:(Some faults) topo program in
+      let run f () = f ?model:(Some model) ?faults:(Some faults) topo program in
       let expected, got =
         if traced then begin
           let expected, want = trace_of (run Variant_engine.run) in

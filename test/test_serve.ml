@@ -483,6 +483,76 @@ let test_access_log () =
          | None -> false)
        parsed)
 
+(* One outcome per response: the access log, the stats counters and the
+   exposition tally the same answers. The first request's backend call
+   fails and the resilience ladder answers it with a synthesized schedule,
+   which is a miss like its retry's. *)
+let test_each_response_counted_once () =
+  let records = ref [] in
+  let config =
+    {
+      Service.default_config with
+      access_log = Some (fun line -> records := line :: !records);
+    }
+  in
+  let calls = ref 0 in
+  let backend ~deadline ~sketch:_ ~seed ~domains:_ topo spec =
+    incr calls;
+    if !calls = 1 then raise (Synth.Stuck "injected transient failure");
+    (match deadline with
+    | Some d when Deadline.expired d -> raise Synth.Deadline_exceeded
+    | _ -> ());
+    Synth.synthesize ~seed topo spec
+  in
+  let svc = service ~config ~synthesize:backend () in
+  List.iter
+    (fun line -> ignore (Service.handle_line svc line))
+    [
+      synth_req "ring:4";
+      synth_req ~id:2. "ring:4";
+      synth_req ~id:3. "ring:4";
+      "not json at all";
+      synth_req ~id:4. ~deadline_ms:0. "ring:6";
+    ];
+  let logged outcome =
+    List.length
+      (List.filter
+         (fun line ->
+           match Logfmt.parse line with
+           | Ok kvs -> List.assoc_opt "outcome" kvs = Some outcome
+           | Error e -> Alcotest.failf "access record unparseable: %s (%s)" e line)
+         !records)
+  in
+  let samples =
+    match Expo.parse (Service.metrics svc) with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "exposition unparseable: %s" e
+  in
+  let exposed outcome =
+    match
+      List.find_opt
+        (fun (e : Expo.exposed) ->
+          e.Expo.metric = "tacos_serve_requests_total"
+          && List.mem ("outcome", outcome) e.Expo.label_set)
+        samples
+    with
+    | Some e -> int_of_float e.Expo.v
+    | None -> Alcotest.failf "no %s sample in the exposition" outcome
+  in
+  let st = Service.stats svc in
+  List.iter
+    (fun (outcome, expected, counter) ->
+      Alcotest.(check int) (outcome ^ " logged") expected (logged outcome);
+      Alcotest.(check int) (outcome ^ " counted") expected counter;
+      Alcotest.(check int) (outcome ^ " exposed") expected (exposed outcome))
+    [
+      ("miss", 2, st.Service.misses);
+      ("hit", 1, st.Service.hits);
+      ("error", 1, st.Service.errors);
+      ("degraded", 1, st.Service.degraded);
+      ("shed", 0, st.Service.shed);
+    ]
+
 (* --- export flavors ------------------------------------------------------ *)
 
 let test_export_json () =
@@ -679,6 +749,8 @@ let () =
             test_metrics_prefix_filter;
           Alcotest.test_case "extended stats" `Quick test_extended_stats;
           Alcotest.test_case "access log records" `Quick test_access_log;
+          Alcotest.test_case "each response counted once" `Quick
+            test_each_response_counted_once;
         ] );
       ( "export-and-tune",
         [

@@ -146,15 +146,10 @@ let test_cyclic_import_is_typed_error () =
 (* A NaN size would make every hold and event time of the replay NaN,
    which no event order can sort; an infinite one makes them NaN wherever
    it meets a zero-cost link. Every way into a program refuses both, and
-   negative sizes. So does the routing size, whose negative values gave
-   Dijkstra negative link costs: on a ring it never returned. *)
+   negative sizes. *)
 let test_non_finite_sizes_rejected () =
   let spec = Spec.make ~pattern:Pattern.All_gather ~npus:2 () in
   let schedule = (Tacos.Synthesizer.synthesize (Builders.ring 2) spec).schedule in
-  let ring = Builders.ring 4 in
-  let b = Program.builder () in
-  ignore (add b ~src:0 ~dst:2 ~size:1e6 ());
-  let program = Program.build b in
   List.iter
     (fun size ->
       let what = Printf.sprintf "size %g" size in
@@ -166,10 +161,7 @@ let test_non_finite_sizes_rejected () =
         (fun () -> ignore (Program.import [| ("a", 0, 1, size, []) |]));
       Alcotest.check_raises ("of_schedule, " ^ what)
         (Invalid_argument "Program.of_schedule: chunk size must be finite and non-negative")
-        (fun () -> ignore (Program.of_schedule ~chunk_size:size schedule));
-      Alcotest.check_raises ("routing, " ^ what)
-        (Invalid_argument "Engine.run: routing size must be finite and non-negative")
-        (fun () -> ignore (Engine.run ~routing_size:size ring program)))
+        (fun () -> ignore (Program.of_schedule ~chunk_size:size schedule)))
     [ nan; infinity; neg_infinity; -1. ]
 
 let test_simulates_synthesized_schedule () =
@@ -192,7 +184,8 @@ let test_simulates_synthesized_schedule () =
 
 let test_routing_size_override () =
   (* With a fat-but-slow-start link vs a thin-but-instant link, the chosen
-     route depends on the size used to cost paths. *)
+     route depends on the size used to cost paths: the program's mean
+     transfer size. *)
   let topo = Topology.create 3 in
   (* Path A: direct, alpha=10, fast. Path B: two hops, alpha=0, slow. *)
   ignore (Topology.add_link topo ~src:0 ~dst:2 (Link.make ~alpha:10. ~beta:0.001));
@@ -201,12 +194,12 @@ let test_routing_size_override () =
   ignore (Topology.add_link topo ~src:2 ~dst:0 (Link.make ~alpha:0. ~beta:1.));
   let b = Program.builder () in
   ignore (add b ~src:0 ~dst:2 ~size:1. ());
-  let small = Engine.run ~routing_size:1. topo (Program.build b) in
+  let small = Engine.run topo (Program.build b) in
   let b2 = Program.builder () in
-  ignore (add b2 ~src:0 ~dst:2 ~size:1. ());
-  let large = Engine.run ~routing_size:1000. topo (Program.build b2) in
+  ignore (add b2 ~src:0 ~dst:2 ~size:1000. ());
+  let large = Engine.run topo (Program.build b2) in
   Alcotest.check feq "small goes the cheap-alpha way" 2. small.Engine.finish_time;
-  Alcotest.check feq "large takes the fat link" 10.001 large.Engine.finish_time
+  Alcotest.check feq "large takes the fat link" 11. large.Engine.finish_time
 
 let test_blocking_alpha_model () =
   (* Under Blocking_alpha the link is held for alpha too: two queued
