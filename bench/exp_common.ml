@@ -19,14 +19,19 @@ let section title =
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n" s) fmt
 
 (* Scale knob: TACOS_BENCH_SCALE=small trims the slow sweeps (CI), =large
-   extends them (the paper's full ranges where feasible). *)
+   extends them (the paper's full ranges where feasible), and unset or
+   =default runs the default sweeps. Any other value is refused, so a typo
+   cannot silently run the default sweeps. *)
 type scale = Small | Default | Large
 
 let scale =
   match Sys.getenv_opt "TACOS_BENCH_SCALE" with
+  | None | Some "default" -> Default
   | Some "small" -> Small
   | Some "large" -> Large
-  | _ -> Default
+  | Some other ->
+    Printf.eprintf "TACOS_BENCH_SCALE must be default, small or large (got %S)\n" other;
+    exit 1
 
 (* --- machine-readable benchmark output --------------------------------- *)
 

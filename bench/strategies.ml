@@ -14,8 +14,9 @@ module Strategy = Tacos_sketch.Strategy
 (* SCCL-style latency/bandwidth sweep (Tacos_sketch.Strategy): every chunk
    granularity is one point; the non-dominated frontier over the
    deterministic (chunks, steps, simulated time) triple is what a
-   deployment would pick from. All recorded fields are machine-stable, so
-   the frontier is pinned by `bench regress`. *)
+   deployment would pick from. Every recorded field but the synthesis wall
+   clock is machine-stable, and test_sketch's "dgx1 frontier" pins both
+   sweeps' points to the bit. *)
 let pareto () =
   section "Pareto — latency/bandwidth tradeoffs per chunk granularity";
   let size = 64e6 in

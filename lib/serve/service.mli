@@ -108,16 +108,14 @@ type stats = {
   quarantined : int;  (** corrupt cache files set aside by this service's registry *)
   evicted : int;  (** cache files deleted to stay under the disk cap *)
   inflight : int;  (** requests currently past admission *)
-  uptime_seconds : float;  (** monotonic span since [create] *)
+  uptime_seconds : float;
+      (** monotonic seconds since [create]: the epoch of access-log [t=]
+          stamps and metrics flushes *)
   entries : int;  (** schedules cached in memory *)
   disk : Registry.disk_usage;  (** disk store size accounting *)
 }
 
 val stats : t -> stats
-
-val uptime_seconds : t -> float
-(** Monotonic seconds since [create] — the epoch of access-log [t=]
-    stamps and metrics flushes. *)
 
 val metrics : ?prefix:string -> t -> string
 (** The telemetry registry as a Prometheus text-exposition document (it

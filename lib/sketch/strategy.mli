@@ -18,7 +18,8 @@ open Tacos_collective
     distinct send-start waves — is the machine-stable stand-in for
     synthesis effort and per-chunk latency. Wall-clock synthesis seconds
     are reported on every point but excluded from dominance, so the
-    frontier is reproducible and can be pinned by [bench regress]. *)
+    frontier is reproducible: test_sketch's "dgx1 frontier" pins every
+    point of two sweeps to the bit. *)
 
 type point = {
   chunks_per_npu : int;

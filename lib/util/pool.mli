@@ -48,11 +48,15 @@ val size : t -> int
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task. Tasks start in FIFO order as workers free up.
+    Outside this module only tests call it: test_pool's "submit/await
+    round-trips values", "exceptions propagate to await", "size-1 runs
+    inline" and "submit after shutdown rejected".
     @raise Invalid_argument if the pool has been shut down. *)
 
 val await : t -> 'a future -> 'a
 (** Wait for a future, running other queued tasks while it is pending
-    (helping). Re-raises the task's exception if it failed. *)
+    (helping). Re-raises the task's exception if it failed. Outside this
+    module only tests call it, in the test_pool cases that call {!submit}. *)
 
 val map : t -> (int -> 'a) -> int -> 'a array
 (** [map pool f n] submits [f 0 .. f (n-1)] in index order and awaits

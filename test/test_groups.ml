@@ -196,6 +196,55 @@ let test_parallel_obs_metrics () =
   Alcotest.(check int) "groups.syntheses unchanged at d=4" 3 syntheses;
   Alcotest.(check int) "groups.dedup_hits as at d=1" seq_hits hits
 
+(* The hierarchy experiment's 64-NPU rows (bench hierarchy at small scale),
+   pinned to the bit: a 64 MB All-Reduce, flat and decomposed with
+   [Plan.Auto]. Per fabric: the flat and hierarchical replay times, then
+   groups, group size, syntheses and dedup hits. The plan with 4 trials is
+   bit-identical at 1, 2, 4 and 8 domains. *)
+let hierarchy_golden =
+  [
+    ("torus", torus3d, (0.0005650000000006349, 0.0007445000000008392), (4, 16, 3, 21));
+    ( "2d-switch",
+      (fun () -> Builders.two_level_switch ~bw:(Units.gbps 300., Units.gbps 25.) (16, 4)),
+      (0.0009538333333340672, 0.0005319999999984717),
+      (4, 16, 3, 21) );
+    ("3d-rfs", rfs3d, (0.0008400000000007823, 0.0004759999999998128), (8, 8, 3, 21));
+  ]
+
+let test_hierarchy_golden () =
+  List.iter
+    (fun (name, build, (flat_time, hier_time), (groups, group_size, syntheses, dedup_hits)) ->
+      let topo = build () in
+      let s = spec Pattern.All_reduce topo in
+      let replay = Tacos.Tuner.simulated_time topo in
+      let auto = groups_exn topo Plan.Auto in
+      let plan = Plan.synthesize topo s ~groups:auto in
+      let label what = name ^ ": " ^ what in
+      Alcotest.check Pin.exact (label "flat replay") flat_time
+        (replay (Tacos.Synthesizer.synthesize topo s));
+      Alcotest.check Pin.exact (label "hierarchical replay") hier_time (replay plan.Plan.result);
+      Alcotest.(check (list int))
+        (label "groups, group size, syntheses, dedup hits")
+        [ groups; group_size; syntheses; dedup_hits ]
+        [ plan.Plan.groups; plan.Plan.group_size; plan.Plan.syntheses; plan.Plan.dedup_hits ];
+      let sends (p : Plan.t) =
+        let r = p.Plan.result in
+        ( Schedule.sends r.Tacos.Synthesizer.schedule,
+          Option.map
+            (fun (rs, ag) -> (Schedule.sends rs, Schedule.sends ag))
+            r.Tacos.Synthesizer.phases )
+      in
+      let at domains = sends (Plan.synthesize ~trials:4 ~domains topo s ~groups:auto) in
+      let sequential = at 1 in
+      List.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (label (Printf.sprintf "4 trials at %d domains as at 1" d))
+            true
+            (at d = sequential))
+        [ 2; 4; 8 ])
+    hierarchy_golden
+
 let test_auto_dim_prefers_bottleneck () =
   (* The 25 GB/s scale-out dimension of the 2D switch and the 50 GB/s
      switch dimension of 3D-RFS must host the inter phase. *)
@@ -371,6 +420,7 @@ let () =
             test_parallel_plan_bit_identical;
           Alcotest.test_case "single-flight obs counters" `Quick
             test_parallel_obs_metrics;
+          Alcotest.test_case "hierarchy rows pinned" `Quick test_hierarchy_golden;
         ] );
       ( "partitions",
         [

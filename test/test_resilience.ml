@@ -557,6 +557,71 @@ let test_repair_timeline_two_epochs () =
   Alcotest.(check bool) "composite has sends" true
     (Schedule.num_sends tr.Resilience.schedule > 0)
 
+(* The mid-flight experiment at small scale (bench midflight), pinned to
+   the bit: a 16 MB All-Gather at 2 chunks per NPU on a 5x5 mesh. One link
+   dies at 40 % of the healthy replay, and the collective is replayed,
+   repaired, and re-synthesized in full. Then fault timelines of one, two
+   and three link deaths are repaired epoch by epoch. The victims are the
+   links the bench picks: the first still-scheduled link whose death keeps
+   the fabric strongly connected. *)
+let test_midflight_golden () =
+  let topo = Builders.mesh [| 5; 5 |] in
+  let sp = spec ~chunks_per_npu:2 ~buffer_size:16e6 Pattern.All_gather 25 in
+  let healthy = Synth.synthesize topo sp in
+  let healthy_time = Tacos.Tuner.simulated_time topo healthy in
+  Alcotest.check Pin.exact "healthy replay" 0.00016150000000018146 healthy_time;
+  let at = 0.4 *. healthy_time in
+  let faults = [ Fault.Kill_link 68 ] in
+  let replay = Tacos.Tuner.replay ~faults:(Fault.timeline ~at topo faults) topo healthy in
+  Alcotest.(check int) "replay strands nothing" 0 (List.length replay.Tacos_sim.Engine.stranded);
+  Alcotest.check Pin.exact "faulted replay" 0.00016150000000018146
+    replay.Tacos_sim.Engine.finish_time;
+  (match Resilience.repair ~at topo faults healthy with
+  | Error f -> Alcotest.failf "repair failed: %s" f.Resilience.message
+  | Ok r ->
+    Alcotest.check Pin.exact "repair completion" 0.00016110000000018145
+      r.Resilience.completion_time;
+    Alcotest.(check string) "repair strategy" "suffix"
+      (Resilience.strategy_name r.Resilience.strategy);
+    Alcotest.(check bool) "repair verified" true (r.Resilience.verified = Ok ()));
+  (match Resilience.synthesize ~faults topo sp with
+  | Error f -> Alcotest.failf "full re-synthesis failed: %s" f.Resilience.message
+  | Ok o ->
+    Alcotest.check Pin.exact "full re-synthesis completion" 0.00022710000000025407
+      (at +. o.Resilience.simulated_time));
+  List.iter
+    (fun (kills, completion, strategies) ->
+      let epochs = List.length kills in
+      let events =
+        List.map (fun (frac, link) -> (frac *. healthy_time, [ Fault.Kill_link link ])) kills
+      in
+      Obs.reset ();
+      Obs.enable ();
+      let tr =
+        match Resilience.repair_timeline ~events topo healthy with
+        | Ok tr -> tr
+        | Error f -> Alcotest.failf "timeline repair failed: %s" f.Resilience.message
+      in
+      Obs.disable ();
+      let label what = Printf.sprintf "%d epochs: %s" epochs what in
+      Alcotest.check Pin.exact (label "completion") completion tr.Resilience.completion_time;
+      Alcotest.(check string) (label "strategies") strategies
+        (String.concat "+"
+           (List.map
+              (fun (e : Resilience.epoch) ->
+                Resilience.strategy_name e.Resilience.repaired.Resilience.strategy)
+              tr.Resilience.epochs));
+      Alcotest.(check bool) (label "verified") true (tr.Resilience.verified = Ok ());
+      Alcotest.(check bool) (label "fewer matches than re-synthesis") true
+        (Obs.value (Obs.counter "synth.matches") < healthy.Synth.stats.Synth.matches * epochs);
+      Alcotest.(check bool) (label "TEN reused") true
+        (Obs.value (Obs.counter "synth.repair_ten_reuse") > 0))
+    [
+      ([ (0.4, 68) ], 0.00016110000000018145, "suffix");
+      ([ (0.3, 33); (0.55, 3) ], 0.00027492500000031027, "suffix+suffix");
+      ([ (0.3, 33); (0.55, 3); (0.75, 6) ], 0.00028162500000031754, "suffix+suffix+suffix");
+    ]
+
 let test_validate_events_rejects_bad_timelines () =
   let topo = Builders.ring 6 in
   let ok = function Ok () -> true | Error _ -> false in
@@ -880,6 +945,7 @@ let () =
       ( "timeline",
         [
           Alcotest.test_case "two-epoch repair" `Quick test_repair_timeline_two_epochs;
+          Alcotest.test_case "mid-flight rows pinned" `Quick test_midflight_golden;
           Alcotest.test_case "validate_events rejects bad timelines" `Quick
             test_validate_events_rejects_bad_timelines;
         ] );

@@ -96,6 +96,21 @@ let test_protocol_rejects () =
   bad {|{"op":"synthesize","fail_links":[1,"x"]}|} "fail_links";
   bad {|{"op":"metrics","prefix":7}|} "prefix must be a string"
 
+(* The value of one sample in the service's exposition: the first of
+   [metric]'s samples that carries every label in [labels]. *)
+let exposed svc metric labels =
+  match Tacos_obs.Expo.parse (Service.metrics svc) with
+  | Error e -> Alcotest.failf "exposition unparseable: %s" e
+  | Ok samples -> (
+    match
+      List.find_opt
+        (fun (e : Tacos_obs.Expo.exposed) ->
+          e.metric = metric && List.for_all (fun kv -> List.mem kv e.label_set) labels)
+        samples
+    with
+    | Some e -> e.v
+    | None -> Alcotest.failf "no sample %s in the exposition" metric)
+
 (* --- lifecycle ----------------------------------------------------------- *)
 
 let test_malformed_line_is_structured_error () =
@@ -308,7 +323,9 @@ let test_overload_sheds () =
   Alcotest.(check string) "latched request completes" "ok" (status (Domain.join blocked));
   let s = Service.stats svc in
   Alcotest.(check int) "one shed" 1 s.Service.shed;
-  Alcotest.(check int) "one accepted" 1 s.Service.accepted
+  Alcotest.(check int) "one accepted" 1 s.Service.accepted;
+  Alcotest.(check (float 0.)) "one shed exposed" 1.
+    (exposed svc "tacos_serve_requests_total" [ ("outcome", "shed") ])
 
 let test_ping_and_stats () =
   let svc = service () in
@@ -479,7 +496,7 @@ let test_access_log () =
     (List.for_all
        (fun kvs ->
          match float_of_string_opt (List.assoc "t" kvs) with
-         | Some t -> t >= 0. && t <= Service.uptime_seconds svc
+         | Some t -> t >= 0. && t <= (Service.stats svc).Service.uptime_seconds
          | None -> false)
        parsed)
 
@@ -552,6 +569,127 @@ let test_each_response_counted_once () =
       ("degraded", 1, st.Service.degraded);
       ("shed", 0, st.Service.shed);
     ]
+
+(* --- a replayed trace ----------------------------------------------------- *)
+
+(* 122 requests against a persistent store. A first service warms twelve
+   configurations to disk, and three of the entries are then overwritten
+   with garbage. A second service answers 8 rounds of the twelve (the
+   three broken entries are quarantined and re-synthesized once), 6
+   cold requests whose deadline is already spent (degraded), 4 on a fabric
+   a fault disconnects (errors), and a burst of 16 identical cold requests
+   from 8 workers at once, which the single-flight join answers with one
+   synthesis. *)
+let test_replayed_trace () =
+  let dir = Filename.temp_file "tacos-serve-trace" "" in
+  Sys.remove dir;
+  let line ?(extra = []) (topology, pattern, size) =
+    req
+      ([
+         ("op", Json.String "synthesize");
+         ("topology", Json.String topology);
+         ("pattern", Json.String pattern);
+         ("size", Json.Number size);
+       ]
+      @ extra)
+  in
+  let warm_configs =
+    List.concat_map
+      (fun topology ->
+        List.map
+          (fun pattern -> (topology, pattern, 1e6))
+          [ "all-gather"; "reduce-scatter"; "all-reduce" ])
+      [ "ring:4"; "ring:8"; "mesh:2x2"; "mesh:3x3" ]
+  in
+  let config = { Service.default_config with registry_dir = Some dir } in
+  let warm = service ~config () in
+  List.iter
+    (fun c -> Alcotest.(check string) "warmed" "ok" (status (Service.handle_line warm (line c))))
+    warm_configs;
+  let entries =
+    List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check int) "twelve entries on disk" 12 (List.length entries);
+  List.iter
+    (fun f ->
+      Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
+          output_string oc "not json {{{"))
+    (List.filteri (fun i _ -> i < 3) (List.sort String.compare entries));
+  let records = ref 0 in
+  let syntheses = Atomic.make 0 in
+  let arrived = Atomic.make 0 in
+  let counting ~deadline ~sketch:_ ~seed ~domains topo spec =
+    Atomic.incr syntheses;
+    (* The burst's synthesis waits until all 8 of its workers have arrived,
+       so the other seven meet it in flight. *)
+    let t0 = Unix.gettimeofday () in
+    while
+      Atomic.get arrived > 0 && Atomic.get arrived < 8 && Unix.gettimeofday () -. t0 < 10.
+    do
+      Unix.sleepf 0.001
+    done;
+    Synth.synthesize ~seed ~domains ?deadline topo spec
+  in
+  let svc =
+    service
+      ~config:{ config with access_log = Some (fun _ -> incr records) }
+      ~synthesize:counting ()
+  in
+  let answered_ok r =
+    Alcotest.(check string) "ok" "ok" (status r);
+    Alcotest.(check bool) "not degraded" false (bool_field "degraded" r)
+  in
+  for _ = 1 to 8 do
+    List.iter (fun c -> answered_ok (Service.handle_line svc (line c))) warm_configs
+  done;
+  for mb = 3 to 8 do
+    let cold = ("ring:4", "all-gather", float_of_int mb *. 1e6) in
+    let r = Service.handle_line svc (line ~extra:[ ("deadline_ms", Json.Number 0.) ] cold) in
+    Alcotest.(check bool) "spent deadline degrades" true (bool_field "degraded" r)
+  done;
+  let disconnected =
+    line ~extra:[ ("fail_links", Json.Array [ Json.Number 0. ]) ] ("uniring:4", "all-gather", 1e6)
+  in
+  for _ = 1 to 4 do
+    Alcotest.(check string) "disconnected fabric" "error"
+      (status (Service.handle_line svc disconnected))
+  done;
+  let before = Atomic.get syntheses in
+  let pool = Tacos_util.Pool.create ~size:8 () in
+  let burst =
+    Tacos_util.Pool.map pool
+      (fun _ ->
+        Atomic.incr arrived;
+        Service.handle_line svc (line ("ring:6", "all-gather", 2e6)))
+      16
+  in
+  Tacos_util.Pool.shutdown pool;
+  Array.iter answered_ok burst;
+  Alcotest.(check int) "one synthesis for the burst" 1 (Atomic.get syntheses - before);
+  let s = Service.stats svc in
+  List.iter
+    (fun (outcome, expected, counted) ->
+      Alcotest.(check int) (outcome ^ " counted") expected counted;
+      Alcotest.(check (float 0.)) (outcome ^ " exposed") (float_of_int expected)
+        (exposed svc "tacos_serve_requests_total" [ ("outcome", outcome) ]))
+    [
+      ("accepted", 122, s.Service.accepted);
+      ("hit", 108, s.Service.hits);
+      ("miss", 4, s.Service.misses);
+      ("degraded", 6, s.Service.degraded);
+      ("deadline_missed", 6, s.Service.deadline_missed);
+      ("error", 4, s.Service.errors);
+    ];
+  Alcotest.(check int) "quarantined" 3 s.Service.quarantined;
+  Alcotest.(check (float 0.)) "disk entries exposed" 13.
+    (exposed svc "tacos_registry_disk_entries" []);
+  Alcotest.(check (float 0.)) "corrupt files exposed" 3.
+    (exposed svc "tacos_registry_disk_corrupt" []);
+  Alcotest.(check bool) "disk bytes exposed" true
+    (exposed svc "tacos_registry_disk_bytes" [] > 0.);
+  Alcotest.(check int) "one access record per request" 122 !records;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
 
 (* --- export flavors ------------------------------------------------------ *)
 
@@ -751,6 +889,10 @@ let () =
           Alcotest.test_case "access log records" `Quick test_access_log;
           Alcotest.test_case "each response counted once" `Quick
             test_each_response_counted_once;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "replayed trace totals" `Quick test_replayed_trace;
         ] );
       ( "export-and-tune",
         [

@@ -344,54 +344,74 @@ let test_buddy_forbids_diagonals () =
 
 (* --- strategy sweeps ----------------------------------------------------- *)
 
+(* Every point of a 64 MB All-Reduce sweep at seed 42, pinned to the bit:
+   (chunks per NPU, steps, sends, collective time, simulated time). On both
+   fabrics all five points are on the frontier. *)
+let pareto_golden =
+  [
+    ( "dgx1",
+      (fun () -> Builders.dgx1 ()),
+      [
+        (1, 4, 112, 0.0012828, 0.0012828000000014513);
+        (2, 6, 224, 0.0009641999999999999, 0.00112350000000127);
+        (4, 12, 448, 0.0009684, 0.0009642000000010886);
+        (8, 22, 896, 0.0008954000000000001, 0.0008828000000009975);
+        (16, 40, 1792, 0.0008280000000000001, 0.0008021000000009074);
+      ] );
+    ( "torus:4x4",
+      (fun () -> Builders.torus [| 4; 4 |]),
+      [
+        (1, 10, 480, 0.0008049999999999999, 0.0008825000000009978);
+        (2, 18, 960, 0.000729, 0.0007635000000008615);
+        (4, 32, 1920, 0.0006560000000000001, 0.0007435000000008391);
+        (8, 62, 3840, 0.000651, 0.000632500000000714);
+        (16, 122, 7680, 0.0006710000000000007, 0.0006125000000006903);
+      ] );
+  ]
+
 let test_pareto_dgx1_frontier () =
-  (* The acceptance bar: DGX-1 All-Reduce at 64 MB yields a non-dominated
-     frontier of at least 3 points, deterministically. *)
-  let topo = Builders.dgx1 () in
-  let outcome =
-    Strategy.sweep ~seed:42 topo ~pattern:Pattern.All_reduce ~size:64e6
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "frontier has >= 3 points (got %d)"
-       (List.length outcome.Strategy.frontier))
-    true
-    (List.length outcome.Strategy.frontier >= 3);
-  (* Every point is on the frontier xor dominated, and the dominator
-     relation is sound. *)
   List.iter
-    (fun (p : Strategy.point) ->
-      let on_frontier = List.memq p outcome.Strategy.frontier in
-      let dominated =
-        List.exists (fun (q, _) -> q == p) outcome.Strategy.dominated
+    (fun (name, build, expected) ->
+      let outcome =
+        Strategy.sweep ~seed:42 (build ()) ~pattern:Pattern.All_reduce ~size:64e6
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "chunks=%d frontier xor dominated" p.Strategy.chunks_per_npu)
-        true
-        (on_frontier <> dominated))
-    outcome.Strategy.points;
-  List.iter
-    (fun ((p : Strategy.point), (by : Strategy.point)) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "chunks=%d is dominated by chunks=%d"
-           p.Strategy.chunks_per_npu by.Strategy.chunks_per_npu)
-        true
-        (Strategy.dominates by p))
-    outcome.Strategy.dominated;
-  (* Determinism over the fields dominance is computed from. *)
-  let again =
-    Strategy.sweep ~seed:42 topo ~pattern:Pattern.All_reduce ~size:64e6
-  in
-  let det (p : Strategy.point) =
-    (p.Strategy.chunks_per_npu, p.Strategy.steps, p.Strategy.sends,
-     p.Strategy.simulated_time)
-  in
-  Alcotest.(check bool)
-    "deterministic points" true
-    (List.map det outcome.Strategy.points = List.map det again.Strategy.points);
-  Alcotest.(check int)
-    "deterministic frontier size"
-    (List.length outcome.Strategy.frontier)
-    (List.length again.Strategy.frontier)
+      Alcotest.(check int) (name ^ ": frontier size") 5
+        (List.length outcome.Strategy.frontier);
+      Alcotest.(check int) (name ^ ": points") (List.length expected)
+        (List.length outcome.Strategy.points);
+      List.iter2
+        (fun (chunks, steps, sends, collective, simulated) (p : Strategy.point) ->
+          let label what = Printf.sprintf "%s chunks=%d: %s" name chunks what in
+          Alcotest.(check (list int)) (label "chunks, steps, sends") [ chunks; steps; sends ]
+            [ p.Strategy.chunks_per_npu; p.Strategy.steps; p.Strategy.sends ];
+          Alcotest.check Pin.exact (label "collective time") collective p.Strategy.collective_time;
+          Alcotest.check Pin.exact (label "simulated time") simulated p.Strategy.simulated_time;
+          Alcotest.(check bool) (label "on the frontier") true
+            (List.memq p outcome.Strategy.frontier))
+        expected outcome.Strategy.points;
+      (* Every point is on the frontier xor dominated, and the dominator
+         relation is sound. *)
+      List.iter
+        (fun (p : Strategy.point) ->
+          let on_frontier = List.memq p outcome.Strategy.frontier in
+          let dominated =
+            List.exists (fun (q, _) -> q == p) outcome.Strategy.dominated
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s chunks=%d frontier xor dominated" name
+               p.Strategy.chunks_per_npu)
+            true
+            (on_frontier <> dominated))
+        outcome.Strategy.points;
+      List.iter
+        (fun ((p : Strategy.point), (by : Strategy.point)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s chunks=%d is dominated by chunks=%d" name
+               p.Strategy.chunks_per_npu by.Strategy.chunks_per_npu)
+            true
+            (Strategy.dominates by p))
+        outcome.Strategy.dominated)
+    pareto_golden
 
 let test_pareto_under_sketch () =
   let topo = Builders.ring ~link 8 in

@@ -781,6 +781,72 @@ let test_stuck_golden () =
          Synth.synthesize ~sketch:{ Synth.no_constraints with forbid } topo
            (spec Pattern.All_gather 9)))
 
+(* --- paper figures, pinned to the bit ----------------------------------- *)
+
+let link_50g = Link.of_bandwidth 50e9
+
+(* Fig. 18 (bench fig18): a 256 MB All-Reduce, TACOS at 2 chunks per NPU
+   (seed 42) against Ring. Per fabric: TACOS makespan, Ring finish time,
+   then their average utilizations. *)
+let fig18_golden =
+  [
+    ( "3D Torus 5x5x5",
+      Builders.torus ~link:link_50g [| 5; 5; 5 |],
+      (0.0017623199999999989, 0.015353520000017724),
+      (0.9841269841269781, 0.13673323989113273) );
+    ( "2D Mesh 10x10",
+      Builders.mesh ~link:link_50g [| 10; 10 |],
+      (0.005167799999999995, 0.01578810000001775),
+      (0.5555555555555558, 0.3531571246698506) );
+    ( "3D HC 5x5x5",
+      Builders.mesh ~link:link_50g [| 5; 5; 5 |],
+      (0.003482680000000005, 0.02106446000002444),
+      (0.6224899598393564, 0.19932497992669207) );
+  ]
+
+let test_fig18_golden () =
+  List.iter
+    (fun (name, topo, (tacos_time, ring_time), (tacos_util, ring_util)) ->
+      let n = Topology.num_npus topo in
+      let size = 256e6 in
+      let tacos =
+        Synth.synthesize ~seed:42 topo
+          (spec ~chunks_per_npu:2 ~buffer_size:size Pattern.All_reduce n)
+      in
+      let ring =
+        Tacos_baselines.Algo.simulate Tacos_baselines.Algo.ring topo
+          (spec ~buffer_size:size Pattern.All_reduce n)
+      in
+      let check what = Alcotest.check Pin.exact (name ^ ": " ^ what) in
+      check "TACOS makespan" tacos_time tacos.collective_time;
+      check "Ring makespan" ring_time ring.Tacos_sim.Engine.finish_time;
+      check "TACOS utilization" tacos_util (Schedule.average_utilization topo tacos.schedule);
+      check "Ring utilization" ring_util (Tacos_sim.Engine.average_utilization topo ring))
+    fig18_golden
+
+(* Fig. 19 at small scale (bench fig19): a 1 GB All-Reduce per fabric, its
+   makespan and synthesis rounds. *)
+let fig19_golden =
+  [
+    ("2D Mesh", [| 4; 4 |], 0.020008, 16);
+    ("2D Mesh", [| 8; 8 |], 0.020032000000000008, 64);
+    ("2D Mesh", [| 12; 12 |], 0.020071999999999975, 144);
+    ("3D HC", [| 2; 2; 2 |], 0.015003, 6);
+    ("3D HC", [| 3; 3; 3 |], 0.013342333333333331, 18);
+    ("3D HC", [| 4; 4; 4 |], 0.013145999999999998, 42);
+  ]
+
+let test_fig19_golden () =
+  List.iter
+    (fun (name, dims, makespan, rounds) ->
+      let topo = Builders.mesh ~link:link_50g dims in
+      let n = Topology.num_npus topo in
+      let r = Synth.synthesize topo (spec ~buffer_size:1e9 Pattern.All_reduce n) in
+      let label what = Printf.sprintf "%s %d NPUs: %s" name n what in
+      Alcotest.check Pin.exact (label "makespan") makespan r.collective_time;
+      Alcotest.(check int) (label "rounds") rounds r.stats.rounds)
+    fig19_golden
+
 let () =
   Alcotest.run "synthesizer"
     [
@@ -789,6 +855,9 @@ let () =
           Alcotest.test_case "multi-trial synthesize" `Quick test_trials_golden;
           Alcotest.test_case "multi-trial goal plan" `Quick test_goal_plan_golden;
           Alcotest.test_case "Stuck messages" `Quick test_stuck_golden;
+          Alcotest.test_case "Fig. 18 makespans and utilizations" `Quick
+            test_fig18_golden;
+          Alcotest.test_case "Fig. 19 makespans and rounds" `Quick test_fig19_golden;
         ] );
       ( "structure",
         [
